@@ -15,7 +15,6 @@ from wsys import (
     eps_independence_check,
     feps,
     graph_parse,
-    ordered_partitions,
     perm_parse,
     primitive_eval_diagram,
     primitive_eval_graph,
@@ -24,10 +23,6 @@ from wsys import (
     restrict_graph,
     skew_char,
 )
-
-# The machinery underneath: ordered set partitions.
-for blocks in ordered_partitions([1, 2]):
-    print("ordered partition of {1, 2}:", blocks)
 
 # Projecting the two-parameter family of a single chord returns it as is:
 single = perm_parse("(1 2)")
@@ -50,8 +45,8 @@ triple = perm_parse("(1 5)(2 4)(3 6)")
 ok, value = eps_independence_check(triple)
 print("pi F on (1 5)(2 4)(3 6):", value, "  eps-free:", ok)
 
-# The projection loses nothing: exponentiating it over ordered covers of
-# the chord set reproduces the invariant exactly.
+# The projection loses nothing: exponentiating it over the chord subsets
+# reproduces the invariant exactly.
 for text in ("(1 3)(2 4)", "(1 2)(3 4)", "(1 4)(2 5)(3 6)"):
     b = perm_parse(text)
     ground = range(1, b.m // 2 + 1)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Mapping, Union
 
-from .errors import DomainError
+from .errors import DomainError, is_uint
 
 # A monomial is a tuple of (variable, exponent) pairs, sorted by the fixed
 # variable order, with all exponents positive.  The empty tuple is the
@@ -49,7 +49,7 @@ def var_key(name: str) -> tuple[int, int]:
     """Sort key realizing the fixed variable order."""
     if name in _FIXED_VARS:
         return _FIXED_VARS[name]
-    if name.startswith("C") and name[1:].isdigit() and int(name[1:]) >= 1:
+    if name.startswith("C") and is_uint(name[1:]) and int(name[1:]) >= 1:
         return (1, int(name[1:]))
     raise DomainError(f"unknown variable {name!r}")
 

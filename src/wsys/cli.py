@@ -25,7 +25,7 @@ from .dmat import (
     partial_dual,
     set_to_mask,
 )
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, is_uint
 from .glws import feps, feps_direct, feps_in_v, gl11_skewchar, interlace_perm, wgl
 from .graphs import graph_format, graph_parse, graph_pivot
 from .invariants import (
@@ -52,20 +52,20 @@ def _parse_subset(text: str, ground: int) -> int:
     if not body:
         return 0
     members = [s.strip() for s in body.split(",")]
-    if not all(s.isdigit() for s in members):
+    if not all(is_uint(s) for s in members):
         raise ParseError(f"malformed element list {text!r}")
     return set_to_mask((int(s) for s in members), ground)
 
 
 def _parse_pair(text: str) -> tuple[int, int]:
     parts = [s.strip() for s in text.split(",")]
-    if len(parts) != 2 or not all(s.isdigit() for s in parts):
+    if len(parts) != 2 or not all(is_uint(s) for s in parts):
         raise ParseError(f"expected a pair like \"2,5\", got {text!r}")
     return int(parts[0]), int(parts[1])
 
 
 def _parse_vertex(text: str) -> int:
-    if not text.strip().isdigit():
+    if not is_uint(text.strip()):
         raise ParseError(f"expected a vertex number, got {text!r}")
     return int(text)
 

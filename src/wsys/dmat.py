@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from . import graphs, perm
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, is_uint
 
 MAX_GROUND = 20
 
@@ -80,14 +80,8 @@ class DMat:
 
 def dmat_from_graph(g: graphs.Graph) -> DMat:
     """Admissible = vertex subsets inducing a mod-2 nondegenerate subgraph."""
-    phi = {
-        mask
-        for mask in range(1 << g.n)
-        if graphs.is_nondegenerate(
-            graphs.induced_subgraph(g, (v + 1 for v in range(g.n) if mask >> v & 1))
-        )
-    }
-    return DMat(g.n, frozenset(phi))
+    coranks = graphs.subset_coranks(g)
+    return DMat(g.n, frozenset(mask for mask, c in enumerate(coranks) if c == 0))
 
 
 def dmat_from_chord_diagram(b: perm.Perm) -> DMat:
@@ -149,6 +143,29 @@ def distance(d: DMat, subset: Subsetlike) -> int:
     return min((mask ^ f).bit_count() for f in d.phi)
 
 
+def distances(d: DMat) -> list[int]:
+    """:func:`distance` of every subset, indexed by its bitmask: a
+    breadth-first search on the hypercube from all admissible sets at once,
+    O(ground * 2^ground)."""
+    dist = [-1] * (1 << d.ground)
+    frontier = list(d.phi)
+    for f in frontier:
+        dist[f] = 0
+    bits = [1 << i for i in range(d.ground)]
+    level = 0
+    while frontier:
+        level += 1
+        reached = []
+        for mask in frontier:
+            for bit in bits:
+                near = mask ^ bit
+                if dist[near] < 0:
+                    dist[near] = level
+                    reached.append(near)
+        frontier = reached
+    return dist
+
+
 def partial_dual(d: DMat, subset: Subsetlike) -> DMat:
     """XOR every admissible set with the given subset."""
     mask = d.coerce_subset(subset)
@@ -190,7 +207,7 @@ def dmat_delete(d: DMat, e: int) -> DMat:
 
 # -- text form --------------------------------------------------------------------
 
-_DMAT_RE = re.compile(r"^\s*E\s*=\s*(\d+)\s*;\s*phi\s*=\s*(.*?)\s*$")
+_DMAT_RE = re.compile(r"^\s*E\s*=\s*([0-9]+)\s*;\s*phi\s*=\s*(.*?)\s*$")
 
 
 def dmat_parse(text: str) -> DMat:
@@ -204,7 +221,7 @@ def dmat_parse(text: str) -> DMat:
     masks: set[int] = set()
     for piece in re.findall(r"\{([^{}]*)\}", body):
         members = [s for s in re.split(r"[\s,]+", piece.strip()) if s]
-        if not all(s.isdigit() for s in members):
+        if not all(is_uint(s) for s in members):
             raise ParseError(f"malformed admissible set {{{piece}}}")
         pts = [int(s) for s in members]
         for p in pts:

@@ -11,6 +11,8 @@ Two failure modes are distinguished everywhere:
 The command line maps them to distinct exit codes.
 """
 
+import re
+
 
 class ParseError(ValueError):
     """Malformed input text."""
@@ -18,3 +20,9 @@ class ParseError(ValueError):
 
 class DomainError(ValueError):
     """Structurally valid input outside an operation's domain."""
+
+
+def is_uint(text: str) -> bool:
+    """True iff text is a nonempty run of ASCII digits.  ``str.isdigit``
+    also accepts characters such as "²" that ``int`` rejects."""
+    return re.fullmatch(r"[0-9]+", text) is not None

@@ -34,6 +34,7 @@ from typing import MutableMapping
 
 from .algebra import Poly, RatFunc, casimir, poly_subst_rat
 from .errors import DomainError
+from .invariants import refined_skew_char_graph, subset_poly
 from .perm import Perm, cycle_count, face_count, intersection_graph, is_chord_diagram, subperm
 
 DEFAULT_CAP = 10
@@ -237,21 +238,13 @@ def feps_direct(p: Perm) -> Poly:
     sum_U N^(c(p) - c(p|U) + f(p|U) - 1) * eps^(m - |U|)."""
     m = p.m
     c_full = cycle_count(p)
-    points = list(range(1, m + 1))
-    terms: dict = {}
-    for mask in range(1 << m):
-        subset = [points[i] for i in range(m) if mask >> i & 1]
-        sub = subperm(p, subset)
-        npow = c_full - cycle_count(sub) + face_count(sub) - 1
-        epow = m - len(subset)
-        mono = []
-        if npow:
-            mono.append(("N", npow))
-        if epow:
-            mono.append(("eps", epow))
-        key = tuple(mono)
-        terms[key] = terms.get(key, Fraction(0)) + 1
-    return Poly(terms)
+
+    def npow(mask: int) -> int:
+        sub = subperm(p, [i + 1 for i in range(m) if mask >> i & 1])
+        return c_full - cycle_count(sub) + face_count(sub) - 1
+
+    stats = [npow(mask) for mask in range(1 << m)]
+    return subset_poly(stats, lambda s, c: (("N", c), ("eps", m - s)))
 
 
 def spec_standard(p: Perm, cap: int = DEFAULT_CAP) -> Poly:
@@ -296,8 +289,6 @@ def feps_in_v(b: Perm, cap: int = DEFAULT_CAP) -> Poly:
     bug, not bad input."""
     if not is_chord_diagram(b):
         raise DomainError("feps_in_v needs a chord diagram")
-    from .invariants import refined_skew_char_graph
-
     qbar = refined_skew_char_graph(intersection_graph(b))
     result = qbar.subs({"u": Poly.var("v"), "w": Poly.var("N")})
     v_expansion = Poly.const(2) * Poly.var("eps") + Poly.var("N") * Poly.var("eps", 2)

@@ -81,7 +81,7 @@ class Graph:
 
 # -- text form -------------------------------------------------------------
 
-_GRAPH_RE = re.compile(r"^\s*n\s*=\s*(\d+)\s*;\s*edges\s*=\s*(.*?)\s*$")
+_GRAPH_RE = re.compile(r"^\s*n\s*=\s*([0-9]+)\s*;\s*edges\s*=\s*(.*?)\s*$")
 
 
 def graph_parse(text: str) -> Graph:
@@ -95,7 +95,7 @@ def graph_parse(text: str) -> Graph:
     if body:
         for part in body.split(","):
             piece = part.strip()
-            m = re.fullmatch(r"(\d+)\s*-\s*(\d+)", piece)
+            m = re.fullmatch(r"([0-9]+)\s*-\s*([0-9]+)", piece)
             if not m:
                 raise ParseError(f"malformed edge {piece!r}")
             a, b = int(m.group(1)), int(m.group(2))
@@ -148,20 +148,21 @@ def adjacency_matrix(g: Graph) -> list[int]:
 
 def induced_corank(g: Graph, vertices: Iterable[int]) -> int:
     """Corank of the adjacency matrix restricted to a vertex subset,
-    eliminating directly on the compressed rows (no subgraph object)."""
+    eliminating directly on the masked rows (no subgraph object)."""
     vs = sorted(set(vertices))
     for v in vs:
         if not 1 <= v <= g.n:
             raise DomainError(f"vertex {v} out of range 1..{g.n}")
-    rows = []
-    for v in vs:
-        full = g.rows[v - 1]
-        packed = 0
-        for i, u in enumerate(vs):
-            if full >> (u - 1) & 1:
-                packed |= 1 << i
-        rows.append(packed)
-    return len(vs) - gf2_rank(rows)
+    mask = sum(1 << (v - 1) for v in vs)
+    return len(vs) - gf2_rank([g.rows[v - 1] & mask for v in vs])
+
+
+def subset_coranks(g: Graph) -> list[int]:
+    """Induced corank of every vertex subset, indexed by its bitmask."""
+    return [
+        mask.bit_count() - gf2_rank([row & mask for v, row in enumerate(g.rows) if mask >> v & 1])
+        for mask in range(1 << g.n)
+    ]
 
 
 def is_nondegenerate(g: Graph) -> bool:

@@ -1,22 +1,25 @@
 """Projection onto primitives as the logarithm of the identity.
 
-For a multiplicative invariant f (f of a disjoint union is the product of
-the values, f(empty) = 1), the composition with the projection pi onto
-primitive elements is computable without ever materializing pi:
+Set functions on the subsets of a ground set form a commutative algebra
+under subset convolution, (a * b)(S) = sum over T inside S of a(T) b(S - T).
+An invariant f with f(empty) taken as 1 is the exponential of its
+primitive projection p = f o pi, and splitting off the block that holds
+the smallest element of S gives the connected-part recursion
 
-    (f o pi)(B) = sum_{k>=1} (-1)^(k-1)/k *
-                  sum_{ordered partitions of the ground set into k
-                       nonempty blocks} prod_j f(B restricted to block j)
+    p(S) = f(S) - sum_{min S in T strictly inside S} p(T) * f(S - T)
 
-The inverse expansion (exponential against the same partitions) rebuilds f
-from f o pi and is used as the structural sanity check of the pair.
+with its inverse, the exponential,
+
+    f(S) = sum_{min S in T inside S} p(T) * f(S - T),    f(empty) = 1.
+
+Both run on bitmasks with fewer than 3^n products for n ground elements.
+They are identities of the algebra, so they hold for every f,
+multiplicative or not.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import factorial
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 from .algebra import Poly
 from .errors import DomainError
@@ -26,33 +29,42 @@ from .perm import Perm, chords, subperm
 
 T = TypeVar("T")
 
-Blocks = tuple[tuple[int, ...], ...]
+
+def _restricted_values(
+    f: Callable[[T], Poly],
+    obj: T,
+    ground: Sequence[int],
+    restrict: Callable[[T, Sequence[int]], T],
+) -> list[Poly]:
+    """f(obj restricted to U) for every subset mask U of the ground
+    sequence; the empty subset is taken as 1 and f is not called on it."""
+    items = list(ground)
+    values = [Poly.one()]
+    for mask in range(1, 1 << len(items)):
+        values.append(f(restrict(obj, [x for i, x in enumerate(items) if mask >> i & 1])))
+    return values
 
 
-def _set_partitions(items: Sequence[int]) -> Iterator[list[list[int]]]:
-    """Unordered partitions into nonempty blocks (each block ascending)."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for tail in _set_partitions(rest):
-        for i in range(len(tail)):
-            yield tail[:i] + [[first] + tail[i]] + tail[i + 1 :]
-        yield [[first]] + tail
+def _pointed_sum(p: list[Poly], g: list[Poly], s: int) -> Poly:
+    """Sum of p(T) * g(S - T) over the T strictly inside S that hold min S."""
+    low = s & -s
+    rest = s ^ low
+    total = Poly.zero()
+    r = rest
+    while r:
+        r = (r - 1) & rest
+        t = low | r
+        if p[t]:
+            total = total + p[t] * g[s ^ t]
+    return total
 
 
-def ordered_partitions(items: Sequence[int], k: int | None = None) -> Iterator[Blocks]:
-    """Ordered partitions of items into nonempty blocks; k restricts the
-    block count, otherwise all k = 1..len(items) are produced."""
-    from itertools import permutations
-
-    for part in _set_partitions(list(items)):
-        if k is not None and len(part) != k:
-            continue
-        if not part:
-            continue
-        for arrangement in permutations(part):
-            yield tuple(tuple(block) for block in arrangement)
+def _connected_parts(values: list[Poly]) -> list[Poly]:
+    """The primitive projection p of every subset, by the log recursion."""
+    p = [Poly.zero()]
+    for s in range(1, len(values)):
+        p.append(values[s] - _pointed_sum(p, values, s))
+    return p
 
 
 def primitive_eval(
@@ -61,25 +73,8 @@ def primitive_eval(
     ground: Sequence[int],
     restrict: Callable[[T, Sequence[int]], T],
 ) -> Poly:
-    """(f o pi)(obj) via the logarithm expansion over ordered partitions."""
-    cache: dict[frozenset[int], Poly] = {}
-
-    def value(block: Sequence[int]) -> Poly:
-        key = frozenset(block)
-        got = cache.get(key)
-        if got is None:
-            got = f(restrict(obj, block))
-            cache[key] = got
-        return got
-
-    total = Poly.zero()
-    for blocks in ordered_partitions(ground):
-        k = len(blocks)
-        prod = Poly.const(Fraction((-1) ** (k - 1), k))
-        for block in blocks:
-            prod = prod * value(block)
-        total = total + prod
-    return total
+    """(f o pi)(obj) by the connected-part recursion; 0 on an empty ground set."""
+    return _connected_parts(_restricted_values(f, obj, ground, restrict))[-1]
 
 
 def reconstruct_from_primitives(
@@ -88,30 +83,13 @@ def reconstruct_from_primitives(
     ground: Sequence[int],
     restrict: Callable[[T, Sequence[int]], T],
 ) -> Poly:
-    """The exponential expansion: sum_k 1/k! sum_{ordered k-partitions}
-    prod_j (f o pi)(obj restricted to block j), the k = 0 term being the
-    empty product 1 on the empty ground set.  Equals f(obj) for
-    multiplicative f with f(empty) = 1."""
-    if not ground:
-        return Poly.one()
-    cache: dict[frozenset[int], Poly] = {}
-
-    def projected(block: Sequence[int]) -> Poly:
-        key = frozenset(block)
-        got = cache.get(key)
-        if got is None:
-            sub = restrict(obj, block)
-            got = primitive_eval(f, sub, range(1, len(block) + 1), restrict)
-            cache[key] = got
-        return got
-
-    total = Poly.zero()
-    for blocks in ordered_partitions(ground):
-        prod = Poly.const(Fraction(1, factorial(len(blocks))))
-        for block in blocks:
-            prod = prod * projected(block)
-        total = total + prod
-    return total
+    """The exponential of the projection: rebuilds f(obj) from the values
+    of f o pi on the subsets of the ground set (1 on an empty ground set)."""
+    p = _connected_parts(_restricted_values(f, obj, ground, restrict))
+    g = [Poly.one()]
+    for s in range(1, len(p)):
+        g.append(p[s] + _pointed_sum(p, g, s))
+    return g[-1]
 
 
 # -- concrete ground sets -----------------------------------------------------

@@ -9,11 +9,11 @@ graphs the two agree subset by subset.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Callable, MutableMapping
+from collections import Counter
+from typing import Callable, MutableMapping, Sequence
 
-from .algebra import Poly
-from .dmat import DMat, distance
+from .algebra import Monomial, Poly
+from .dmat import DMat, distances, mask_to_set
 from .graphs import (
     Graph,
     delete_vertex,
@@ -21,83 +21,51 @@ from .graphs import (
     graph_pivot,
     induced_corank,
     induced_subgraph,
+    subset_coranks,
 )
 
 GraphInvariant = Callable[[Graph], Poly]
 
 
-def _vertex_subsets(n: int):
-    for mask in range(1 << n):
-        yield mask, [v + 1 for v in range(n) if mask >> v & 1]
+def subset_poly(stats: Sequence[int], mono: Callable[[int, int], Monomial | None]) -> Poly:
+    """Sum over subset masks U of the monomial mono(|U|, stats[U]).
+
+    ``stats`` holds one statistic per mask (a corank or a distance).  The
+    monomial is a tuple of (variable, exponent) pairs in the fixed variable
+    order; factors with exponent 0 are dropped, and None leaves U out.
+    """
+    pairs = Counter((mask.bit_count(), stat) for mask, stat in enumerate(stats))
+    terms: Counter = Counter()
+    for (size, stat), count in pairs.items():
+        key = mono(size, stat)
+        if key is not None:
+            terms[tuple((var, e) for var, e in key if e)] += count
+    return Poly(terms)
 
 
 def skew_char(g: Graph) -> Poly:
     """Q(u) = sum over mod-2 nondegenerate vertex subsets of u^(n - |U|)."""
-    terms: dict = {}
-    for mask, subset in _vertex_subsets(g.n):
-        if induced_corank(g, subset) == 0:
-            e = g.n - len(subset)
-            key = (("u", e),) if e else ()
-            terms[key] = terms.get(key, Fraction(0)) + 1
-    return Poly(terms)
+    return subset_poly(subset_coranks(g), lambda s, c: None if c else (("u", g.n - s),))
 
 
 def refined_skew_char_graph(g: Graph) -> Poly:
     """Qbar(u, w) = sum over all vertex subsets of u^(n-|U|) w^(corank A_U)."""
-    terms: dict = {}
-    for mask, subset in _vertex_subsets(g.n):
-        upow = g.n - len(subset)
-        wpow = induced_corank(g, subset)
-        mono = []
-        if upow:
-            mono.append(("u", upow))
-        if wpow:
-            mono.append(("w", wpow))
-        key = tuple(mono)
-        terms[key] = terms.get(key, Fraction(0)) + 1
-    return Poly(terms)
+    return subset_poly(subset_coranks(g), lambda s, c: (("u", g.n - s), ("w", c)))
 
 
 def refined_skew_char_dmat(d: DMat) -> Poly:
     """Qbar(u, w) with the distance to the admissible family as exponent."""
-    terms: dict = {}
-    for mask in range(1 << d.ground):
-        upow = d.ground - mask.bit_count()
-        wpow = distance(d, mask)
-        mono = []
-        if upow:
-            mono.append(("u", upow))
-        if wpow:
-            mono.append(("w", wpow))
-        key = tuple(mono)
-        terms[key] = terms.get(key, Fraction(0)) + 1
-    return Poly(terms)
+    return subset_poly(distances(d), lambda s, c: (("u", d.ground - s), ("w", c)))
 
 
 def interlace_dmat(d: DMat) -> Poly:
     """L(x) = sum over all subsets of x^(distance)."""
-    terms: dict = {}
-    for mask in range(1 << d.ground):
-        e = distance(d, mask)
-        key = (("x", e),) if e else ()
-        terms[key] = terms.get(key, Fraction(0)) + 1
-    return Poly(terms)
+    return subset_poly(distances(d), lambda s, c: (("x", c),))
 
 
 def two_var_interlace(d: DMat) -> Poly:
     """Lbar(x, y) = sum over all subsets of x^|U| y^(distance)."""
-    terms: dict = {}
-    for mask in range(1 << d.ground):
-        xpow = mask.bit_count()
-        ypow = distance(d, mask)
-        mono = []
-        if xpow:
-            mono.append(("x", xpow))
-        if ypow:
-            mono.append(("y", ypow))
-        key = tuple(mono)
-        terms[key] = terms.get(key, Fraction(0)) + 1
-    return Poly(terms)
+    return subset_poly(distances(d), lambda s, c: (("x", s), ("y", c)))
 
 
 # -- recursive interlace -------------------------------------------------------
@@ -157,11 +125,11 @@ def shift_variable(p: Poly, var: str) -> Poly:
 
 def convolution(f: GraphInvariant, g: GraphInvariant, graph: Graph) -> Poly:
     """(f * g)(G) = sum over vertex subsets U of f(G|U) g(G|rest)."""
+    full = (1 << graph.n) - 1
     total = Poly.zero()
-    for mask, subset in _vertex_subsets(graph.n):
-        rest = [v for v in range(1, graph.n + 1) if v not in set(subset)]
-        total = total + f(induced_subgraph(graph, subset)) * g(
-            induced_subgraph(graph, rest)
+    for mask in range(1 << graph.n):
+        total = total + f(induced_subgraph(graph, mask_to_set(mask))) * g(
+            induced_subgraph(graph, mask_to_set(full ^ mask))
         )
     return total
 

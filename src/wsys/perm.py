@@ -24,7 +24,7 @@ from itertools import permutations as _permutations
 from typing import Iterable, Iterator, Mapping
 
 from . import graphs
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, is_uint
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ def perm_parse(text: str, m: int | None = None) -> Perm:
                 continue
             cyc: list[int] = []
             for p in pts:
-                if not p.isdigit() or int(p) < 1:
+                if not is_uint(p) or int(p) < 1:
                     raise ParseError(f"bad point {p!r} in cycle notation")
                 v = int(p)
                 if v in points_seen:
@@ -125,7 +125,7 @@ def perm_parse(text: str, m: int | None = None) -> Perm:
                 img[v - 1] = cyc[(i + 1) % len(cyc)]
         return Perm(tuple(img))
     pts = [p for p in re.split(r"[\s,]+", body) if p]
-    if not all(p.isdigit() for p in pts):
+    if not all(is_uint(p) for p in pts):
         raise ParseError(f"malformed permutation text: {text!r}")
     img = [int(p) for p in pts]
     if m is not None and m != len(img):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from inspect import signature
 from random import Random
 from typing import Callable, Iterator
@@ -26,7 +27,7 @@ from .dmat import (
     dmat_delete,
     dmat_from_chord_diagram,
     dmat_from_graph,
-    distance,
+    distances,
     is_coloop,
     is_loop,
     partial_dual,
@@ -175,32 +176,6 @@ def _graph_range(max_vertices: int) -> Iterator[Graph]:
         yield from all_graphs(n)
 
 
-def _cached_on_img(fn: Callable[[Perm], object]) -> Callable[[Perm], object]:
-    cache: dict[tuple[int, ...], object] = {}
-
-    def call(p: Perm):
-        got = cache.get(p.img)
-        if got is None:
-            got = fn(p)
-            cache[p.img] = got
-        return got
-
-    return call
-
-
-def _cached_on_graph(fn: Callable[[Graph], Poly]) -> Callable[[Graph], Poly]:
-    cache: dict[Graph, Poly] = {}
-
-    def call(g: Graph) -> Poly:
-        got = cache.get(g)
-        if got is None:
-            got = fn(g)
-            cache[g] = got
-        return got
-
-    return call
-
-
 # -- weight-system suites -------------------------------------------------------
 
 
@@ -296,9 +271,9 @@ def suite_fourterm_graphs(max_vertices: int = 5) -> VerifySuiteReport:
     relation at every ordered vertex pair."""
     instances, failures = 0, []
     named = [
-        ("skew-char", _cached_on_graph(skew_char)),
-        ("refined-skew-char", _cached_on_graph(refined_skew_char_graph)),
-        ("interlace", _cached_on_graph(interlace_graph)),
+        ("skew-char", cache(skew_char)),
+        ("refined-skew-char", cache(refined_skew_char_graph)),
+        ("interlace", cache(interlace_graph)),
     ]
     for g in _graph_range(max_vertices):
         for a in range(1, g.n + 1):
@@ -335,7 +310,7 @@ def suite_pivot_invariance(max_m: int = 8) -> VerifySuiteReport:
     """The interlace rational function is invariant under the pivot along
     any pair of interlacing 2-cycles."""
     instances, failures = 0, []
-    li = _cached_on_img(interlace_perm)
+    li = cache(interlace_perm)
     for p in _perm_range(max_m):
         pairs = interlacing_two_cycle_pairs(p)
         if not pairs:
@@ -380,7 +355,7 @@ def suite_perm_recurrence(max_chords: int = 3) -> VerifySuiteReport:
     """
     instances = 0
     matches = {"remove-both": 0, "delete-other": 0, "delete-same": 0}
-    li = _cached_on_img(interlace_perm)
+    li = cache(interlace_perm)
 
     def drop(p: Perm, pts: set[int]) -> Perm:
         return subperm(p, [i for i in range(1, p.m + 1) if i not in pts])
@@ -453,11 +428,11 @@ def suite_distance_corank(max_vertices: int = 5) -> VerifySuiteReport:
     corank of the induced adjacency matrix, subset by subset."""
     instances, failures = 0, []
     for g in _graph_range(max_vertices):
-        d = dmat_from_graph(g)
+        dist = distances(dmat_from_graph(g))
         for mask in range(1 << g.n):
             instances += 1
             subset = [v + 1 for v in range(g.n) if mask >> v & 1]
-            if distance(d, mask) != induced_corank(g, subset):
+            if dist[mask] != induced_corank(g, subset):
                 members = ",".join(str(v) for v in subset)
                 failures.append(f"{graph_format(g)} @ U={{{members}}}")
     return _report("distance-corank", instances, failures)
@@ -469,12 +444,12 @@ def suite_distance_faces(max_chords: int = 5) -> VerifySuiteReport:
     count of the subdiagram minus one."""
     instances, failures = 0, []
     for b in _diagram_range(max_chords):
-        d = dmat_from_chord_diagram(b)
+        dist = distances(dmat_from_chord_diagram(b))
         ch = chords(b)
         for mask in range(1 << len(ch)):
             instances += 1
             pts = [pt for i in range(len(ch)) if mask >> i & 1 for pt in ch[i]]
-            if distance(d, mask) != face_count(subperm(b, pts)) - 1:
+            if dist[mask] != face_count(subperm(b, pts)) - 1:
                 members = ",".join(str(i + 1) for i in range(len(ch)) if mask >> i & 1)
                 failures.append(f"{perm_format(b)} @ U={{{members}}}")
     return _report("distance-faces", instances, failures)

@@ -110,6 +110,11 @@ def test_parse_error_exit_code(capsys):
     assert run(["wgl", "--perm", "1,1,2"]) == 1
     assert run(["wgl", "--perm", "(1 2"]) == 1
     assert run(["dmat", "--dmat", "E=x; phi={}"]) == 1
+    # digits outside ASCII pass str.isdigit but are not integers
+    assert run(["wgl", "--perm", "²,1"]) == 1
+    assert run(["dmat", "--dmat", "E=2; phi={²}"]) == 1
+    assert run(["pivot", "--graph", "n=3; edges=1-2", "--a", "²", "--b", "1"]) == 1
+    assert run(["interlace", "--graph", "n=²; edges="]) == 1
 
 
 def test_usage_error_exit_code(capsys):

@@ -6,6 +6,7 @@ from wsys.dmat import (
     DMat,
     check_symmetric_exchange,
     distance,
+    distances,
     dmat_delete,
     dmat_format,
     dmat_from_chord_diagram,
@@ -90,6 +91,11 @@ def test_distance():
             subset = [k + 1 for k in range(len(ch)) if mask >> k & 1]
             pts = sorted(p for k in subset for p in ch[k - 1])
             assert distance(dd, subset) == face_count(subperm(b, pts)) - 1
+    # all distances at once agree with the one-subset definition
+    systems = [dmat_from_graph(g) for n in range(5) for g in all_graphs(n)]
+    systems += [dmat_from_chord_diagram(b) for n in range(1, 5) for b in all_chord_diagrams(n)]
+    for dd in systems:
+        assert distances(dd) == [distance(dd, m) for m in range(1 << dd.ground)]
 
 
 def test_partial_dual():

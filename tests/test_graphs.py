@@ -21,6 +21,7 @@ from wsys.graphs import (
     induced_subgraph,
     is_nondegenerate,
     path_graph,
+    subset_coranks,
 )
 
 
@@ -76,6 +77,14 @@ def test_adjacency_corank_known_graphs():
     assert induced_corank(complete_graph(3), [2]) == 1
     assert induced_corank(complete_graph(3), []) == 0
     assert adjacency_matrix(complete_graph(2)) == [0b10, 0b01]
+    # all induced coranks at once, against the one-subset routes
+    for n in range(6):
+        for g in all_graphs(n):
+            coranks = subset_coranks(g)
+            for mask in range(1 << n):
+                subset = [v + 1 for v in range(n) if mask >> v & 1]
+                sub = induced_subgraph(g, subset)
+                assert coranks[mask] == induced_corank(g, subset) == gf2_corank(sub.rows, sub.n)
 
 
 def test_nondegeneracy():

@@ -10,7 +10,6 @@ from wsys.glws import feps, spec_standard
 from wsys.graphs import Graph, all_graphs, complete_graph
 from wsys.hopf import (
     eps_independence_check,
-    ordered_partitions,
     primitive_eval,
     primitive_eval_diagram,
     primitive_eval_graph,
@@ -23,43 +22,6 @@ from wsys.perm import all_chord_diagrams, perm_parse
 
 N = Poly.var("N")
 u = Poly.var("u")
-
-
-def stirling2(n, k):
-    if n == k == 0:
-        return 1
-    if n == 0 or k == 0:
-        return 0
-    return stirling2(n - 1, k - 1) + k * stirling2(n - 1, k)
-
-
-def test_ordered_partition_counts():
-    # k! * S(n, k) ordered partitions into k blocks; Fubini numbers in total
-    import math
-
-    for n in range(0, 9):
-        items = list(range(n))
-        total = 0
-        for k in range(1, n + 1):
-            got = sum(1 for _ in ordered_partitions(items, k))
-            assert got == math.factorial(k) * stirling2(n, k)
-            total += got
-        assert total == sum(1 for _ in ordered_partitions(items)) if n else True
-    fubini = [1, 3, 13, 75, 541]
-    for n, want in enumerate(fubini, start=1):
-        assert sum(1 for _ in ordered_partitions(list(range(n)))) == want
-
-
-def test_ordered_partitions_blocks_are_disjoint_covers():
-    items = [3, 5, 7]
-    seen = set()
-    for blocks in ordered_partitions(items):
-        flat = [i for blk in blocks for i in blk]
-        assert sorted(flat) == sorted(items)
-        assert all(blk for blk in blocks)
-        key = tuple(tuple(blk) for blk in blocks)
-        assert key not in seen
-        seen.add(key)
 
 
 def test_restrict_graph():

@@ -72,7 +72,7 @@ def test_parse_one_line_and_cycles():
 
 
 def test_parse_errors():
-    for bad in ["1,1", "0,1", "1,3", "(1 2", "a,b", "(1 2)(2 3)"]:
+    for bad in ["1,1", "0,1", "1,3", "(1 2", "a,b", "(1 2)(2 3)", "²,1", "(² 1)"]:
         with pytest.raises(ParseError):
             perm_parse(bad)
     # blank input is the empty permutation, like "()"
