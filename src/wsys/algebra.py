@@ -383,29 +383,6 @@ class RatFunc:
         return f"({poly_to_string(self.num)}) / {denom}"
 
 
-def poly_subst_rat(p: Poly, bindings: Mapping[str, RatFunc]) -> RatFunc:
-    """Substitute rational functions for every variable of p."""
-    missing = p.variables() - set(bindings)
-    if missing:
-        raise DomainError(f"unbound variables in rational substitution: {sorted(missing)}")
-    power_cache: dict[tuple[str, int], RatFunc] = {}
-
-    def bound_power(var: str, e: int) -> RatFunc:
-        got = power_cache.get((var, e))
-        if got is None:
-            got = bindings[var] ** e
-            power_cache[(var, e)] = got
-        return got
-
-    total = RatFunc.from_poly(0)
-    for mono, coef in p.terms.items():
-        term = RatFunc.from_poly(Poly.const(coef))
-        for var, e in mono:
-            term = term * bound_power(var, e)
-        total = total + term
-    return total
-
-
 def ratfunc_series(r: RatFunc, order: int) -> list[Fraction]:
     """Module-level alias of :meth:`RatFunc.series`."""
     return r.series(order)

@@ -5,7 +5,8 @@ verify.  Polynomials print in the canonical text form of
 :func:`wsys.algebra.poly_to_string`; all output is deterministic.
 
 Exit codes: 0 success, 1 malformed input text, 2 precondition violation
-on well-formed input, 3 verification suite failure.
+on well-formed input, 3 verification suite failure, 4 internal
+consistency check failure (a bug, not bad input).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .dmat import (
     partial_dual,
     set_to_mask,
 )
-from .errors import DomainError, ParseError, is_uint
+from .errors import DomainError, InternalError, ParseError, is_uint
 from .glws import feps, feps_direct, feps_in_v, gl11_skewchar, interlace_perm, wgl
 from .graphs import graph_format, graph_parse, graph_pivot
 from .invariants import (
@@ -305,6 +306,9 @@ def run(argv: list[str]) -> int:
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 2
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
 
 
 def main() -> None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from . import graphs, perm
-from .errors import DomainError, ParseError, is_uint
+from .errors import DomainError, InternalError, ParseError, is_uint
 
 MAX_GROUND = 20
 
@@ -104,7 +104,8 @@ def dmat_from_chord_diagram(b: perm.Perm) -> DMat:
         )
         == 1
     )
-    assert d.phi == by_faces, f"graph and face admissibility disagree for {b.img}"
+    if d.phi != by_faces:
+        raise InternalError(f"graph and face admissibility disagree for {b.img}")
     return d
 
 

@@ -8,6 +8,9 @@ Two failure modes are distinguished everywhere:
   precondition of the requested operation (pivoting non-interlacing
   cycles, deleting a coloop, exceeding the reduction cap, ...).
 
+:class:`InternalError` marks a failed internal consistency check: a bug,
+never bad input.  Unlike ``assert`` it still fires under ``python -O``.
+
 The command line maps them to distinct exit codes.
 """
 
@@ -20,6 +23,10 @@ class ParseError(ValueError):
 
 class DomainError(ValueError):
     """Structurally valid input outside an operation's domain."""
+
+
+class InternalError(RuntimeError):
+    """An internal consistency check failed."""
 
 
 def is_uint(text: str) -> bool:

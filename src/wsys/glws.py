@@ -23,17 +23,22 @@ a Casimir factor); otherwise locate the first element of the cycle through
 swap strictly decreases the position of that element, each contraction
 decreases the number of points, so the reduction terminates.  All
 intermediate states of a bubbling chain are memoized on the way out.
+
+Every specialization is a ring homomorphism out of Q[N, C1, C2, ...], so
+it commutes with the recurrence: one evaluator runs the recurrence in each
+target ring, given a binding (the image of a stripped C_k, and the factor
+of a contraction that frees no index class or one: 1 and N in wgl).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from math import comb
-from typing import MutableMapping
+from typing import Callable, MutableMapping, NamedTuple
 
-from .algebra import Poly, RatFunc, casimir, poly_subst_rat
-from .errors import DomainError
+from .algebra import Poly, RatFunc, casimir
+from .errors import DomainError, InternalError
 from .invariants import refined_skew_char_graph, subset_poly
 from .perm import Perm, cycle_count, face_count, intersection_graph, is_chord_diagram, subperm
 
@@ -42,11 +47,15 @@ DEFAULT_CAP = 10
 # One linear combination of permutations, as (coefficient, permutation) pairs.
 WglState = list[tuple[Poly, Perm]]
 
-# Shared memo table: one-line image tuple -> value.  Reads are concurrent-
-# safe under the GIL; pass a private dict to isolate (e.g. cold timing).
-_MEMO: dict[tuple[int, ...], Poly] = {(): Poly.one()}
-
 _N = Poly.var("N")
+
+
+class _Binding(NamedTuple):
+    """Where the recurrence's factors go in one target ring."""
+
+    name: str
+    strip: Callable[[int], Poly]  # image of C_k
+    contract: tuple[Poly | None, Poly]  # factor when no class / one class is freed; None = 1
 
 
 def _scan(img: tuple[int, ...]):
@@ -95,37 +104,26 @@ def _contract(img: tuple[int, ...], l: int, variant: int) -> tuple[int, tuple[in
         fst, snd = l + 1, c
         glue = (d, l)
     trivial = glue[0] == glue[1]
-    if trivial:
-        def cls(x: int):
-            return x
-    else:
-        def cls(x: int):
-            return 0 if x in glue else x  # 0 = the merged class token
-
-    # Remaining factors in position order; the merged factor takes slot l.
-    slots: list[tuple[object, object]] = []
-    for q in range(1, m + 1):
-        if q == l:
-            slots.append((cls(fst), cls(snd)))
-        elif q == l + 1:
-            continue
-        else:
-            slots.append((cls(q), cls(img[q - 1])))
-    carrier: dict[object, int] = {}
-    for idx, (fc, _) in enumerate(slots):
-        assert fc not in carrier, "index class carried by two factors"
-        carrier[fc] = idx + 1
+    # Factors in position order; the merged factor replaces slots l, l+1.
+    slots = [(q, img[q - 1]) for q in range(1, m + 1)]
+    slots[l - 1 : l + 1] = [(fst, snd)]
+    if not trivial:  # 0 is the token of the merged class
+        slots = [(0 if a in glue else a, 0 if b in glue else b) for a, b in slots]
+    carrier = {fc: idx for idx, (fc, _) in enumerate(slots, 1)}
+    if len(carrier) != len(slots):
+        raise InternalError("index class carried by two factors")
     npow = 0
     if trivial:
         freed = [x for x in range(1, m + 1) if x not in carrier]
-        assert len(freed) == 1, "trivial identification must free one class"
-        used = {cl for pair in slots for cl in pair}
-        assert freed[0] not in used, "freed class may not occur in any factor"
+        if len(freed) != 1:
+            raise InternalError("trivial identification must free one class")
+        if any(freed[0] in pair for pair in slots):
+            raise InternalError("freed class may not occur in any factor")
         npow = 1
     return npow, tuple(carrier[sc] for _, sc in slots)
 
 
-def _wgl_tuple(img: tuple[int, ...], memo: MutableMapping[tuple[int, ...], Poly]) -> Poly:
+def _wgl_tuple(img: tuple[int, ...], b: _Binding, memo: MutableMapping) -> Poly:
     val = memo.get(img)
     if val is not None:
         return val
@@ -138,19 +136,19 @@ def _wgl_tuple(img: tuple[int, ...], memo: MutableMapping[tuple[int, ...], Poly]
         kind, v = _scan(cur)
         if kind == "strip":
             rest = tuple(w - v for w in cur[v:])
-            val = Poly.var(casimir(v)) * _wgl_tuple(rest, memo)
+            val = b.strip(v) * _wgl_tuple(rest, b, memo)
             memo[cur] = val
             break
         l = v - 1
-        n1, m1 = _contract(cur, l, 1)
-        n2, m2 = _contract(cur, l, 2)
-        p1 = _wgl_tuple(m1, memo)
-        p2 = _wgl_tuple(m2, memo)
-        if n1:
-            p1 = _N * p1
-        if n2:
-            p2 = _N * p2
-        chain.append((cur, p1 - p2))
+        terms = []
+        for variant in (1, 2):
+            freed, merged = _contract(cur, l, variant)
+            factor = b.contract[freed]
+            if factor is None:
+                terms.append(_wgl_tuple(merged, b, memo))
+            else:  # a zero factor skips the branch
+                terms.append(factor and factor * _wgl_tuple(merged, b, memo))
+        chain.append((cur, terms[0] - terms[1]))
         cur = _conj_swap(cur, l)
     for cimg, corr in reversed(chain):
         val = val + corr
@@ -158,18 +156,30 @@ def _wgl_tuple(img: tuple[int, ...], memo: MutableMapping[tuple[int, ...], Poly]
     return val
 
 
+# One memo per binding name: one-line image tuple -> value in that
+# binding's ring.  Reads are concurrent-safe under the GIL.
+_MEMOS: dict[str, dict[tuple[int, ...], Poly]] = {}
+
+
+def _evaluate(p: Perm, cap: int, b: _Binding, memo: MutableMapping | None = None) -> Poly:
+    if p.m > cap:
+        raise DomainError(f"permutation has {p.m} points, exceeding the cap {cap}")
+    table = _MEMOS.setdefault(b.name, {}) if memo is None else memo
+    table.setdefault((), Poly.one())
+    return _wgl_tuple(p.img, b, table)
+
+
+_WGL = _Binding("wgl", lambda k: Poly.var(casimir(k)), (None, _N))
+
+
 def wgl(
     p: Perm,
     cap: int = DEFAULT_CAP,
     memo: MutableMapping[tuple[int, ...], Poly] | None = None,
 ) -> Poly:
-    """Value of the universal gl-weight system, a polynomial in N, C1, C2, ..."""
-    if p.m > cap:
-        raise DomainError(f"permutation has {p.m} points, exceeding the cap {cap}")
-    table = _MEMO if memo is None else memo
-    if () not in table:
-        table[()] = Poly.one()
-    return _wgl_tuple(p.img, table)
+    """Value of the universal gl-weight system, a polynomial in N, C1, C2, ...
+    Pass a private ``memo`` dict to isolate the computation (cold timing)."""
+    return _evaluate(p, cap, _WGL, memo)
 
 
 def rule_terms(p: Perm, l: int) -> tuple[Perm, int, Perm, int, Perm]:
@@ -206,31 +216,42 @@ def state_value(
 # -- specializations ---------------------------------------------------------
 
 
-def _casimir_indices(p: Poly) -> set[int]:
-    return {int(v[1:]) for v in p.variables() if v.startswith("C")}
-
-
-@lru_cache(maxsize=None)
+@cache
 def feps_casimir_binding(k: int) -> Poly:
     """Image of C_k in the two-parameter family:
     N*eps^k + sum_{i=1..k} binom(k, i) N^(i-1) eps^(k-i)."""
-    terms: dict = {(("N", 1), ("eps", k)): Fraction(1)}
-    for i in range(1, k + 1):
-        mono = []
-        if i >= 2:
-            mono.append(("N", i - 1))
-        if k - i >= 1:
-            mono.append(("eps", k - i))
-        key = tuple(mono)
-        terms[key] = terms.get(key, Fraction(0)) + comb(k, i)
-    return Poly(terms)
+    eps = Poly.var("eps")
+    return sum((comb(k, i) * _N ** (i - 1) * eps ** (k - i) for i in range(1, k + 1)), _N * eps**k)
+
+
+_Z2 = Poly.var("z", 2) - Poly.one()  # N at the interlace point
+_ONE_MINUS_Z = Poly.one() - Poly.var("z")  # 1/eps at the interlace point
+
+
+@cache
+def _interlace_casimir(k: int) -> Poly:
+    """(1-z)^k C_k at N = z^2 - 1, eps = 1/(1-z):
+    (z^2-1) + sum_{i=1..k} binom(k, i) (z^2-1)^(i-1) (1-z)^i."""
+    return sum((comb(k, i) * _Z2 ** (i - 1) * _ONE_MINUS_Z**i for i in range(1, k + 1)), _Z2)
+
+
+_FEPS = _Binding("feps", feps_casimir_binding, (None, _N))
+_STANDARD = _Binding("standard", lambda k: Poly.var("N", k - 1), (None, _N))
+_CYCLES = _Binding("cycles", lambda k: _N, (None, _N))
+_GL11 = _Binding(
+    "gl11",
+    lambda k: Poly({(("u", k - 1),) if k > 1 else (): Fraction(k, 2 ** (k - 1))}),
+    (None, Poly.zero()),
+)
+# The interlace family homogenized by (1-z)^m: every contraction drops one
+# point, so it takes one factor (1-z) besides its N.
+_INTERLACE = _Binding("interlace", _interlace_casimir, (_ONE_MINUS_Z, _Z2 * _ONE_MINUS_Z))
 
 
 def feps(p: Perm, cap: int = DEFAULT_CAP) -> Poly:
     """Two-parameter specialization of wgl: C_k bound as in
     :func:`feps_casimir_binding`; a polynomial in N and eps."""
-    w = wgl(p, cap=cap)
-    return w.subs({casimir(k): feps_casimir_binding(k) for k in _casimir_indices(w)})
+    return _evaluate(p, cap, _FEPS)
 
 
 def feps_direct(p: Perm) -> Poly:
@@ -250,21 +271,17 @@ def feps_direct(p: Perm) -> Poly:
 def spec_standard(p: Perm, cap: int = DEFAULT_CAP) -> Poly:
     """Standard-representation specialization C_k -> N^(k-1); always the
     monomial N^(f(p) - 1)."""
-    w = wgl(p, cap=cap)
-    result = w.subs({casimir(k): Poly.var("N", k - 1) for k in _casimir_indices(w)})
-    assert result == Poly.var("N", face_count(p) - 1), (
-        f"standard specialization of {p.img} is not N^(f-1): {result}"
-    )
+    result = _evaluate(p, cap, _STANDARD)
+    if result != Poly.var("N", face_count(p) - 1):
+        raise InternalError(f"standard specialization of {p.img} is not N^(f-1): {result}")
     return result
 
 
 def casimir_to_N(p: Perm, cap: int = DEFAULT_CAP) -> Poly:
     """Specialization C_k -> N for every k; always the monomial N^(c(p))."""
-    w = wgl(p, cap=cap)
-    result = w.subs({casimir(k): Poly.var("N") for k in _casimir_indices(w)})
-    assert result == Poly.var("N", cycle_count(p)), (
-        f"C_k -> N specialization of {p.img} is not N^c: {result}"
-    )
+    result = _evaluate(p, cap, _CYCLES)
+    if result != Poly.var("N", cycle_count(p)):
+        raise InternalError(f"C_k -> N specialization of {p.img} is not N^c: {result}")
     return result
 
 
@@ -272,13 +289,7 @@ def gl11_skewchar(p: Perm, cap: int = DEFAULT_CAP) -> Poly:
     """gl(1|1) specialization: N -> 0, C_k -> k (u/2)^(k-1); on chord
     diagrams this equals the skew characteristic polynomial of the
     intersection graph."""
-    w = wgl(p, cap=cap)
-    bindings: dict[str, Poly] = {"N": Poly.zero()}
-    for k in _casimir_indices(w):
-        bindings[casimir(k)] = Poly(
-            {(("u", k - 1),) if k > 1 else (): Fraction(k, 2 ** (k - 1))}
-        )
-    return w.subs(bindings)
+    return _evaluate(p, cap, _GL11)
 
 
 def feps_in_v(b: Perm, cap: int = DEFAULT_CAP) -> Poly:
@@ -292,20 +303,13 @@ def feps_in_v(b: Perm, cap: int = DEFAULT_CAP) -> Poly:
     qbar = refined_skew_char_graph(intersection_graph(b))
     result = qbar.subs({"u": Poly.var("v"), "w": Poly.var("N")})
     v_expansion = Poly.const(2) * Poly.var("eps") + Poly.var("N") * Poly.var("eps", 2)
-    assert result.subs({"v": v_expansion}) == feps(b, cap=cap), (
-        f"(v, N) form of {b.img} does not expand to the eps form"
-    )
+    if result.subs({"v": v_expansion}) != feps(b, cap=cap):
+        raise InternalError(f"(v, N) form of {b.img} does not expand to the eps form")
     return result
-
-
-_INTERLACE_BINDINGS = {
-    "N": RatFunc.from_poly(Poly.var("z", 2) - Poly.one()),
-    "eps": RatFunc.make(Poly.one(), 1),
-}
 
 
 def interlace_perm(p: Perm, cap: int = DEFAULT_CAP) -> RatFunc:
     """Interlace rational function of a permutation: the two-parameter
     family at N = z^2 - 1, eps = 1/(1-z).  A polynomial (dpow = 0) on
     chord diagrams."""
-    return poly_subst_rat(feps(p, cap=cap), _INTERLACE_BINDINGS)
+    return RatFunc.make(_evaluate(p, cap, _INTERLACE), p.m)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Callable, Sequence, TypeVar
 
 from .algebra import Poly
-from .errors import DomainError
+from .errors import DomainError, InternalError
 from .glws import feps, spec_standard
 from .graphs import Graph, induced_subgraph
 from .perm import Perm, chords, subperm
@@ -128,7 +128,8 @@ def eps_independence_check(b: Perm) -> tuple[bool, Poly]:
         raise DomainError("eps-independence needs at least two chords")
     value = primitive_eval_diagram(feps, b)
     eps_free = "eps" not in value.variables()
-    assert value == primitive_eval_diagram(spec_standard, b), (
-        f"projected family and projected standard specialization disagree on {b.img}"
-    )
+    if value != primitive_eval_diagram(spec_standard, b):
+        raise InternalError(
+            f"projected family and projected standard specialization disagree on {b.img}"
+        )
     return eps_free, value

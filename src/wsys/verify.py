@@ -32,7 +32,7 @@ from .dmat import (
     is_loop,
     partial_dual,
 )
-from .errors import DomainError
+from .errors import DomainError, InternalError
 from .glws import feps, feps_direct, gl11_skewchar, interlace_perm, rule_apply, state_value, wgl
 from .graphs import (
     Graph,
@@ -400,7 +400,7 @@ def suite_hopf_eps(max_chords: int = 4) -> VerifySuiteReport:
         instances += 1
         try:
             eps_free, _ = eps_independence_check(b)
-        except AssertionError as exc:
+        except InternalError as exc:
             failures.append(f"{perm_format(b)} @ {exc}")
             continue
         if not eps_free:

@@ -11,7 +11,6 @@ from wsys.algebra import (
     coeffs_to_poly_z,
     poly_coeffs_z,
     poly_subst,
-    poly_subst_rat,
     poly_to_string,
     ratfunc_series,
     var_key,
@@ -153,16 +152,6 @@ def test_ratfunc_evaluate():
     assert r.evaluate(Fraction(1, 2)) == 3
     assert str(r) == "(1 + z) / (1-z)"
     assert str(RatFunc.from_poly(z + 2)) == "2 + z"
-
-
-def test_poly_subst_rat_requires_all_variables():
-    p = N * eps
-    bindings = {"N": RatFunc.from_poly(z**2 - 1), "eps": RatFunc.make(Poly.one(), 1)}
-    r = poly_subst_rat(p, bindings)
-    # (z^2 - 1) / (1 - z) = -(1 + z)
-    assert r == RatFunc.from_poly(-1 - z)
-    with pytest.raises(DomainError):
-        poly_subst_rat(N * u, bindings)
 
 
 def test_poly_hash_consistency():

@@ -133,6 +133,16 @@ def test_domain_error_exit_code(capsys):
     assert run(["feps", "--perm", "(1 2 3)", "--in-v"]) == 2
 
 
+def test_internal_error_exit_code(capsys, monkeypatch):
+    # a failed consistency check is a bug: exit 4 with one line, no traceback
+    import wsys.perm
+
+    monkeypatch.setattr(wsys.perm, "face_count", lambda p: 99)
+    assert run(["dmat", "--perm", "(1 3)(2 4)"]) == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("internal error: ")
+
+
 def test_verify_single_suite(capsys):
     assert run(["verify", "tsr", "--max-m", "4"]) == 0
     lines = out_of(capsys)

@@ -1,10 +1,13 @@
 """The universal weight system, its recurrence, and its specializations."""
 
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import wsys
 from wsys.algebra import Poly, RatFunc, casimir, poly_subst
 from wsys.errors import DomainError
 from wsys.glws import (
@@ -38,6 +41,7 @@ from wsys.perm import (
 N = Poly.var("N")
 eps = Poly.var("eps")
 z = Poly.var("z")
+u = Poly.var("u")
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
@@ -126,6 +130,45 @@ def test_feps_casimir_binding():
     # equivalently (1/N)((N + eps)^k - (1 - N^2) eps^k)
     for k in range(1, 8):
         assert feps_casimir_binding(k) * N == (N + eps) ** k - (1 - N**2) * eps**k
+
+
+def test_specializations_equal_substitution_into_wgl():
+    # each specialization runs the recurrence in its own ring; the reference
+    # substitutes its binding into the generic Q[N, C] value afterwards
+    for m in range(0, 6):
+        ks = range(1, m + 1)
+        for p in all_perms(m):
+            w = wgl(p)
+            assert feps(p) == w.subs({casimir(k): feps_casimir_binding(k) for k in ks})
+            assert spec_standard(p) == w.subs({casimir(k): N ** (k - 1) for k in ks})
+            assert casimir_to_N(p) == w.subs({casimir(k): N for k in ks})
+            gl11 = {casimir(k): Fraction(k, 2 ** (k - 1)) * u ** (k - 1) for k in ks}
+            assert gl11_skewchar(p) == w.subs({"N": 0, **gl11})
+            for z0 in (Fraction(1, 2), Fraction(-2), Fraction(3, 5)):
+                at = {"N": z0 * z0 - 1, "eps": 1 / (1 - z0)}
+                values = {casimir(k): feps_casimir_binding(k).evaluate(at) for k in ks}
+                assert interlace_perm(p).evaluate(z0) == w.evaluate({"N": at["N"], **values})
+
+
+def test_consistency_check_survives_optimize_flag():
+    # under python -O an assert would be stripped; the check must still raise
+    code = (
+        "import sys\n"
+        "from wsys import glws, perm_parse\n"
+        "from wsys.errors import InternalError\n"
+        "glws.face_count = lambda p: 99\n"
+        "try:\n"
+        "    glws.spec_standard(perm_parse('(1 2 3)'))\n"
+        "except InternalError:\n"
+        "    print('InternalError', sys.flags.optimize)\n"
+    )
+    src = os.path.dirname(os.path.dirname(wsys.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["InternalError", "1"]
 
 
 def test_feps_golden_values():

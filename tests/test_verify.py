@@ -2,7 +2,7 @@
 
 import pytest
 
-from wsys.errors import DomainError
+from wsys.errors import DomainError, InternalError
 from wsys.verify import (
     EXPERIMENTS,
     SUITES,
@@ -96,6 +96,19 @@ def test_failure_reporting_format():
     assert not any("bad-input-2" in ln for ln in lines)
     assert any("hint" in ln for ln in lines)
     assert report.to_json()["failures"] == ["bad-input-1", "bad-input-2"]
+
+
+def test_hopf_eps_reports_failed_cross_check(monkeypatch):
+    import wsys.verify
+
+    def disagree(b):
+        raise InternalError("projections disagree")
+
+    monkeypatch.setattr(wsys.verify, "eps_independence_check", disagree)
+    report = run_suite("hopf-eps", max_chords=2)
+    assert not report.passed
+    assert len(report.failures) == report.instances
+    assert all(f.endswith("@ projections disagree") for f in report.failures)
 
 
 def test_experiments_report_notes():
