@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Union
 
 from . import graphs, perm
 from .errors import DomainError, InternalError, ParseError, is_uint
-
-MAX_GROUND = 20
+from .graphs import MAX_GROUND
 
 Subsetlike = Union[int, Iterable[int]]
 
@@ -74,14 +74,36 @@ class DMat:
     def admissible_sorted(self) -> list[int]:
         return sorted(self.phi, key=lambda m: (m.bit_count(), mask_to_set(m)))
 
+    @cached_property
+    def distances(self) -> tuple[int, ...]:
+        """:func:`distance` of every subset, indexed by its bitmask: a
+        breadth-first search on the hypercube from all admissible sets at
+        once, O(ground * 2^ground), computed once per system."""
+        dist = [-1] * (1 << self.ground)
+        frontier = list(self.phi)
+        for f in frontier:
+            dist[f] = 0
+        bits = [1 << i for i in range(self.ground)]
+        level = 0
+        while frontier:
+            level += 1
+            reached = []
+            for mask in frontier:
+                for bit in bits:
+                    near = mask ^ bit
+                    if dist[near] < 0:
+                        dist[near] = level
+                        reached.append(near)
+            frontier = reached
+        return tuple(dist)
+
 
 # -- construction ------------------------------------------------------------
 
 
 def dmat_from_graph(g: graphs.Graph) -> DMat:
     """Admissible = vertex subsets inducing a mod-2 nondegenerate subgraph."""
-    coranks = graphs.subset_coranks(g)
-    return DMat(g.n, frozenset(mask for mask, c in enumerate(coranks) if c == 0))
+    return DMat(g.n, frozenset(mask for mask, c in enumerate(g.coranks) if c == 0))
 
 
 def dmat_from_chord_diagram(b: perm.Perm) -> DMat:
@@ -142,29 +164,6 @@ def distance(d: DMat, subset: Subsetlike) -> int:
     """Minimal size of the symmetric difference to an admissible set."""
     mask = d.coerce_subset(subset)
     return min((mask ^ f).bit_count() for f in d.phi)
-
-
-def distances(d: DMat) -> list[int]:
-    """:func:`distance` of every subset, indexed by its bitmask: a
-    breadth-first search on the hypercube from all admissible sets at once,
-    O(ground * 2^ground)."""
-    dist = [-1] * (1 << d.ground)
-    frontier = list(d.phi)
-    for f in frontier:
-        dist[f] = 0
-    bits = [1 << i for i in range(d.ground)]
-    level = 0
-    while frontier:
-        level += 1
-        reached = []
-        for mask in frontier:
-            for bit in bits:
-                near = mask ^ bit
-                if dist[near] < 0:
-                    dist[near] = level
-                    reached.append(near)
-        frontier = reached
-    return dist
 
 
 def partial_dual(d: DMat, subset: Subsetlike) -> DMat:

@@ -39,6 +39,7 @@ from typing import Callable, MutableMapping, NamedTuple
 
 from .algebra import Poly, RatFunc, casimir
 from .errors import DomainError, InternalError
+from .graphs import MAX_GROUND
 from .invariants import refined_skew_char_graph, subset_poly
 from .perm import Perm, cycle_count, face_count, intersection_graph, is_chord_diagram, subperm
 
@@ -258,6 +259,8 @@ def feps_direct(p: Perm) -> Poly:
     """The same family computed as a sum over all point subsets:
     sum_U N^(c(p) - c(p|U) + f(p|U) - 1) * eps^(m - |U|)."""
     m = p.m
+    if m > MAX_GROUND:
+        raise DomainError(f"{m} points exceed the subset budget of {MAX_GROUND}")
     c_full = cycle_count(p)
 
     def npow(mask: int) -> int:

@@ -13,10 +13,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, ParseError
+
+#: Largest vertex, point or ground-set count a 2^n subset enumeration accepts.
+MAX_GROUND = 20
 
 
 @dataclass(frozen=True)
@@ -77,6 +81,18 @@ class Graph:
         rows[a - 1] ^= 1 << (b - 1)
         rows[b - 1] ^= 1 << (a - 1)
         return Graph(self.n, tuple(rows))
+
+    @cached_property
+    def coranks(self) -> tuple[int, ...]:
+        """Induced corank of every vertex subset, indexed by its bitmask;
+        computed once per graph."""
+        if self.n > MAX_GROUND:
+            raise DomainError(f"{self.n} vertices exceed the subset budget of {MAX_GROUND}")
+        return tuple(
+            mask.bit_count()
+            - gf2_rank([row & mask for v, row in enumerate(self.rows) if mask >> v & 1])
+            for mask in range(1 << self.n)
+        )
 
 
 # -- text form -------------------------------------------------------------
@@ -155,14 +171,6 @@ def induced_corank(g: Graph, vertices: Iterable[int]) -> int:
             raise DomainError(f"vertex {v} out of range 1..{g.n}")
     mask = sum(1 << (v - 1) for v in vs)
     return len(vs) - gf2_rank([g.rows[v - 1] & mask for v in vs])
-
-
-def subset_coranks(g: Graph) -> list[int]:
-    """Induced corank of every vertex subset, indexed by its bitmask."""
-    return [
-        mask.bit_count() - gf2_rank([row & mask for v, row in enumerate(g.rows) if mask >> v & 1])
-        for mask in range(1 << g.n)
-    ]
 
 
 def is_nondegenerate(g: Graph) -> bool:

@@ -13,15 +13,16 @@ from collections import Counter
 from typing import Callable, MutableMapping, Sequence
 
 from .algebra import Monomial, Poly
-from .dmat import DMat, distances, mask_to_set
+from .dmat import DMat, mask_to_set
+from .errors import DomainError
 from .graphs import (
+    MAX_GROUND,
     Graph,
     delete_vertex,
     four_term_images,
     graph_pivot,
     induced_corank,
     induced_subgraph,
-    subset_coranks,
 )
 
 GraphInvariant = Callable[[Graph], Poly]
@@ -45,27 +46,27 @@ def subset_poly(stats: Sequence[int], mono: Callable[[int, int], Monomial | None
 
 def skew_char(g: Graph) -> Poly:
     """Q(u) = sum over mod-2 nondegenerate vertex subsets of u^(n - |U|)."""
-    return subset_poly(subset_coranks(g), lambda s, c: None if c else (("u", g.n - s),))
+    return subset_poly(g.coranks, lambda s, c: None if c else (("u", g.n - s),))
 
 
 def refined_skew_char_graph(g: Graph) -> Poly:
     """Qbar(u, w) = sum over all vertex subsets of u^(n-|U|) w^(corank A_U)."""
-    return subset_poly(subset_coranks(g), lambda s, c: (("u", g.n - s), ("w", c)))
+    return subset_poly(g.coranks, lambda s, c: (("u", g.n - s), ("w", c)))
 
 
 def refined_skew_char_dmat(d: DMat) -> Poly:
     """Qbar(u, w) with the distance to the admissible family as exponent."""
-    return subset_poly(distances(d), lambda s, c: (("u", d.ground - s), ("w", c)))
+    return subset_poly(d.distances, lambda s, c: (("u", d.ground - s), ("w", c)))
 
 
 def interlace_dmat(d: DMat) -> Poly:
     """L(x) = sum over all subsets of x^(distance)."""
-    return subset_poly(distances(d), lambda s, c: (("x", c),))
+    return subset_poly(d.distances, lambda s, c: (("x", c),))
 
 
 def two_var_interlace(d: DMat) -> Poly:
     """Lbar(x, y) = sum over all subsets of x^|U| y^(distance)."""
-    return subset_poly(distances(d), lambda s, c: (("x", s), ("y", c)))
+    return subset_poly(d.distances, lambda s, c: (("x", s), ("y", c)))
 
 
 # -- recursive interlace -------------------------------------------------------
@@ -90,6 +91,8 @@ def interlace_graph_recursive(
     """L(x) by the vertex recursion L(G) = L(G - a) + L(G^{ab} - b), with
     (x+1)^n on edgeless graphs.  The result does not depend on which edge
     the policy picks; the default takes the lexicographically first."""
+    if g.n > MAX_GROUND:
+        raise DomainError(f"{g.n} vertices exceed the subset budget of {MAX_GROUND}")
     table = _RECURSION_MEMO if memo is None else memo
     key = (g.n, g.rows)
     cached = table.get(key)

@@ -1,14 +1,17 @@
 """Executable verification suites for the package's structural identities.
 
-Each suite enumerates a bounded family of inputs, checks one identity
-instance by instance, and returns a :class:`VerifySuiteReport` with the
-instance count and reproducible text encodings of any failing inputs.
+Each suite enumerates a bounded family of inputs and checks one identity
+instance by instance.  A suite is a generator: it yields ``ok, label``
+once per instance, where ``label`` is the reproducible text encoding of
+the input reported if ``ok`` is false, and it may return a list of
+notes.  :func:`run_suite` counts the instances, collects the failing
+labels, times the run and builds the :class:`VerifySuiteReport`.
 
 Two suites are experiments rather than checks: ``perm-recurrence``
 measures which of two candidate restriction conventions makes the
 permutation interlace recursion true, and ``positivity-experiment``
-scans series expansions for negative coefficients.  Experiments report
-their findings in ``notes`` and never produce failures.
+scans series expansions for negative coefficients.  Experiments yield
+``True`` for every instance and report their findings in ``notes``.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from fractions import Fraction
 from functools import cache
 from inspect import signature
 from random import Random
-from typing import Callable, Iterator
+from typing import Callable, Generator, Iterator
 
 from .algebra import Poly, poly_subst
 from .dmat import (
@@ -27,7 +30,6 @@ from .dmat import (
     dmat_delete,
     dmat_from_chord_diagram,
     dmat_from_graph,
-    distances,
     is_coloop,
     is_loop,
     partial_dual,
@@ -108,7 +110,10 @@ class VerifySuiteReport:
         return out
 
 
-SUITES: dict[str, Callable[..., VerifySuiteReport]] = {}
+#: One (ok, label) per instance; the return value, if any, is the notes.
+Checks = Generator[tuple[bool, str], None, "list[str] | None"]
+
+SUITES: dict[str, Callable[..., Checks]] = {}
 
 #: Suites that report findings instead of pass/fail verdicts.
 EXPERIMENTS = frozenset({"perm-recurrence", "positivity-experiment"})
@@ -122,12 +127,6 @@ def _suite(name: str):
     return register
 
 
-def _report(
-    name: str, instances: int, failures: list[str], notes: list[str] | None = None
-) -> VerifySuiteReport:
-    return VerifySuiteReport(name, instances, list(failures), 0.0, list(notes or []))
-
-
 def suite_names() -> list[str]:
     return list(SUITES)
 
@@ -139,23 +138,27 @@ def run_suite(name: str, **bounds) -> VerifySuiteReport:
         raise DomainError(f"unknown verification suite {name!r}")
     params = signature(fn).parameters
     kwargs = {k: v for k, v in bounds.items() if v is not None and k in params}
+    notes: list[str] = []
+
+    def checks():
+        notes.extend((yield from fn(**kwargs)) or [])
+
+    instances, failures = 0, []
     start = time.perf_counter()
-    report = fn(**kwargs)
-    report.seconds = time.perf_counter() - start
-    return report
+    for instances, (ok, label) in enumerate(checks(), start=1):
+        if not ok:
+            failures.append(label)
+    return VerifySuiteReport(name, instances, failures, time.perf_counter() - start, notes)
 
 
 def run_suites(names: list[str] | None = None, **bounds) -> list[VerifySuiteReport]:
-    """Run several suites (all of them by default), in registry order."""
-    if names is None:
-        names = suite_names()
-    else:
-        wanted = set(names)
-        for name in wanted:
+    """Run several suites (all of them by default), in registry order.
+    Requested names are checked in the order given."""
+    if names is not None:
+        for name in names:
             if name not in SUITES:
                 raise DomainError(f"unknown verification suite {name!r}")
-        names = [name for name in suite_names() if name in wanted]
-    return [run_suite(name, **bounds) for name in names]
+    return [run_suite(name, **bounds) for name in SUITES if names is None or name in names]
 
 
 # -- enumeration helpers -------------------------------------------------------
@@ -180,147 +183,114 @@ def _graph_range(max_vertices: int) -> Iterator[Graph]:
 
 
 @_suite("tgl-soundness")
-def suite_tgl_soundness(max_m: int = 6) -> VerifySuiteReport:
+def suite_tgl_soundness(max_m: int = 6) -> Checks:
     """wgl equals its recurrence right-hand side at every position l."""
-    instances, failures = 0, []
     for p in _perm_range(max_m):
-        lhs = wgl(p)
+        lhs, text = wgl(p), perm_format(p)
         for l in range(1, p.m):
-            instances += 1
-            if state_value(rule_apply(p, l)) != lhs:
-                failures.append(f"{perm_format(p)} @ l={l}")
-    return _report("tgl-soundness", instances, failures)
+            yield state_value(rule_apply(p, l)) == lhs, f"{text} @ l={l}"
 
 
 @_suite("tfe")
-def suite_tfe(max_m: int = 7, samples: int = 100, seed: int = 1729) -> VerifySuiteReport:
+def suite_tfe(max_m: int = 7, samples: int = 100, seed: int = 1729) -> Checks:
     """Recurrence route and subset-sum route to the two-parameter family agree."""
-    instances, failures = 0, []
     for p in _perm_range(max_m):
-        instances += 1
-        if feps(p) != feps_direct(p):
-            failures.append(perm_format(p))
+        yield feps(p) == feps_direct(p), perm_format(p)
     rand_m = 9
     rng = Random(seed)
     for _ in range(samples):
         img = list(range(1, rand_m + 1))
         rng.shuffle(img)
         p = Perm(tuple(img))
-        instances += 1
-        if feps(p) != feps_direct(p):
-            failures.append(perm_format(p))
-    notes = [f"exhaustive for m <= {max_m}, plus {samples} random permutations at m = {rand_m}"]
-    return _report("tfe", instances, failures, notes)
+        yield feps(p) == feps_direct(p), perm_format(p)
+    return [f"exhaustive for m <= {max_m}, plus {samples} random permutations at m = {rand_m}"]
 
 
 @_suite("tsr")
-def suite_tsr(max_m: int = 7) -> VerifySuiteReport:
+def suite_tsr(max_m: int = 7) -> Checks:
     """The substitution C_k -> N^(k-1) collapses wgl to N^(faces - 1)."""
-    instances, failures = 0, []
     for p in _perm_range(max_m):
-        instances += 1
         w = wgl(p)
         binding = {v: Poly.var("N", int(v[1:]) - 1) for v in w.variables() if v.startswith("C")}
-        if poly_subst(w, binding) != Poly.var("N", face_count(p) - 1):
-            failures.append(perm_format(p))
-    return _report("tsr", instances, failures)
+        yield poly_subst(w, binding) == Poly.var("N", face_count(p) - 1), perm_format(p)
 
 
 @_suite("trsc")
-def suite_trsc(max_chords: int = 5) -> VerifySuiteReport:
+def suite_trsc(max_chords: int = 5) -> Checks:
     """The family of a diagram is the refined skew characteristic polynomial
     of its intersection graph at u = 2*eps + N*eps^2, w = N."""
-    instances, failures = 0, []
     u_expansion = Poly.const(2) * Poly.var("eps") + Poly.var("N") * Poly.var("eps", 2)
     for b in _diagram_range(max_chords):
-        instances += 1
         qbar = refined_skew_char_graph(intersection_graph(b))
-        if qbar.subs({"u": u_expansion, "w": Poly.var("N")}) != feps(b):
-            failures.append(perm_format(b))
-    return _report("trsc", instances, failures)
+        yield qbar.subs({"u": u_expansion, "w": Poly.var("N")}) == feps(b), perm_format(b)
 
 
 @_suite("tis")
-def suite_tis(max_chords: int = 5) -> VerifySuiteReport:
+def suite_tis(max_chords: int = 5) -> Checks:
     """On chord diagrams the interlace rational function is a polynomial and
     equals the graph interlace polynomial of the intersection graph evaluated
     at x = z^2 - 1."""
-    instances, failures = 0, []
     at_z = {"x": Poly.var("z", 2) - Poly.one()}
     for b in _diagram_range(max_chords):
-        instances += 1
-        rf = interlace_perm(b)
+        rf, text = interlace_perm(b), perm_format(b)
         if not rf.is_polynomial():
-            failures.append(f"{perm_format(b)} @ polynomiality")
+            yield False, f"{text} @ polynomiality"
             continue
-        if rf.num != interlace_graph(intersection_graph(b)).subs(at_z):
-            failures.append(perm_format(b))
-    notes = [
+        yield rf.num == interlace_graph(intersection_graph(b)).subs(at_z), text
+    return [
         "identity checked: interlace rational function = interlace polynomial at x = z^2 - 1",
         "single-chord diagrams satisfy the same identity; no exception needed",
     ]
-    return _report("tis", instances, failures, notes)
 
 
 # -- 4-term and pivot suites ------------------------------------------------------
 
 
 @_suite("fourterm-graphs")
-def suite_fourterm_graphs(max_vertices: int = 5) -> VerifySuiteReport:
+def suite_fourterm_graphs(max_vertices: int = 5) -> Checks:
     """skew_char, refined_skew_char and interlace satisfy the graph 4-term
     relation at every ordered vertex pair."""
-    instances, failures = 0, []
     named = [
         ("skew-char", cache(skew_char)),
         ("refined-skew-char", cache(refined_skew_char_graph)),
         ("interlace", cache(interlace_graph)),
     ]
     for g in _graph_range(max_vertices):
+        text = graph_format(g)
         for a in range(1, g.n + 1):
             for b in range(1, g.n + 1):
                 if a == b:
                     continue
                 for fname, f in named:
-                    instances += 1
-                    if not graph_4t_check(f, g, a, b):
-                        failures.append(f"{graph_format(g)} @ ({a},{b}) {fname}")
-    return _report("fourterm-graphs", instances, failures)
+                    yield graph_4t_check(f, g, a, b), f"{text} @ ({a},{b}) {fname}"
 
 
 @_suite("fourterm-diagrams")
-def suite_fourterm_diagrams(max_chords: int = 3) -> VerifySuiteReport:
+def suite_fourterm_diagrams(max_chords: int = 3) -> Checks:
     """The alternating wgl sum over every chord-diagram 4-term quadruple
     vanishes: wgl(B1) - wgl(B2) = wgl(B3) - wgl(B4)."""
-    instances, failures = 0, []
     for b in _diagram_range(max_chords):
-        m = b.m
+        m, text = b.m, perm_format(b)
         for e in range(1, m + 1):
             e2 = e % m + 1
             if b(e) == e2:
                 continue  # both ends on one chord: no relation here
-            instances += 1
             q1, q2, q3, q4 = chord_4t_quadruple(b, e, e2)
-            if wgl(q1) - wgl(q2) != wgl(q3) - wgl(q4):
-                failures.append(f"{perm_format(b)} @ e={e}")
-    return _report("fourterm-diagrams", instances, failures)
+            yield wgl(q1) - wgl(q2) == wgl(q3) - wgl(q4), f"{text} @ e={e}"
 
 
 @_suite("pivot-invariance")
-def suite_pivot_invariance(max_m: int = 8) -> VerifySuiteReport:
+def suite_pivot_invariance(max_m: int = 8) -> Checks:
     """The interlace rational function is invariant under the pivot along
     any pair of interlacing 2-cycles."""
-    instances, failures = 0, []
     li = cache(interlace_perm)
     for p in _perm_range(max_m):
         pairs = interlacing_two_cycle_pairs(p)
         if not pairs:
             continue
-        base = li(p)
+        base, text = li(p), perm_format(p)
         for a, b in pairs:
-            instances += 1
-            if li(perm_pivot(p, a, b)) != base:
-                failures.append(f"{perm_format(p)} @ {a}x{b}")
-    return _report("pivot-invariance", instances, failures)
+            yield li(perm_pivot(p, a, b)) == base, f"{text} @ {a}x{b}"
 
 
 def _pivot_chord_images(
@@ -338,7 +308,7 @@ def _pivot_chord_images(
 
 
 @_suite("perm-recurrence")
-def suite_perm_recurrence(max_chords: int = 3) -> VerifySuiteReport:
+def suite_perm_recurrence(max_chords: int = 3) -> Checks:
     """EXPERIMENT: test candidate readings of the interlace restriction
     recursion L(p) = L(p restricted) + L(pivot(p) restricted) on chord
     diagrams, for every ordered pair (x, y) of interlacing 2-cycles.
@@ -353,127 +323,109 @@ def suite_perm_recurrence(max_chords: int = 3) -> VerifySuiteReport:
     the two 2-cycles' interlacement roles, so x's relocated copy is the
     analogue of the vertex b deleted after a graph pivot.
     """
-    instances = 0
+    cases = [
+        (b, first, second)
+        for b in _diagram_range(max_chords, start=2)
+        for pa, pb in interlacing_two_cycle_pairs(b)
+        for first, second in ((pa, pb), (pb, pa))
+    ]
     matches = {"remove-both": 0, "delete-other": 0, "delete-same": 0}
     li = cache(interlace_perm)
 
     def drop(p: Perm, pts: set[int]) -> Perm:
         return subperm(p, [i for i in range(1, p.m + 1) if i not in pts])
 
-    for b in _diagram_range(max_chords, start=2):
-        for pa, pb in interlacing_two_cycle_pairs(b):
-            for first, second in ((pa, pb), (pb, pa)):
-                instances += 1
-                lhs = li(b)
-                piv = perm_pivot(b, first, second)
-                first_piv, second_piv = _pivot_chord_images(first, second)
-                both_here = set(first) | set(second)
-                both_piv = set(first_piv) | set(second_piv)
-                head = li(drop(b, set(first)))
-                if li(drop(b, both_here)) + li(drop(piv, both_piv)) == lhs:
-                    matches["remove-both"] += 1
-                if head + li(drop(piv, set(second_piv))) == lhs:
-                    matches["delete-other"] += 1
-                if head + li(drop(piv, set(first_piv))) == lhs:
-                    matches["delete-same"] += 1
+    for b, first, second in cases:
+        lhs = li(b)
+        piv = perm_pivot(b, first, second)
+        first_piv, second_piv = _pivot_chord_images(first, second)
+        both_here = set(first) | set(second)
+        both_piv = set(first_piv) | set(second_piv)
+        head = li(drop(b, set(first)))
+        if li(drop(b, both_here)) + li(drop(piv, both_piv)) == lhs:
+            matches["remove-both"] += 1
+        if head + li(drop(piv, set(second_piv))) == lhs:
+            matches["delete-other"] += 1
+        if head + li(drop(piv, set(first_piv))) == lhs:
+            matches["delete-same"] += 1
+        yield True, ""
     notes = [
-        f"reading {name} matched {count}/{instances} instances"
+        f"reading {name} matched {count}/{len(cases)} instances"
         for name, count in matches.items()
     ]
-    if instances and matches["delete-same"] == instances:
+    if cases and matches["delete-same"] == len(cases):
         notes.append(
             "delete-same validates: both terms delete the same 2-cycle,"
             " before the pivot and (tracked through the relabelling) after it"
         )
-    return _report("perm-recurrence", instances, [], notes)
+    return notes
 
 
 # -- Hopf suite --------------------------------------------------------------------
 
 
 @_suite("hopf-eps")
-def suite_hopf_eps(max_chords: int = 4) -> VerifySuiteReport:
+def suite_hopf_eps(max_chords: int = 4) -> Checks:
     """Projecting the two-parameter family onto primitives eliminates eps
     on every diagram with at least two chords."""
-    instances, failures = 0, []
     for b in _diagram_range(max_chords, start=2):
-        instances += 1
         try:
             eps_free, _ = eps_independence_check(b)
         except InternalError as exc:
-            failures.append(f"{perm_format(b)} @ {exc}")
+            yield False, f"{perm_format(b)} @ {exc}"
             continue
-        if not eps_free:
-            failures.append(f"{perm_format(b)} @ eps survives the projection")
-    return _report("hopf-eps", instances, failures)
+        yield eps_free, f"{perm_format(b)} @ eps survives the projection"
 
 
 # -- delta-matroid suites ------------------------------------------------------------
 
 
 @_suite("dmat-axiom")
-def suite_dmat_axiom(max_vertices: int = 5) -> VerifySuiteReport:
+def suite_dmat_axiom(max_vertices: int = 5) -> Checks:
     """Set systems of graphs satisfy the Symmetric Exchange Axiom."""
-    instances, failures = 0, []
     for g in _graph_range(max_vertices):
-        instances += 1
-        if not check_symmetric_exchange(dmat_from_graph(g)):
-            failures.append(graph_format(g))
-    return _report("dmat-axiom", instances, failures)
+        yield check_symmetric_exchange(dmat_from_graph(g)), graph_format(g)
 
 
 @_suite("distance-corank")
-def suite_distance_corank(max_vertices: int = 5) -> VerifySuiteReport:
+def suite_distance_corank(max_vertices: int = 5) -> Checks:
     """For graph systems, distance to the admissible family equals the GF(2)
     corank of the induced adjacency matrix, subset by subset."""
-    instances, failures = 0, []
     for g in _graph_range(max_vertices):
-        dist = distances(dmat_from_graph(g))
+        dist, text = dmat_from_graph(g).distances, graph_format(g)
         for mask in range(1 << g.n):
-            instances += 1
             subset = [v + 1 for v in range(g.n) if mask >> v & 1]
-            if dist[mask] != induced_corank(g, subset):
-                members = ",".join(str(v) for v in subset)
-                failures.append(f"{graph_format(g)} @ U={{{members}}}")
-    return _report("distance-corank", instances, failures)
+            members = ",".join(str(v) for v in subset)
+            yield dist[mask] == induced_corank(g, subset), f"{text} @ U={{{members}}}"
 
 
 @_suite("distance-faces")
-def suite_distance_faces(max_chords: int = 5) -> VerifySuiteReport:
+def suite_distance_faces(max_chords: int = 5) -> Checks:
     """For chord-diagram systems, distance of a chord subset equals the face
     count of the subdiagram minus one."""
-    instances, failures = 0, []
     for b in _diagram_range(max_chords):
-        dist = distances(dmat_from_chord_diagram(b))
+        dist, text = dmat_from_chord_diagram(b).distances, perm_format(b)
         ch = chords(b)
         for mask in range(1 << len(ch)):
-            instances += 1
             pts = [pt for i in range(len(ch)) if mask >> i & 1 for pt in ch[i]]
-            if dist[mask] != face_count(subperm(b, pts)) - 1:
-                members = ",".join(str(i + 1) for i in range(len(ch)) if mask >> i & 1)
-                failures.append(f"{perm_format(b)} @ U={{{members}}}")
-    return _report("distance-faces", instances, failures)
+            members = ",".join(str(i + 1) for i in range(len(ch)) if mask >> i & 1)
+            yield dist[mask] == face_count(subperm(b, pts)) - 1, f"{text} @ U={{{members}}}"
 
 
 @_suite("gl11-skewchar")
-def suite_gl11_skewchar(max_chords: int = 5) -> VerifySuiteReport:
+def suite_gl11_skewchar(max_chords: int = 5) -> Checks:
     """The N -> 0, C_k -> k (u/2)^(k-1) specialization on a chord diagram is
     the skew characteristic polynomial of its intersection graph."""
-    instances, failures = 0, []
     for b in _diagram_range(max_chords):
-        instances += 1
-        if gl11_skewchar(b) != skew_char(intersection_graph(b)):
-            failures.append(perm_format(b))
-    return _report("gl11-skewchar", instances, failures)
+        yield gl11_skewchar(b) == skew_char(intersection_graph(b)), perm_format(b)
 
 
 @_suite("interlace-equivalence")
-def suite_interlace_equivalence(max_vertices: int = 5, seed: int = 1729) -> VerifySuiteReport:
+def suite_interlace_equivalence(max_vertices: int = 5, seed: int = 1729) -> Checks:
     """The recursive interlace polynomial equals the distance subset sum,
     is independent of the edge-choice policy, and matches the refined skew
     characteristic polynomial at u = 1, w = x; known closed values for the
     diamond and triangle graphs are pinned."""
-    instances, failures = 0, []
     rng = Random(seed)
     x = Poly.var("x")
 
@@ -482,45 +434,32 @@ def suite_interlace_equivalence(max_vertices: int = 5, seed: int = 1729) -> Veri
         return rng.choice(es) if es else None
 
     for g in _graph_range(max_vertices):
-        d = dmat_from_graph(g)
+        d, text = dmat_from_graph(g), graph_format(g)
         rec = interlace_graph_recursive(g)
         by_distance = interlace_dmat(d)
-        instances += 1
-        if rec != by_distance:
-            failures.append(f"{graph_format(g)} @ distance-sum")
-        instances += 1
-        if rec != interlace_graph_recursive(g, memo={}, edge_policy=random_policy):
-            failures.append(f"{graph_format(g)} @ edge-policy")
-        instances += 1
-        if by_distance != refined_skew_char_dmat(d).subs({"u": Poly.one(), "w": x}):
-            failures.append(f"{graph_format(g)} @ refined-at-u-1")
-    instances += 1
-    if interlace_graph(diamond_graph()) != 2 * x**2 + 8 * x + 6:
-        failures.append("diamond")
-    instances += 1
-    if interlace_graph(complete_graph(3)) != 4 * x + 4:
-        failures.append("K3")
+        yield rec == by_distance, f"{text} @ distance-sum"
+        by_policy = interlace_graph_recursive(g, memo={}, edge_policy=random_policy)
+        yield rec == by_policy, f"{text} @ edge-policy"
+        at_u_1 = refined_skew_char_dmat(d).subs({"u": Poly.one(), "w": x})
+        yield by_distance == at_u_1, f"{text} @ refined-at-u-1"
+    yield interlace_graph(diamond_graph()) == 2 * x**2 + 8 * x + 6, "diamond"
+    yield interlace_graph(complete_graph(3)) == 4 * x + 4, "K3"
     for n in range(max_vertices + 1, 7):
         for name, g in (("path", path_graph(n)), ("cycle", cycle_graph(n))):
-            instances += 1
-            if interlace_graph_recursive(g) != interlace_dmat(dmat_from_graph(g)):
-                failures.append(f"{name}-{n}")
-    return _report("interlace-equivalence", instances, failures)
+            yield interlace_graph_recursive(g) == interlace_dmat(dmat_from_graph(g)), f"{name}-{n}"
 
 
 @_suite("abs04")
-def suite_abs04(max_vertices: int = 5) -> VerifySuiteReport:
+def suite_abs04(max_vertices: int = 5) -> Checks:
     """Two-variable interlace recurrences (loop, coloop, neither) and the
     monomial correspondence with the refined skew characteristic polynomial."""
-    instances, failures = 0, []
     x, y = Poly.var("x"), Poly.var("y")
     loop_factor = Poly.one() + x * y
     coloop_factor = x + y
     for g in _graph_range(max_vertices):
-        d = dmat_from_graph(g)
+        d, text = dmat_from_graph(g), graph_format(g)
         lbar = two_var_interlace(d)
         for e in range(1, d.ground + 1):
-            instances += 1
             if is_loop(d, e):
                 tag = "loop"
                 ok = lbar == loop_factor * two_var_interlace(dmat_delete(d, e))
@@ -534,11 +473,9 @@ def suite_abs04(max_vertices: int = 5) -> VerifySuiteReport:
                 ok = lbar == two_var_interlace(dmat_delete(d, e)) + x * two_var_interlace(
                     dual_rest
                 )
-            if not ok:
-                failures.append(f"{graph_format(g)} @ e={e} ({tag})")
+            yield ok, f"{text} @ e={e} ({tag})"
         # Qbar(u, w) carries the same data as Lbar(x, y): the coefficient of
         # u^(|E|-a) w^b in the former is the coefficient of x^a y^b in the latter.
-        instances += 1
         terms: dict = {}
         for mono, coef in lbar.terms.items():
             exps = dict(mono)
@@ -550,22 +487,19 @@ def suite_abs04(max_vertices: int = 5) -> VerifySuiteReport:
                 new.append(("w", bb))
             key = tuple(new)
             terms[key] = terms.get(key, Fraction(0)) + coef
-        if refined_skew_char_dmat(d) != Poly(terms):
-            failures.append(f"{graph_format(g)} @ qbar-lbar")
-    return _report("abs04", instances, failures)
+        yield refined_skew_char_dmat(d) == Poly(terms), f"{text} @ qbar-lbar"
 
 
 @_suite("partial-dual-invariance")
 def suite_partial_dual_invariance(
     max_vertices: int = 5, samples: int = 10, seed: int = 1729
-) -> VerifySuiteReport:
+) -> Checks:
     """The interlace polynomial of a set system is invariant under partial
     duality with respect to any subset."""
-    instances, failures = 0, []
     rng = Random(seed)
     sampled = False
     for g in _graph_range(max_vertices):
-        d = dmat_from_graph(g)
+        d, text = dmat_from_graph(g), graph_format(g)
         base = interlace_dmat(d)
         n = d.ground
         if n <= 4:
@@ -576,37 +510,29 @@ def suite_partial_dual_invariance(
             extra = sorted({rng.randrange(1 << n) for _ in range(samples)})
             duals = singles + extra
         for mask in duals:
-            instances += 1
-            if interlace_dmat(partial_dual(d, mask)) != base:
-                failures.append(f"{graph_format(g)} @ S mask={mask}")
-    notes = []
+            yield interlace_dmat(partial_dual(d, mask)) == base, f"{text} @ S mask={mask}"
     if sampled:
-        notes.append(
+        return [
             f"exhaustive subsets through 4 elements; singletons plus {samples} "
             f"seeded random subsets beyond"
-        )
-    return _report("partial-dual-invariance", instances, failures, notes)
+        ]
 
 
 @_suite("casimir-N")
-def suite_casimir_n(max_m: int = 7) -> VerifySuiteReport:
+def suite_casimir_n(max_m: int = 7) -> Checks:
     """The substitution C_k -> N collapses wgl to N^(cycle count)."""
-    instances, failures = 0, []
     for p in _perm_range(max_m):
-        instances += 1
         w = wgl(p)
         binding = {v: Poly.var("N") for v in w.variables() if v.startswith("C")}
-        if poly_subst(w, binding) != Poly.var("N", cycle_count(p)):
-            failures.append(perm_format(p))
-    notes = ["checked for all permutations, not only those arising from chord diagrams"]
-    return _report("casimir-N", instances, failures, notes)
+        yield poly_subst(w, binding) == Poly.var("N", cycle_count(p)), perm_format(p)
+    return ["checked for all permutations, not only those arising from chord diagrams"]
 
 
 # -- series experiment ----------------------------------------------------------------
 
 
 @_suite("positivity-experiment")
-def suite_positivity(max_m: int = 7, order: int = 12) -> VerifySuiteReport:
+def suite_positivity(max_m: int = 7, order: int = 12) -> Checks:
     """EXPERIMENT: expand the interlace rational function of every
     permutation as a power series and look for negative coefficients.
 
@@ -615,14 +541,13 @@ def suite_positivity(max_m: int = 7, order: int = 12) -> VerifySuiteReport:
     points routinely produce negative coefficients, while every
     fixed-point-free permutation observed so far stays nonnegative.
     """
-    instances = 0
     neg_fixed: list[str] = []
     neg_free: list[str] = []
     for p in _perm_range(max_m):
-        instances += 1
         if any(c < 0 for c in interlace_perm(p).series(order)):
             has_fp = any(p(i) == i for i in range(1, p.m + 1))
             (neg_fixed if has_fp else neg_free).append(perm_format(p))
+        yield True, ""
     notes = [f"series expanded through z^{order}"]
     if neg_fixed:
         notes.append(
@@ -639,4 +564,4 @@ def suite_positivity(max_m: int = 7, order: int = 12) -> VerifySuiteReport:
             f"all coefficients nonnegative for every fixed-point-free "
             f"permutation with m <= {max_m}"
         )
-    return _report("positivity-experiment", instances, [], notes)
+    return notes

@@ -133,6 +133,21 @@ def test_domain_error_exit_code(capsys):
     assert run(["feps", "--perm", "(1 2 3)", "--in-v"]) == 2
 
 
+def test_subset_budgets(capsys):
+    # exponential subset enumerations refuse more than 20 vertices or points
+    diagram21 = "".join(f"({i} {i + 21})" for i in range(1, 22))
+    perm21 = ",".join(str(i % 21 + 1) for i in range(1, 22))
+    for argv in (
+        ["skewchar", "--graph", "n=21; edges=1-2"],
+        ["interlace", "--graph", "n=21; edges=1-2"],
+        ["dmat", "--perm", diagram21],
+        ["feps", "--direct", "--perm", perm21],
+    ):
+        assert run(argv) == 2, argv
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("domain error: "), argv
+
+
 def test_internal_error_exit_code(capsys, monkeypatch):
     # a failed consistency check is a bug: exit 4 with one line, no traceback
     import wsys.perm
@@ -163,7 +178,7 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     import wsys.verify as verify_mod
 
     def always_fails():
-        return verify_mod.VerifySuiteReport("always-fails", 1, ["counterexample"])
+        yield False, "counterexample"
 
     monkeypatch.setitem(verify_mod.SUITES, "always-fails", always_fails)
     assert run(["verify", "always-fails"]) == 3
@@ -181,3 +196,24 @@ def test_verify_determinism(capsys):
     strip = lambda lines: [ln for ln in lines if not ln.startswith("tfe: PASS")]
     assert strip(first) == strip(second)
     assert first[0].startswith("tfe: PASS (12 instances")
+
+
+def test_every_suite_bound_is_a_verify_option(monkeypatch):
+    # the bounds are the verify options that default to None; every parameter
+    # of every registered suite must be one, and the handler must pass it on
+    import inspect
+
+    import wsys.cli
+    from wsys.verify import SUITES
+
+    defaults = vars(wsys.cli._build_parser().parse_args(["verify"]))
+    bounds = sorted(name for name, value in defaults.items() if value is None)
+    params = {p for fn in SUITES.values() for p in inspect.signature(fn).parameters}
+    assert params <= set(bounds), params - set(bounds)
+    seen = {}
+    monkeypatch.setattr(wsys.cli, "run_suites", lambda names, **kw: seen.update(kw) or [])
+    argv = ["verify"]
+    for value, name in enumerate(bounds, start=1):
+        argv += [f"--{name.replace('_', '-')}", str(value)]
+    assert run(argv) == 0
+    assert seen == {name: value for value, name in enumerate(bounds, start=1)}

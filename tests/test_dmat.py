@@ -6,7 +6,6 @@ from wsys.dmat import (
     DMat,
     check_symmetric_exchange,
     distance,
-    distances,
     dmat_delete,
     dmat_format,
     dmat_from_chord_diagram,
@@ -95,7 +94,7 @@ def test_distance():
     systems = [dmat_from_graph(g) for n in range(5) for g in all_graphs(n)]
     systems += [dmat_from_chord_diagram(b) for n in range(1, 5) for b in all_chord_diagrams(n)]
     for dd in systems:
-        assert distances(dd) == [distance(dd, m) for m in range(1 << dd.ground)]
+        assert dd.distances == tuple(distance(dd, m) for m in range(1 << dd.ground))
 
 
 def test_partial_dual():

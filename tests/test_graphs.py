@@ -21,7 +21,6 @@ from wsys.graphs import (
     induced_subgraph,
     is_nondegenerate,
     path_graph,
-    subset_coranks,
 )
 
 
@@ -80,7 +79,7 @@ def test_adjacency_corank_known_graphs():
     # all induced coranks at once, against the one-subset routes
     for n in range(6):
         for g in all_graphs(n):
-            coranks = subset_coranks(g)
+            coranks = g.coranks
             for mask in range(1 << n):
                 subset = [v + 1 for v in range(n) if mask >> v & 1]
                 sub = induced_subgraph(g, subset)

@@ -215,3 +215,19 @@ def test_invariant_building_blocks():
     assert corank_power_N(complete_graph(2)) == Poly.one()
     assert unit_invariant(Graph.empty(0)) == Poly.one()
     assert unit_invariant(Graph.empty(1)) == Poly.zero()
+
+
+def test_subset_tables_computed_once(monkeypatch):
+    # the set system and both skew characteristic polynomials of one graph
+    # share its corank table: 2^n eliminations, not 3 * 2^n
+    import wsys.graphs
+
+    calls = []
+    gf2_rank = wsys.graphs.gf2_rank
+    monkeypatch.setattr(wsys.graphs, "gf2_rank", lambda rows: calls.append(rows) or gf2_rank(rows))
+    g = graph_parse("n=6; edges=1-2,1-4,1-6,2-3,3-4,4-5,5-6")
+    d = dmat_from_graph(g)
+    skew_char(g)
+    refined_skew_char_graph(g)
+    assert len(calls) == 1 << g.n
+    assert d.distances is d.distances

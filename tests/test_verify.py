@@ -46,6 +46,9 @@ def test_registry_contents():
 def test_unknown_suite():
     with pytest.raises(DomainError):
         run_suite("no-such-suite")
+    # requested names are checked in the order given, before any suite runs
+    with pytest.raises(DomainError, match="'zz'"):
+        run_suites(["tsr", "zz", "aa"])
 
 
 def test_every_suite_passes_at_small_bounds():
@@ -130,3 +133,56 @@ def test_positivity_finding():
     text = " ".join(report.notes)
     assert "fixed point" in text
     assert "nonnegative for every fixed-point-free" in text
+
+
+def test_failure_labels_and_counts(monkeypatch):
+    # each patched suite fails on some instances: the report must count every
+    # instance once and print the failing inputs in their reproducible form
+    import wsys.verify
+    from wsys.algebra import Poly, RatFunc
+    from wsys.dmat import DMat
+
+    # the subset-sum route is off by one on the two-point permutations
+    feps_direct = wsys.verify.feps_direct
+
+    def off_by_one(p):
+        return feps_direct(p) + (Poly.one() if p.m == 2 else Poly.zero())
+
+    monkeypatch.setattr(wsys.verify, "feps_direct", off_by_one)
+    report = run_suite("tfe", max_m=2, samples=1, seed=5)
+    assert (report.instances, report.failures) == (5, ["1,2", "2,1"])
+
+    # a non-polynomial interlace function fails polynomiality, once per diagram
+    monkeypatch.setattr(wsys.verify, "interlace_perm", lambda b: RatFunc.make(Poly.one(), 1))
+    report = run_suite("tis", max_chords=2)
+    assert (report.instances, report.failures) == (
+        4,
+        [f"{b} @ polynomiality" for b in ("2,1", "2,1,4,3", "3,4,1,2", "4,3,2,1")],
+    )
+
+    # the 4-term check fails at (2, 1) on the graph with an edge
+    monkeypatch.setattr(wsys.verify, "graph_4t_check", lambda f, g, a, b: not (g.edges() and a > b))
+    report = run_suite("fourterm-graphs", max_vertices=2)
+    assert (report.instances, report.failures) == (
+        12,
+        [
+            "n=2; edges=1-2 @ (2,1) skew-char",
+            "n=2; edges=1-2 @ (2,1) refined-skew-char",
+            "n=2; edges=1-2 @ (2,1) interlace",
+        ],
+    )
+
+    # every distance read as 0: exactly the subsets of nonzero corank fail
+    monkeypatch.setattr(DMat, "distances", property(lambda d: (0,) * (1 << d.ground)))
+    report = run_suite("distance-corank", max_vertices=2)
+    assert (report.instances, report.failures) == (
+        11,
+        [
+            "n=1; edges= @ U={1}",
+            "n=2; edges= @ U={1}",
+            "n=2; edges= @ U={2}",
+            "n=2; edges= @ U={1,2}",
+            "n=2; edges=1-2 @ U={1}",
+            "n=2; edges=1-2 @ U={2}",
+        ],
+    )
