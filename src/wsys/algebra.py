@@ -1,5 +1,9 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
+A coefficient is an exact rational, held as an ``int`` when it is integral
+and as a ``fractions.Fraction`` otherwise, so integer polynomials (every
+``wgl`` value) compute in Python ``int`` throughout.
+
 Variables are named by strings drawn from a fixed alphabet:
 
 * ``"N"`` -- the dimension parameter,
@@ -61,11 +65,12 @@ def casimir(k: int) -> str:
     return f"C{k}"
 
 
-def _frac(value: Coeflike) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
+def _frac(value: Coeflike) -> Coeflike:
+    """Canonical coefficient: an int when integral, else a Fraction."""
     if isinstance(value, int):
-        return Fraction(value)
+        return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     raise DomainError(f"not a rational coefficient: {value!r}")
 
 
@@ -77,18 +82,27 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
 
 
 class Poly:
-    """Immutable sparse polynomial with Fraction coefficients."""
+    """Immutable sparse polynomial with exact rational coefficients, each an
+    int when integral and a Fraction otherwise; zero terms are never stored."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Monomial, Coeflike] | None = None):
-        cleaned: dict[Monomial, Fraction] = {}
+        cleaned: dict[Monomial, Coeflike] = {}
         if terms:
             for mono, coef in terms.items():
                 c = _frac(coef)
                 if c:
                     cleaned[mono] = c
         object.__setattr__(self, "terms", cleaned)
+
+    @classmethod
+    def _raw(cls, terms: dict[Monomial, Coeflike]) -> "Poly":
+        """Adopt a dict the ring operations built: canonical coefficients,
+        no zeros.  Skips the validation of the public constructor."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "terms", terms)
+        return p
 
     # -- constructors ---------------------------------------------------
 
@@ -98,7 +112,7 @@ class Poly:
 
     @classmethod
     def one(cls) -> "Poly":
-        return cls({(): Fraction(1)})
+        return cls._raw({(): 1})
 
     @classmethod
     def const(cls, value: Coeflike) -> "Poly":
@@ -111,7 +125,7 @@ class Poly:
             raise DomainError(f"negative exponent {exp} for {name}")
         if exp == 0:
             return cls.one()
-        return cls({((name, exp),): Fraction(1)})
+        return cls._raw({((name, exp),): 1})
 
     @staticmethod
     def coerce(value: Polylike) -> "Poly":
@@ -122,31 +136,38 @@ class Poly:
     # -- ring structure -------------------------------------------------
 
     def __add__(self, other: Polylike) -> "Poly":
-        other = Poly.coerce(other)
-        terms = dict(self.terms)
-        for mono, coef in other.terms.items():
-            terms[mono] = terms.get(mono, Fraction(0)) + coef
-        return Poly(terms)
+        return self._combine(Poly.coerce(other), 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly({mono: -coef for mono, coef in self.terms.items()})
+        return Poly._raw({mono: -coef for mono, coef in self.terms.items()})
 
     def __sub__(self, other: Polylike) -> "Poly":
-        return self + (-Poly.coerce(other))
+        return self._combine(Poly.coerce(other), -1)
 
     def __rsub__(self, other: Polylike) -> "Poly":
         return Poly.coerce(other) - self
 
+    def _combine(self, other: "Poly", sign: int) -> "Poly":
+        """self + sign * other in one pass over other's terms."""
+        terms = dict(self.terms)
+        for mono, coef in other.terms.items():
+            c = terms.get(mono, 0) + sign * coef
+            if c:
+                terms[mono] = _frac(c)
+            else:
+                terms.pop(mono, None)
+        return Poly._raw(terms)
+
     def __mul__(self, other: Polylike) -> "Poly":
         other = Poly.coerce(other)
-        terms: dict[Monomial, Fraction] = {}
+        terms: dict[Monomial, Coeflike] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 mono = _mono_mul(m1, m2)
-                terms[mono] = terms.get(mono, Fraction(0)) + c1 * c2
-        return Poly(terms)
+                terms[mono] = terms.get(mono, 0) + c1 * c2
+        return Poly._raw({mono: _frac(c) for mono, c in terms.items() if c})
 
     __rmul__ = __mul__
 
@@ -182,14 +203,14 @@ class Poly:
     def total_degree(self) -> int:
         return max((sum(e for _, e in mono) for mono in self.terms), default=0)
 
-    def coefficient(self, mono: Mapping[str, int]) -> Fraction:
+    def coefficient(self, mono: Mapping[str, int]) -> Coeflike:
         key = tuple(
             sorted(((v, e) for v, e in mono.items() if e), key=lambda it: var_key(it[0]))
         )
-        return self.terms.get(key, Fraction(0))
+        return self.terms.get(key, 0)
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((), Fraction(0))
+    def constant_term(self) -> Coeflike:
+        return self.terms.get((), 0)
 
     # -- substitution and evaluation --------------------------------------
 
@@ -219,13 +240,13 @@ class Poly:
 
     # -- printing ----------------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Monomial, Coeflike]]:
         """Terms in canonical order: ascending total degree, ties broken by
         the exponent vector read from the highest variable down (smaller
         exponent on the highest differing variable comes first)."""
         support = sorted(self.variables(), key=var_key, reverse=True)
 
-        def key(item: tuple[Monomial, Fraction]):
+        def key(item: tuple[Monomial, Coeflike]):
             mono, _ = item
             exps = dict(mono)
             return (
@@ -242,7 +263,7 @@ class Poly:
         return f"Poly({poly_to_string(self)})"
 
 
-def _term_text(mono: Monomial, coef: Fraction) -> str:
+def _term_text(mono: Monomial, coef: Coeflike) -> str:
     mag = abs(coef)
     if not mono:
         return str(mag)
@@ -273,23 +294,23 @@ def poly_subst(p: Poly, bindings: Mapping[str, Polylike]) -> Poly:
 # -- univariate helpers (in z) -------------------------------------------
 
 
-def poly_coeffs_z(p: Poly) -> list[Fraction]:
+def poly_coeffs_z(p: Poly) -> list[Coeflike]:
     """Coefficient list [c0, c1, ...] of a polynomial univariate in z."""
-    coeffs: dict[int, Fraction] = {}
+    coeffs: dict[int, Coeflike] = {}
     for mono, coef in p.terms.items():
         if not mono:
-            coeffs[0] = coeffs.get(0, Fraction(0)) + coef
+            coeffs[0] = coeffs.get(0, 0) + coef
         elif len(mono) == 1 and mono[0][0] == "z":
             deg = mono[0][1]
-            coeffs[deg] = coeffs.get(deg, Fraction(0)) + coef
+            coeffs[deg] = coeffs.get(deg, 0) + coef
         else:
             raise DomainError(f"polynomial not univariate in z: {p}")
     top = max(coeffs, default=0)
-    return [coeffs.get(i, Fraction(0)) for i in range(top + 1)]
+    return [coeffs.get(i, 0) for i in range(top + 1)]
 
 
 def coeffs_to_poly_z(coeffs: Iterable[Coeflike]) -> Poly:
-    terms: dict[Monomial, Fraction] = {}
+    terms: dict[Monomial, Coeflike] = {}
     for i, c in enumerate(coeffs):
         c = _frac(c)
         if c:
@@ -312,8 +333,8 @@ class RatFunc:
         while dpow > 0 and sum(coeffs) == 0 and any(coeffs):
             # num(1) = 0: divide by (1-z); quotient coefficients are the
             # prefix sums of the dividend's.
-            running = Fraction(0)
-            quotient: list[Fraction] = []
+            running = 0
+            quotient: list[Coeflike] = []
             for c in coeffs[:-1]:
                 running += c
                 quotient.append(running)
@@ -334,19 +355,8 @@ class RatFunc:
         b = other.num * one_minus_z ** (d - other.dpow)
         return RatFunc.make(a + b, d)
 
-    def __sub__(self, other: "RatFunc") -> "RatFunc":
-        return self + RatFunc(-other.num, other.dpow)
-
     def __mul__(self, other: "RatFunc") -> "RatFunc":
         return RatFunc.make(self.num * other.num, self.dpow + other.dpow)
-
-    def __pow__(self, exp: int) -> "RatFunc":
-        if exp < 0:
-            raise DomainError(f"negative exponent {exp}")
-        result = RatFunc.from_poly(1)
-        for _ in range(exp):
-            result = result * self
-        return result
 
     def is_polynomial(self) -> bool:
         return self.dpow == 0
@@ -359,7 +369,7 @@ class RatFunc:
         out: list[Fraction] = []
         for n in range(order + 1):
             if self.dpow == 0:
-                out.append(coeffs[n] if n < len(coeffs) else Fraction(0))
+                out.append(Fraction(coeffs[n]) if n < len(coeffs) else Fraction(0))
             else:
                 # 1/(1-z)^d = sum_k comb(k+d-1, d-1) z^k
                 total = Fraction(0)

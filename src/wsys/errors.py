@@ -33,3 +33,13 @@ def is_uint(text: str) -> bool:
     """True iff text is a nonempty run of ASCII digits.  ``str.isdigit``
     also accepts characters such as "²" that ``int`` rejects."""
     return re.fullmatch(r"[0-9]+", text) is not None
+
+
+def bounded_uint(text: str, limit: int) -> int:
+    """Value of a run of ASCII digits, or limit + 1 when it is larger: a
+    digit string longer than the limit's is never converted, so a huge
+    number in input text costs nothing beyond reading it."""
+    digits = text.lstrip("0")
+    if len(digits) > len(str(limit)):
+        return limit + 1
+    return min(int(digits or "0"), limit + 1)

@@ -78,12 +78,13 @@ def _scan(img: tuple[int, ...]):
 
 
 def _conj_swap(img: tuple[int, ...], l: int) -> tuple[int, ...]:
-    """Conjugate by the transposition (l, l+1)."""
-
-    def t(x: int) -> int:
-        return l + 1 if x == l else (l if x == l + 1 else x)
-
-    return tuple(t(img[t(i) - 1]) for i in range(1, len(img) + 1))
+    """Conjugate by the transposition (l, l+1): swap the slots l and l+1,
+    then swap the values l and l+1."""
+    out = list(img)
+    out[l - 1], out[l] = out[l], out[l - 1]
+    i, j = out.index(l), out.index(l + 1)
+    out[i], out[j] = l + 1, l
+    return tuple(out)
 
 
 def _contract(img: tuple[int, ...], l: int, variant: int) -> tuple[int, tuple[int, ...]]:

@@ -17,10 +17,20 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, bounded_uint
 
 #: Largest vertex, point or ground-set count a 2^n subset enumeration accepts.
 MAX_GROUND = 20
+#: Largest vertex count graph_parse accepts; refused before any row is built.
+MAX_VERTICES = 1000
+
+
+def _bits(row: int) -> Iterator[int]:
+    """Indices of the set bits of row, ascending."""
+    while row:
+        low = row & -row
+        yield low.bit_length() - 1
+        row ^= low
 
 
 @dataclass(frozen=True)
@@ -38,10 +48,10 @@ class Graph:
                 raise DomainError(f"row {i + 1} has bits outside 1..{self.n}")
             if row >> i & 1:
                 raise DomainError(f"loop at vertex {i + 1}")
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if (self.rows[i] >> j & 1) != (self.rows[j] >> i & 1):
-                    raise DomainError(f"asymmetric adjacency at {i + 1},{j + 1}")
+        for i, row in enumerate(self.rows):
+            for j in _bits(row):
+                if not self.rows[j] >> i & 1:
+                    raise DomainError(f"asymmetric adjacency at {min(i, j) + 1},{max(i, j) + 1}")
 
     @classmethod
     def empty(cls, n: int) -> "Graph":
@@ -63,16 +73,10 @@ class Graph:
         return bool(self.rows[a - 1] >> (b - 1) & 1)
 
     def edges(self) -> list[tuple[int, int]]:
-        return [
-            (i + 1, j + 1)
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-            if self.rows[i] >> j & 1
-        ]
+        return [(i + 1, j + 1) for i, row in enumerate(self.rows) for j in _bits(row >> i << i)]
 
     def neighbors(self, v: int) -> set[int]:
-        row = self.rows[v - 1]
-        return {j + 1 for j in range(self.n) if row >> j & 1}
+        return {j + 1 for j in _bits(self.rows[v - 1])}
 
     def toggle_edge(self, a: int, b: int) -> "Graph":
         if a == b:
@@ -104,7 +108,9 @@ def graph_parse(text: str) -> Graph:
     match = _GRAPH_RE.match(text)
     if not match:
         raise ParseError(f"malformed graph text: {text!r}")
-    n = int(match.group(1))
+    n = bounded_uint(match.group(1), MAX_VERTICES)
+    if n > MAX_VERTICES:
+        raise DomainError(f"n exceeds the budget of {MAX_VERTICES} vertices")
     body = match.group(2)
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
@@ -114,9 +120,9 @@ def graph_parse(text: str) -> Graph:
             m = re.fullmatch(r"([0-9]+)\s*-\s*([0-9]+)", piece)
             if not m:
                 raise ParseError(f"malformed edge {piece!r}")
-            a, b = int(m.group(1)), int(m.group(2))
+            a, b = bounded_uint(m.group(1), n), bounded_uint(m.group(2), n)
             if not (1 <= a <= n and 1 <= b <= n):
-                raise ParseError(f"edge {a}-{b} out of range 1..{n}")
+                raise ParseError(f"edge {piece} out of range 1..{n}")
             if a == b:
                 raise ParseError(f"loop at vertex {a}")
             key = (min(a, b), max(a, b))

@@ -14,6 +14,9 @@ Text formats accepted by :func:`perm_parse`:
 * one-line: ``"3,5,6,7,2,8,4,9,1"``
 * cycles:   ``"(1 4)(2 5)"`` (fixed points may be omitted when the total
   number of points is passed explicitly)
+
+A text naming more than :data:`MAX_POINTS` points is refused with
+``DomainError`` before anything of that size is allocated.
 """
 
 from __future__ import annotations
@@ -24,7 +27,10 @@ from itertools import permutations as _permutations
 from typing import Iterable, Iterator, Mapping
 
 from . import graphs
-from .errors import DomainError, ParseError, is_uint
+from .errors import DomainError, ParseError, bounded_uint, is_uint
+
+#: Largest point count perm_parse accepts, from any point, m or one-line text.
+MAX_POINTS = 1000
 
 
 @dataclass(frozen=True)
@@ -92,6 +98,8 @@ def perm_parse(text: str, m: int | None = None) -> Perm:
     cycle notation with omitted fixed points."""
     if m is not None and m < 0:
         raise ParseError(f"negative point count {m}")
+    if m is not None and m > MAX_POINTS:
+        raise DomainError(f"{m} points exceed the budget of {MAX_POINTS}")
     body = text.strip()
     if body in ("", "()"):
         return identity(m or 0)
@@ -107,9 +115,9 @@ def perm_parse(text: str, m: int | None = None) -> Perm:
                 continue
             cyc: list[int] = []
             for p in pts:
-                if not is_uint(p) or int(p) < 1:
+                v = _point(p) if is_uint(p) else 0
+                if v < 1:
                     raise ParseError(f"bad point {p!r} in cycle notation")
-                v = int(p)
                 if v in points_seen:
                     raise ParseError(f"point {v} appears twice")
                 points_seen.add(v)
@@ -127,12 +135,21 @@ def perm_parse(text: str, m: int | None = None) -> Perm:
     pts = [p for p in re.split(r"[\s,]+", body) if p]
     if not all(is_uint(p) for p in pts):
         raise ParseError(f"malformed permutation text: {text!r}")
-    img = [int(p) for p in pts]
+    if len(pts) > MAX_POINTS:
+        raise DomainError(f"{len(pts)} points exceed the budget of {MAX_POINTS}")
+    img = [_point(p) for p in pts]
     if m is not None and m != len(img):
         raise ParseError(f"one-line form has {len(img)} points, expected {m}")
     if sorted(img) != list(range(1, len(img) + 1)):
         raise ParseError(f"not a permutation of 1..{len(img)}: {img}")
     return Perm(tuple(img))
+
+
+def _point(token: str) -> int:
+    v = bounded_uint(token, MAX_POINTS)
+    if v > MAX_POINTS:
+        raise DomainError(f"a point exceeds the budget of {MAX_POINTS} points")
+    return v
 
 
 def perm_format(p: Perm) -> str:

@@ -61,6 +61,29 @@ def test_zero_coefficients_are_dropped():
     assert not (N - N)
 
 
+def test_integral_coefficients_are_ints():
+    # a coefficient is held as an int exactly when it is integral
+    assert type(Poly({(): Fraction(4, 2)}).terms[()]) is int
+    assert Poly({(): Fraction(4, 2)}).terms[()] == 2
+    assert type(Poly.const(Fraction(3, 2)).terms[()]) is Fraction
+    half = Poly.const(Fraction(1, 2))
+    assert all(type(c) is int for c in ((half + half) * N + half * 2 * eps + half * N + half * N).terms.values())
+    assert half * N - (N - half * N) == Poly.zero()
+    p = 3 * N**2 * eps - half * eps + 7
+    assert (p - p).terms == {}
+    assert (p + (-p)).terms == {}
+
+
+def test_integral_fraction_and_int_coefficients_agree():
+    # the public constructor takes either form of an integral coefficient
+    as_fractions = Poly({(("N", 2),): Fraction(6, 3), (): Fraction(-5)})
+    as_ints = Poly({(("N", 2),): 2, (): -5})
+    assert as_fractions == as_ints
+    assert hash(as_fractions) == hash(as_ints)
+    assert as_fractions.terms == as_ints.terms
+    assert str(as_fractions) == str(as_ints) == "-5 + 2*N^2"
+
+
 def test_pow_and_degree():
     assert (N * eps).total_degree() == 2
     assert (N**0) == Poly.one()
@@ -130,8 +153,6 @@ def test_ratfunc_arithmetic():
     one_minus_z_inv = RatFunc.make(Poly.one(), 1)
     assert one_minus_z_inv + one_minus_z_inv == RatFunc.make(Poly.const(2), 1)
     assert one_minus_z_inv * RatFunc.from_poly(1 - z) == RatFunc.from_poly(1)
-    sq = one_minus_z_inv**2
-    assert sq.dpow == 2 and sq.num == Poly.one()
 
 
 def test_ratfunc_series_geometric():

@@ -148,6 +148,18 @@ def test_subset_budgets(capsys):
         assert len(err) == 1 and err[0].startswith("domain error: "), argv
 
 
+def test_parse_budgets(capsys):
+    # a huge point or vertex count is refused with one line, before allocation
+    for argv in (
+        ["wgl", "--perm", "(1 100000000)"],
+        ["faces", "--perm", "1," + "9" * 5000],
+        ["pivot", "--graph", "n=100000000; edges=1-2", "--a", "1", "--b", "2"],
+    ):
+        assert run(argv) == 2, argv
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("domain error: "), argv
+
+
 def test_internal_error_exit_code(capsys, monkeypatch):
     # a failed consistency check is a bug: exit 4 with one line, no traceback
     import wsys.perm

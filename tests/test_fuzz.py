@@ -26,12 +26,16 @@ FUZZ = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-# Integers have at most three digits: "(1 100000000)" is well-formed cycle
-# notation for which perm_parse builds a 10^8-element list.
+# Integers have at most three digits for set-system text.  Permutation and
+# graph text also draw numbers past their parse budgets (MAX_POINTS,
+# MAX_VERTICES), up to a digit run longer than int() converts.
 NUMBER = st.integers(0, 999).map(str)
+HUGE = st.one_of(st.integers(1000, 10**12).map(str), st.just("9" * 5000))
+WIDE = st.one_of(NUMBER, HUGE)
 # Through the command line, sizes from 13 to 20 are within the subset budget
 # but cost seconds per call; 0-12 and 21-999 cover both sides of the budget.
 CLI_NUMBER = st.one_of(st.integers(0, 12), st.integers(21, 999)).map(str)
+CLI_WIDE = st.one_of(CLI_NUMBER, HUGE)
 SMALL = st.integers(1, 8).map(str)  # in range for the well-formed texts below
 PUNCT = st.sampled_from(
     [",", " ", "-", "(", ")", "{", "}", ";", "=", "n", "E", "edges", "phi", "x", "²", "\t"]
@@ -77,7 +81,7 @@ def dmat_text(number):
 
 
 @FUZZ
-@given(perm_text(NUMBER), graph_text(NUMBER), dmat_text(NUMBER))
+@given(perm_text(WIDE), graph_text(WIDE), dmat_text(NUMBER))
 def test_parsers_raise_only_typed_errors(ptext, gtext, dtext):
     for parse, text in ((perm_parse, ptext), (graph_parse, gtext), (dmat_parse, dtext)):
         try:
@@ -91,7 +95,7 @@ def flag(*flags):
 
 
 def _argv():
-    perm, graph, dmat = perm_text(CLI_NUMBER), graph_text(CLI_NUMBER), dmat_text(CLI_NUMBER)
+    perm, graph, dmat = perm_text(CLI_WIDE), graph_text(CLI_WIDE), dmat_text(CLI_NUMBER)
     text = st.one_of(token_text(CLI_NUMBER), st.lists(SMALL, max_size=3).map(",".join))
     return st.one_of(
         st.builds(lambda p: ["wgl", "--perm", p], perm),

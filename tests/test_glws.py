@@ -1,5 +1,6 @@
 """The universal weight system, its recurrence, and its specializations."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -34,6 +35,7 @@ from wsys.perm import (
     face_count,
     identity,
     intersection_graph,
+    perm_format,
     perm_parse,
     standard_cycle,
 )
@@ -264,3 +266,28 @@ def test_pivot_pair_shares_interlace_value():
     )
     assert interlace_perm(p) == want
     assert interlace_perm(piv) == want
+
+
+def test_integer_valued_specializations_have_int_coefficients():
+    # the recurrence's terms are +-1 times powers of N, so every value in an
+    # integer ring computes in int end to end
+    for m in range(7):
+        for p in all_perms(m):
+            for value in (wgl(p), feps(p), spec_standard(p), casimir_to_N(p), interlace_perm(p).num):
+                assert all(type(c) is int for c in value.terms.values()), (p, value)
+
+
+# SHA-256 of the printed wgl, feps, gl11_skewchar and interlace_perm of every
+# permutation with at most six points, one tab-separated line each, as the
+# Fraction-coefficient kernel printed them.
+OUTPUT_DIGEST_M6 = "40451147657d35e9c63c3b090ed1e0a42563e201546b94b930d7ef9ffa7b87d9"
+
+
+def test_printed_outputs_are_unchanged():
+    lines = [
+        f"{perm_format(p)}\t{wgl(p)}\t{feps(p)}\t{gl11_skewchar(p)}\t{interlace_perm(p)}\n"
+        for m in range(7)
+        for p in all_perms(m)
+    ]
+    assert len(lines) == 874
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == OUTPUT_DIGEST_M6

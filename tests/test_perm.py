@@ -5,6 +5,7 @@ import pytest
 from wsys.errors import DomainError, ParseError
 from wsys.perm import (
     EMPTY,
+    MAX_POINTS,
     Perm,
     all_chord_diagrams,
     all_perms,
@@ -247,3 +248,21 @@ def test_enumerators():
     assert sum(1 for _ in all_chord_diagrams(4)) == 105
     for b in all_chord_diagrams(3):
         assert is_chord_diagram(b)
+
+
+def test_parse_point_budget():
+    # a point, an m or a one-line length above MAX_POINTS is refused before
+    # any list of that size is built, whatever the length of the digit run
+    too_many = ",".join(str(i) for i in range(1, MAX_POINTS + 2))
+    for text in ["(1 100000000)", f"(1 {MAX_POINTS + 1})", "(1 " + "9" * 5000 + ")", "2,100000000", too_many]:
+        with pytest.raises(DomainError):
+            perm_parse(text)
+    for m in (MAX_POINTS + 1, 10**8):
+        with pytest.raises(DomainError):
+            perm_parse("()", m=m)
+        with pytest.raises(DomainError):
+            perm_parse("(1 2)", m=m)
+    assert perm_parse(f"(1 {MAX_POINTS})").m == MAX_POINTS
+    assert perm_parse("(0001 02)") == Perm((2, 1))
+    with pytest.raises(ParseError):
+        perm_parse("(1 000)")
