@@ -36,10 +36,10 @@ def is_uint(text: str) -> bool:
 
 
 def bounded_uint(text: str, limit: int) -> int:
-    """Value of a run of ASCII digits, or limit + 1 when it is larger: a
-    digit string longer than the limit's is never converted, so a huge
-    number in input text costs nothing beyond reading it."""
+    """Value of a run of ASCII digits, or limit + 1 when the run is longer
+    than the limit's: such a run is never converted, so a huge number in
+    input text costs nothing beyond reading it."""
     digits = text.lstrip("0")
     if len(digits) > len(str(limit)):
         return limit + 1
-    return min(int(digits or "0"), limit + 1)
+    return int(digits or "0")

@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, Mapping
 from . import graphs
 from .errors import DomainError, ParseError, bounded_uint, is_uint
 
-#: Largest point count perm_parse accepts, from any point, m or one-line text.
+#: Largest point count perm_parse accepts, from a cycle point, m or a one-line length.
 MAX_POINTS = 1000
 
 
@@ -107,6 +107,7 @@ def perm_parse(text: str, m: int | None = None) -> Perm:
         leftover = _CYCLE_RE.sub("", body).strip()
         if leftover:
             raise ParseError(f"stray text {leftover!r} outside cycles")
+        limit = MAX_POINTS if m is None else m
         points_seen: set[int] = set()
         cycles: list[list[int]] = []
         for group in _CYCLE_RE.findall(body):
@@ -115,18 +116,19 @@ def perm_parse(text: str, m: int | None = None) -> Perm:
                 continue
             cyc: list[int] = []
             for p in pts:
-                v = _point(p) if is_uint(p) else 0
+                v = bounded_uint(p, limit) if is_uint(p) else 0
                 if v < 1:
                     raise ParseError(f"bad point {p!r} in cycle notation")
+                if v > limit:
+                    if m is not None:
+                        raise ParseError(f"point {p} exceeds m = {m}")
+                    raise DomainError(f"a point exceeds the budget of {MAX_POINTS} points")
                 if v in points_seen:
                     raise ParseError(f"point {v} appears twice")
                 points_seen.add(v)
                 cyc.append(v)
             cycles.append(cyc)
-        top = max(points_seen, default=0)
-        size = m if m is not None else top
-        if top > size:
-            raise ParseError(f"point {top} exceeds m = {size}")
+        size = m if m is not None else max(points_seen, default=0)
         img = list(range(1, size + 1))
         for cyc in cycles:
             for i, v in enumerate(cyc):
@@ -137,19 +139,12 @@ def perm_parse(text: str, m: int | None = None) -> Perm:
         raise ParseError(f"malformed permutation text: {text!r}")
     if len(pts) > MAX_POINTS:
         raise DomainError(f"{len(pts)} points exceed the budget of {MAX_POINTS}")
-    img = [_point(p) for p in pts]
+    img = [bounded_uint(p, len(pts)) for p in pts]
     if m is not None and m != len(img):
         raise ParseError(f"one-line form has {len(img)} points, expected {m}")
     if sorted(img) != list(range(1, len(img) + 1)):
-        raise ParseError(f"not a permutation of 1..{len(img)}: {img}")
+        raise ParseError(f"not a permutation of 1..{len(img)}: {body}")
     return Perm(tuple(img))
-
-
-def _point(token: str) -> int:
-    v = bounded_uint(token, MAX_POINTS)
-    if v > MAX_POINTS:
-        raise DomainError(f"a point exceeds the budget of {MAX_POINTS} points")
-    return v
 
 
 def perm_format(p: Perm) -> str:

@@ -1,7 +1,5 @@
 """Simple graphs over GF(2): adjacency coranks, pivots, four-term images."""
 
-import time
-
 import pytest
 
 from wsys.errors import DomainError, ParseError
@@ -62,16 +60,16 @@ def test_parse_and_format_round_trip():
 
 
 def test_large_vertex_counts_are_cheap_or_refused():
-    # the symmetry check walks set bits only, and graph_parse refuses a
-    # vertex count above MAX_VERTICES before building any row
-    start = time.perf_counter()
+    # the symmetry check walks set bits only (an all-pairs check takes
+    # seconds at n = 4000), and graph_parse refuses a vertex count above
+    # MAX_VERTICES before building any row (n = 10^8 rows would not fit in
+    # memory, and int() refuses a 5000-digit run)
     assert Graph.empty(4000).edges() == []
     assert Graph.from_edges(4000, [(1, 4000), (2, 3)]).edges() == [(1, 4000), (2, 3)]
     assert graph_parse(f"n={MAX_VERTICES}; edges=1-2").n == MAX_VERTICES
     for text in [f"n={MAX_VERTICES + 1}; edges=1-2", "n=100000000; edges=1-2", "n=" + "9" * 5000 + "; edges="]:
         with pytest.raises(DomainError):
             graph_parse(text)
-    assert time.perf_counter() - start < 1.0
     with pytest.raises(ParseError):
         graph_parse("n=3; edges=1-" + "9" * 5000)
     with pytest.raises(DomainError):

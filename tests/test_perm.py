@@ -251,12 +251,18 @@ def test_enumerators():
 
 
 def test_parse_point_budget():
-    # a point, an m or a one-line length above MAX_POINTS is refused before
-    # any list of that size is built, whatever the length of the digit run
+    # a cycle point, an m or a one-line length above MAX_POINTS is refused
+    # before any list of that size is built, whatever the length of the digit run
     too_many = ",".join(str(i) for i in range(1, MAX_POINTS + 2))
-    for text in ["(1 100000000)", f"(1 {MAX_POINTS + 1})", "(1 " + "9" * 5000 + ")", "2,100000000", too_many]:
+    for text in ["(1 100000000)", f"(1 {MAX_POINTS + 1})", "(1 " + "9" * 5000 + ")", too_many]:
         with pytest.raises(DomainError):
             perm_parse(text)
+    # a one-line value above the text's own length, or a cycle point above an
+    # explicit m, is malformed input, not input over the budget
+    for text, m in [("2,100000000", None), ("1,1001", None), ("1," + "9" * 5000, None), ("(1 1001)", 5), ("(1 6)", 5)]:
+        with pytest.raises(ParseError) as info:
+            perm_parse(text, m)
+        assert not isinstance(info.value, DomainError)
     for m in (MAX_POINTS + 1, 10**8):
         with pytest.raises(DomainError):
             perm_parse("()", m=m)

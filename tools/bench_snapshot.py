@@ -5,9 +5,9 @@ Run from the root of a wsys checkout (stdlib only):
     python3 tools/bench_snapshot.py --label 6
     python3 tools/bench_snapshot.py --label 5 --checkout ../parent-copy
 
-Each run is `python3 bench/run.py --workload W --seed S --trace 0` in the
-checkout; the runs cycle through the workloads so that drift of the machine
-spreads over all of them.  The snapshot records the checkout's git SHA
+Each run is `python3 bench/run.py --workload W --seed 1 --trace 0` in the
+checkout, RUNS times per workload; the runs cycle through the workloads so
+that drift of the machine spreads over all of them.  The snapshot records the checkout's git SHA
 (and whether tracked files differ from it), the Python version and `nproc`,
 and per workload and metric the median, min and
 max over the runs, with `correct` (every run), `attempted` and `failed`
@@ -25,11 +25,12 @@ import subprocess
 import sys
 
 WORKLOADS = ("family", "recurrence", "subsets", "cli")
-MIN_RUNS = 3
+SEED = 1
+RUNS = 3
 
 
-def run_once(checkout: str, workload: str, seed: int) -> dict:
-    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"]
+def run_once(checkout: str, workload: str) -> dict:
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(SEED), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         raise SystemExit(f"bench_snapshot: {workload} failed:\n{proc.stderr.strip()}")
@@ -59,24 +60,19 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="the snapshot is written to BENCH_<label>.json")
     parser.add_argument("--checkout", default=".", help="wsys checkout to measure (default: here)")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--runs", type=int, default=MIN_RUNS, help=f"runs per workload, at least {MIN_RUNS}")
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     args = parser.parse_args()
-    if args.runs < MIN_RUNS:
-        parser.error(f"--runs must be at least {MIN_RUNS}")
     checkout = os.path.abspath(args.checkout)
     sha, dirty = (
         subprocess.run(["git", *cmd], cwd=checkout, capture_output=True, text=True, check=True).stdout.strip()
         for cmd in (["rev-parse", "HEAD"], ["status", "--porcelain", "--untracked-files=no"])
     )
 
-    runs: dict[str, list[dict]] = {w: [] for w in args.workloads}
-    for i in range(args.runs):
-        for workload in args.workloads:
-            runs[workload].append(run_once(checkout, workload, args.seed))
+    runs: dict[str, list[dict]] = {w: [] for w in WORKLOADS}
+    for i in range(RUNS):
+        for workload in WORKLOADS:
+            runs[workload].append(run_once(checkout, workload))
             wall = runs[workload][-1]["metrics"]["wall_s"]["value"]
-            print(f"bench_snapshot: run {i + 1}/{args.runs} {workload}: wall_s {wall:.3f}", file=sys.stderr)
+            print(f"bench_snapshot: run {i + 1}/{RUNS} {workload}: wall_s {wall:.3f}", file=sys.stderr)
 
     snapshot = {
         "label": args.label,
@@ -84,8 +80,8 @@ def main() -> int:
         "uncommitted_changes": bool(dirty),
         "python": platform.python_version(),
         "nproc": len(os.sched_getaffinity(0)),
-        "seed": args.seed,
-        "command": "python3 bench/run.py --workload W --seed S --trace 0",
+        "seed": SEED,
+        "command": f"python3 bench/run.py --workload W --seed {SEED} --trace 0",
         "workloads": {w: summarize(r) for w, r in runs.items()},
     }
     path = f"BENCH_{args.label}.json"
