@@ -18,16 +18,22 @@ monomial and the canonical ordering of monomials in the printed form (see
 :class:`RatFunc` is a univariate rational function in ``z`` whose
 denominator is a power of ``1 - z`` (the only pole the interlace family
 ever produces); it is kept normalized so equality is structural.
+
+:class:`PackedRing` is the working form of the recurrence engine in
+``glws``: a ring with a fixed tuple of variables, whose monomials are
+packed exponent vectors in one ``int``, converted to :class:`Poly` once
+at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb
 from typing import Iterable, Mapping, Union
 
-from .errors import DomainError, is_uint
+from .errors import DomainError, InternalError, is_uint
 
 # A monomial is a tuple of (variable, exponent) pairs, sorted by the fixed
 # variable order, with all exponents positive.  The empty tuple is the
@@ -49,8 +55,10 @@ _FIXED_VARS = {
 }
 
 
+@cache
 def var_key(name: str) -> tuple[int, int]:
-    """Sort key realizing the fixed variable order."""
+    """Sort key realizing the fixed variable order (cached; an unknown name
+    raises every time)."""
     if name in _FIXED_VARS:
         return _FIXED_VARS[name]
     if name.startswith("C") and is_uint(name[1:]) and int(name[1:]) >= 1:
@@ -289,6 +297,116 @@ def poly_to_string(p: Poly) -> str:
 def poly_subst(p: Poly, bindings: Mapping[str, Polylike]) -> Poly:
     """Module-level alias of :meth:`Poly.subs`."""
     return p.subs(bindings)
+
+
+# -- packed exponent vectors ---------------------------------------------
+#
+# A packed value is a dict {monomial: coefficient} whose monomial is one
+# int: variable i of the ring holds its exponent in bits [i*SLOT_BITS,
+# (i+1)*SLOT_BITS), so a product of monomials is one integer add
+# (M. Monagan and R. Pearce, "Polynomial division using dynamic arrays,
+# heaps, and packed exponent vectors", CASC 2007).  Coefficients follow the
+# Poly rule but are canonicalized only by PackedRing.poly; zero
+# coefficients are never stored.  A slot has EXP_BITS exponent bits and one
+# guard bit above them: an add of two in-range exponents that overflows
+# sets the guard bit, and PackedRing.poly refuses it.  The last variable of
+# a ring has no slot above it, so its exponent is not bounded: a
+# univariate ring is not packed at all.
+
+Packed = dict[int, Coeflike]
+
+EXP_BITS = 10
+SLOT_BITS = EXP_BITS + 1
+_SLOT_MASK = (1 << SLOT_BITS) - 1
+
+
+def packed_add(a: Packed, b: Packed, sign: int = 1) -> Packed:
+    """a + sign * b for sign = 1 or -1."""
+    out = dict(a)
+    get = out.get
+    for mono, coef in b.items():
+        c = get(mono, 0) + sign * coef
+        if c:
+            out[mono] = c
+        else:
+            del out[mono]
+    return out
+
+
+def packed_mul(a: Packed, b: Packed) -> Packed:
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:  # a monomial: no two products collide
+        ((m1, c1),) = a.items()
+        return {m1 + m2: c1 * c2 for m2, c2 in b.items()}
+    out: Packed = {}
+    get = out.get
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            mono = m1 + m2
+            out[mono] = get(mono, 0) + c1 * c2
+    return {mono: c for mono, c in out.items() if c}
+
+
+class PackedRing:
+    """A polynomial ring over fixed variables in packed form: variable i has
+    slot i.  The names must be distinct and in the fixed variable order
+    (not checked here: the check costs milliseconds at import for wgl's
+    thousand Casimirs), so a decoded monomial needs no sort.
+
+    Each packed monomial is decoded once; the ring keeps the Monomial
+    tuple, so the Polys it returns share their monomials, as values the
+    engine returned straight from its memo did."""
+
+    __slots__ = ("names", "_slot", "_monos")
+
+    def __init__(self, names: tuple[str, ...]):
+        self.names = names
+        self._slot = {name: i for i, name in enumerate(names)}
+        self._monos: dict[int, Monomial] = {}
+
+    def pack(self, p: Poly) -> Packed:
+        """p in packed form; its variables must be the ring's."""
+        top = len(self.names) - 1
+        out: Packed = {}
+        for mono, coef in p.terms.items():
+            key = 0
+            for var, e in mono:
+                slot = self._slot.get(var)
+                if slot is None:
+                    raise DomainError(f"variable {var!r} is not in the ring {self.names}")
+                if e >> EXP_BITS and slot < top:
+                    raise DomainError(f"exponent {e} of {var} exceeds its slot")
+                key += e << (slot * SLOT_BITS)
+            out[key] = coef
+        return out
+
+    def poly(self, value: Packed) -> Poly:
+        """The Poly of a packed value; InternalError when a guard bit is set."""
+        monos = self._monos
+        terms: dict[Monomial, Coeflike] = {}
+        for key, coef in value.items():
+            mono = monos.get(key)
+            if mono is None:
+                mono = monos[key] = self._monomial(key)
+            terms[mono] = _frac(coef)
+        return Poly._raw(terms)
+
+    def _monomial(self, key: int) -> Monomial:
+        names, top = self.names, len(self.names) - 1
+        mono = []
+        slot = 0
+        while key:
+            if slot == top:
+                e, key = key, 0
+            else:
+                e, key = key & _SLOT_MASK, key >> SLOT_BITS
+                if e >> EXP_BITS:
+                    raise InternalError(f"exponent of {names[slot]} overflowed its slot")
+            if e:
+                mono.append((names[slot], e))
+            slot += 1
+        return tuple(mono)
 
 
 # -- univariate helpers (in z) -------------------------------------------

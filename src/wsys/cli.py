@@ -26,7 +26,7 @@ from .dmat import (
     partial_dual,
     set_to_mask,
 )
-from .errors import DomainError, InternalError, ParseError, is_uint
+from .errors import DomainError, InternalError, ParseError, bounded_uint, is_uint
 from .glws import feps, feps_direct, feps_in_v, gl11_skewchar, interlace_perm, wgl
 from .graphs import graph_format, graph_parse, graph_pivot
 from .invariants import (
@@ -48,6 +48,10 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+# Each number is read with bounded_uint against the size of the object it
+# indexes: a longer one reads as size + 1, out of range like any other.
+
+
 def _parse_subset(text: str, ground: int) -> int:
     body = text.strip().strip("{}").strip()
     if not body:
@@ -55,20 +59,20 @@ def _parse_subset(text: str, ground: int) -> int:
     members = [s.strip() for s in body.split(",")]
     if not all(is_uint(s) for s in members):
         raise ParseError(f"malformed element list {text!r}")
-    return set_to_mask((int(s) for s in members), ground)
+    return set_to_mask((bounded_uint(s, ground) for s in members), ground)
 
 
-def _parse_pair(text: str) -> tuple[int, int]:
+def _parse_pair(text: str, m: int) -> tuple[int, int]:
     parts = [s.strip() for s in text.split(",")]
     if len(parts) != 2 or not all(is_uint(s) for s in parts):
         raise ParseError(f"expected a pair like \"2,5\", got {text!r}")
-    return int(parts[0]), int(parts[1])
+    return bounded_uint(parts[0], m), bounded_uint(parts[1], m)
 
 
-def _parse_vertex(text: str) -> int:
+def _parse_vertex(text: str, n: int) -> int:
     if not is_uint(text.strip()):
         raise ParseError(f"expected a vertex number, got {text!r}")
-    return int(text)
+    return bounded_uint(text.strip(), n)
 
 
 def _series_text(coeffs: list[Fraction]) -> str:
@@ -163,11 +167,11 @@ def _cmd_dmat(args) -> int:
 def _cmd_pivot(args) -> int:
     if args.perm is not None:
         p = perm_parse(args.perm)
-        result = perm_pivot(p, _parse_pair(args.a), _parse_pair(args.b))
+        result = perm_pivot(p, _parse_pair(args.a, p.m), _parse_pair(args.b, p.m))
         print(perm_format(result))
     else:
         g = graph_parse(args.graph)
-        result = graph_pivot(g, _parse_vertex(args.a), _parse_vertex(args.b))
+        result = graph_pivot(g, _parse_vertex(args.a, g.n), _parse_vertex(args.b, g.n))
         print(graph_format(result))
     return 0
 

@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import Iterable, Union
 
 from . import graphs, perm
-from .errors import DomainError, InternalError, ParseError, is_uint
+from .errors import DomainError, InternalError, ParseError, bounded_uint, is_uint
 from .graphs import MAX_GROUND
 
 Subsetlike = Union[int, Iterable[int]]
@@ -214,7 +214,9 @@ def dmat_parse(text: str) -> DMat:
     match = _DMAT_RE.match(text)
     if not match:
         raise ParseError(f"malformed set-system text: {text!r}")
-    ground = int(match.group(1))
+    ground = bounded_uint(match.group(1), graphs.MAX_VERTICES)
+    if ground > graphs.MAX_VERTICES:
+        raise DomainError(f"E exceeds the budget of {graphs.MAX_VERTICES} elements")
     body = match.group(2)
     if not body:
         raise ParseError("a proper set system needs at least one admissible set")
@@ -223,7 +225,7 @@ def dmat_parse(text: str) -> DMat:
         members = [s for s in re.split(r"[\s,]+", piece.strip()) if s]
         if not all(is_uint(s) for s in members):
             raise ParseError(f"malformed admissible set {{{piece}}}")
-        pts = [int(s) for s in members]
+        pts = [bounded_uint(s, ground) for s in members]
         for p in pts:
             if not 1 <= p <= ground:
                 raise ParseError(f"element {p} out of range 1..{ground}")

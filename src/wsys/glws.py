@@ -21,13 +21,18 @@ Reduction strategy: strip leading standard-cycle blocks (each contributes
 a Casimir factor); otherwise locate the first element of the cycle through
 1 that is out of place and bubble it one position left per step.  Each
 swap strictly decreases the position of that element, each contraction
-decreases the number of points, so the reduction terminates.  All
-intermediate states of a bubbling chain are memoized on the way out.
+decreases the number of points, so the reduction terminates.  Strips and
+swaps run in one loop; only contractions recurse.  All intermediate states
+are memoized on the way out.
 
 Every specialization is a ring homomorphism out of Q[N, C1, C2, ...], so
 it commutes with the recurrence: one evaluator runs the recurrence in each
 target ring, given a binding (the image of a stripped C_k, and the factor
-of a contraction that frees no index class or one: 1 and N in wgl).
+of a contraction that frees no index class or one: 1 and N in wgl).  A
+binding names its ring's variables, and the evaluator computes in that
+ring's packed form (:class:`wsys.algebra.PackedRing`, one int per
+monomial).  A memo maps each reduced one-line image to its packed value;
+the public functions convert the result to :class:`Poly` once.
 """
 
 from __future__ import annotations
@@ -37,11 +42,11 @@ from functools import cache
 from math import comb
 from typing import Callable, MutableMapping, NamedTuple
 
-from .algebra import Poly, RatFunc, casimir
+from .algebra import Packed, PackedRing, Poly, RatFunc, casimir, packed_add, packed_mul
 from .errors import DomainError, InternalError
 from .graphs import MAX_GROUND
 from .invariants import refined_skew_char_graph, subset_poly
-from .perm import Perm, cycle_count, face_count, intersection_graph, is_chord_diagram, subperm
+from .perm import MAX_POINTS, Perm, cycle_count, face_count, intersection_graph, is_chord_diagram, subperm
 
 DEFAULT_CAP = 10
 
@@ -52,11 +57,28 @@ _N = Poly.var("N")
 
 
 class _Binding(NamedTuple):
-    """Where the recurrence's factors go in one target ring."""
+    """Where the recurrence's factors go in one target ring, packed."""
 
     name: str
-    strip: Callable[[int], Poly]  # image of C_k
-    contract: tuple[Poly | None, Poly]  # factor when no class / one class is freed; None = 1
+    ring: PackedRing
+    strip: Callable[[int], Packed]  # image of C_k
+    contract: tuple[Packed | None, Packed]  # factor when no class / one class is freed; None = 1
+
+
+def _binding(
+    name: str,
+    names: tuple[str, ...],
+    strip: Callable[[int], Poly],
+    contract: tuple[Poly | None, Poly],
+) -> _Binding:
+    """A binding over the ring of ``names``, given by Poly images."""
+    ring = PackedRing(names)
+    return _Binding(
+        name,
+        ring,
+        cache(lambda k: ring.pack(strip(k))),
+        tuple(None if f is None else ring.pack(f) for f in contract),
+    )
 
 
 def _scan(img: tuple[int, ...]):
@@ -96,51 +118,42 @@ def _contract(img: tuple[int, ...], l: int, variant: int) -> tuple[int, tuple[in
     identifies the classes of alpha(l+1) and l.  Returns (npower, image)
     where npower is 1 exactly when the identification was trivial and an
     index class got freed (a factor of N).
+
+    In closed form: the merged factor sits at position l and carries class
+    l (variant 1) or l+1 (variant 2).  The other of the two, ``gone``,
+    carries no factor any more, so identifying it with ``keep`` renames it
+    keep; when the two coincide the class is freed instead and occurs in no
+    factor.  Every other class q is carried by the factor at position
+    q - (q > l), which is the relabelling of each factor's second class.
     """
-    m = len(img)
     c, d = img[l - 1], img[l]
     if variant == 1:
-        fst, snd = l, d
-        glue = (c, l + 1)
+        snd, gone, keep = d, l + 1, c
     else:
-        fst, snd = l + 1, c
-        glue = (d, l)
-    trivial = glue[0] == glue[1]
-    # Factors in position order; the merged factor replaces slots l, l+1.
-    slots = [(q, img[q - 1]) for q in range(1, m + 1)]
-    slots[l - 1 : l + 1] = [(fst, snd)]
-    if not trivial:  # 0 is the token of the merged class
-        slots = [(0 if a in glue else a, 0 if b in glue else b) for a, b in slots]
-    carrier = {fc: idx for idx, (fc, _) in enumerate(slots, 1)}
-    if len(carrier) != len(slots):
-        raise InternalError("index class carried by two factors")
-    npow = 0
-    if trivial:
-        freed = [x for x in range(1, m + 1) if x not in carrier]
-        if len(freed) != 1:
-            raise InternalError("trivial identification must free one class")
-        if any(freed[0] in pair for pair in slots):
-            raise InternalError("freed class may not occur in any factor")
-        npow = 1
-    return npow, tuple(carrier[sc] for _, sc in slots)
+        snd, gone, keep = c, l, d
+    seconds = img[: l - 1] + (snd,) + img[l + 1 :]
+    trivial = keep == gone
+    if trivial and gone in seconds:
+        raise InternalError("freed class may not occur in any factor")
+    keep_at = keep - (keep > l)
+    out = tuple([keep_at if s == gone else s - (s > l) for s in seconds])
+    if len(set(out)) != len(out):
+        raise InternalError("contracted image is not a permutation")
+    return int(trivial), out
 
 
-def _wgl_tuple(img: tuple[int, ...], b: _Binding, memo: MutableMapping) -> Poly:
-    val = memo.get(img)
-    if val is not None:
-        return val
-    chain: list[tuple[tuple[int, ...], Poly]] = []
+def _wgl_tuple(img: tuple[int, ...], b: _Binding, memo: MutableMapping) -> Packed:
+    """The value of img in b's ring.  Leading standard blocks are stripped
+    and the out-of-place element bubbled left in one loop; only the
+    contractions (one point fewer each) recurse."""
+    pending: list[tuple[tuple[int, ...], bool, Packed]] = []  # (image, strip?, factor or term)
     cur = img
-    while True:
-        val = memo.get(cur)
-        if val is not None:
-            break
+    while (val := memo.get(cur)) is None:
         kind, v = _scan(cur)
         if kind == "strip":
-            rest = tuple(w - v for w in cur[v:])
-            val = b.strip(v) * _wgl_tuple(rest, b, memo)
-            memo[cur] = val
-            break
+            pending.append((cur, True, b.strip(v)))
+            cur = tuple(w - v for w in cur[v:])
+            continue
         l = v - 1
         terms = []
         for variant in (1, 2):
@@ -149,38 +162,49 @@ def _wgl_tuple(img: tuple[int, ...], b: _Binding, memo: MutableMapping) -> Poly:
             if factor is None:
                 terms.append(_wgl_tuple(merged, b, memo))
             else:  # a zero factor skips the branch
-                terms.append(factor and factor * _wgl_tuple(merged, b, memo))
-        chain.append((cur, terms[0] - terms[1]))
+                terms.append(factor and packed_mul(factor, _wgl_tuple(merged, b, memo)))
+        pending.append((cur, False, packed_add(terms[0], terms[1], -1)))
         cur = _conj_swap(cur, l)
-    for cimg, corr in reversed(chain):
-        val = val + corr
+    for cimg, strip, x in reversed(pending):
+        val = packed_mul(x, val) if strip else packed_add(val, x)
         memo[cimg] = val
     return val
 
 
-# One memo per binding name: one-line image tuple -> value in that
+# One memo per binding name: one-line image tuple -> packed value in that
 # binding's ring.  Reads are concurrent-safe under the GIL.
-_MEMOS: dict[str, dict[tuple[int, ...], Poly]] = {}
+_MEMOS: dict[str, dict[tuple[int, ...], Packed]] = {}
 
 
 def _evaluate(p: Perm, cap: int, b: _Binding, memo: MutableMapping | None = None) -> Poly:
-    if p.m > cap:
-        raise DomainError(f"permutation has {p.m} points, exceeding the cap {cap}")
+    what, limit = ("cap", cap) if cap <= MAX_POINTS else ("budget", MAX_POINTS)
+    if p.m > limit:
+        raise DomainError(f"permutation has {p.m} points, exceeding the {what} {limit}")
     table = _MEMOS.setdefault(b.name, {}) if memo is None else memo
-    table.setdefault((), Poly.one())
-    return _wgl_tuple(p.img, b, table)
+    table.setdefault((), {0: 1})
+    return b.ring.poly(_wgl_tuple(p.img, b, table))
 
 
-_WGL = _Binding("wgl", lambda k: Poly.var(casimir(k)), (None, _N))
+# Slot 0 holds N and slot k holds C_k.  A wgl value on m points has weighted
+# degree at most m (N of weight 1, C_k of weight k), since a strip of C_k
+# leaves m - k points and a contraction one factor N at most and m - 1
+# points; so has every partial sum of the evaluator, and every exponent is
+# at most m <= MAX_POINTS < 2^EXP_BITS (_evaluate refuses more points).
+# feps's image of C_k has degree <= k in N and in eps, so its exponents
+# are at most m too.  The interlace, gl(1|1), standard and cycle rings are
+# univariate and so are not packed.
+_CASIMIRS = tuple(casimir(k) for k in range(1, MAX_POINTS + 1))
+_WGL = _binding("wgl", ("N", *_CASIMIRS), lambda k: Poly.var(casimir(k)), (None, _N))
 
 
 def wgl(
     p: Perm,
     cap: int = DEFAULT_CAP,
-    memo: MutableMapping[tuple[int, ...], Poly] | None = None,
+    memo: MutableMapping[tuple[int, ...], Packed] | None = None,
 ) -> Poly:
     """Value of the universal gl-weight system, a polynomial in N, C1, C2, ...
-    Pass a private ``memo`` dict to isolate the computation (cold timing)."""
+    Pass a private ``memo`` dict to isolate the computation (cold timing);
+    it maps each reduced one-line image to the engine's packed value."""
     return _evaluate(p, cap, _WGL, memo)
 
 
@@ -230,24 +254,24 @@ _Z2 = Poly.var("z", 2) - Poly.one()  # N at the interlace point
 _ONE_MINUS_Z = Poly.one() - Poly.var("z")  # 1/eps at the interlace point
 
 
-@cache
 def _interlace_casimir(k: int) -> Poly:
     """(1-z)^k C_k at N = z^2 - 1, eps = 1/(1-z):
     (z^2-1) + sum_{i=1..k} binom(k, i) (z^2-1)^(i-1) (1-z)^i."""
     return sum((comb(k, i) * _Z2 ** (i - 1) * _ONE_MINUS_Z**i for i in range(1, k + 1)), _Z2)
 
 
-_FEPS = _Binding("feps", feps_casimir_binding, (None, _N))
-_STANDARD = _Binding("standard", lambda k: Poly.var("N", k - 1), (None, _N))
-_CYCLES = _Binding("cycles", lambda k: _N, (None, _N))
-_GL11 = _Binding(
+_FEPS = _binding("feps", ("N", "eps"), feps_casimir_binding, (None, _N))
+_STANDARD = _binding("standard", ("N",), lambda k: Poly.var("N", k - 1), (None, _N))
+_CYCLES = _binding("cycles", ("N",), lambda k: _N, (None, _N))
+_GL11 = _binding(
     "gl11",
+    ("u",),
     lambda k: Poly({(("u", k - 1),) if k > 1 else (): Fraction(k, 2 ** (k - 1))}),
     (None, Poly.zero()),
 )
 # The interlace family homogenized by (1-z)^m: every contraction drops one
 # point, so it takes one factor (1-z) besides its N.
-_INTERLACE = _Binding("interlace", _interlace_casimir, (_ONE_MINUS_Z, _Z2 * _ONE_MINUS_Z))
+_INTERLACE = _binding("interlace", ("z",), _interlace_casimir, (_ONE_MINUS_Z, _Z2 * _ONE_MINUS_Z))
 
 
 def feps(p: Perm, cap: int = DEFAULT_CAP) -> Poly:

@@ -5,17 +5,22 @@ from fractions import Fraction
 import pytest
 
 from wsys.algebra import (
+    EXP_BITS,
+    SLOT_BITS,
+    PackedRing,
     Poly,
     RatFunc,
     casimir,
     coeffs_to_poly_z,
     poly_coeffs_z,
     poly_subst,
+    packed_add,
+    packed_mul,
     poly_to_string,
     ratfunc_series,
     var_key,
 )
-from wsys.errors import DomainError
+from wsys.errors import DomainError, InternalError
 
 N = Poly.var("N")
 eps = Poly.var("eps")
@@ -35,6 +40,41 @@ def test_var_key_total_order():
     keys = [var_key(n) for n in names]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
+    # the cache keeps no failures: an unknown name raises on every call
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            var_key("C0")
+
+
+def test_packed_ring_round_trip_and_arithmetic():
+    ring = PackedRing(("N", "C1", "C2", "eps"))
+    a = 3 * N**2 * C2 - C1 * eps**5 + Fraction(1, 2)
+    b = N * C1 - 2 * C2**3 * eps + 7
+    pa, pb = ring.pack(a), ring.pack(b)
+    assert ring.poly(pa) == a and ring.poly(pb) == b
+    assert ring.poly(packed_mul(pa, pb)) == a * b
+    assert ring.poly(packed_add(pa, pb)) == a + b
+    assert ring.poly(packed_add(pa, pa, -1)) == Poly.zero()
+    assert ring.poly(packed_mul(pa, ring.pack(Poly.zero()))) == Poly.zero()
+    # the last variable has no slot above it, so its exponent is unbounded
+    assert ring.poly(ring.pack(eps ** (3 << EXP_BITS))) == eps ** (3 << EXP_BITS)
+    with pytest.raises(DomainError):
+        ring.pack(N ** (1 << EXP_BITS))
+    with pytest.raises(DomainError):
+        ring.pack(z)
+
+
+def test_packed_decode_refuses_a_set_guard_bit():
+    ring = PackedRing(("N", "eps"))
+    top = (1 << EXP_BITS) - 1
+    assert ring.poly({top: 1}) == N**top
+    # N^top * N: the exponent carries into N's guard bit
+    overflow = packed_mul({top: 1}, {1: 1})
+    assert overflow == {1 << EXP_BITS: 1}
+    with pytest.raises(InternalError):
+        ring.poly(overflow)
+    with pytest.raises(InternalError):
+        ring.poly({(1 << EXP_BITS) + (2 << SLOT_BITS): 5})
 
 
 def test_poly_constructors():

@@ -149,16 +149,33 @@ def test_subset_budgets(capsys):
 
 
 def test_parse_budgets(capsys):
-    # a huge point or vertex count is refused with one line, before allocation;
-    # a huge value in one-line text is simply not a permutation
+    # a huge point, vertex or element count is refused with one line, before
+    # allocation; a huge value in one-line or set-system text is out of range,
+    # and so is a huge vertex, pair member or element in an option
+    huge = "9" * 5000
     for argv, code, prefix in (
         (["wgl", "--perm", "(1 100000000)"], 2, "domain error: "),
-        (["faces", "--perm", "1," + "9" * 5000], 1, "parse error: "),
+        (["faces", "--perm", "1," + huge], 1, "parse error: "),
         (["pivot", "--graph", "n=100000000; edges=1-2", "--a", "1", "--b", "2"], 2, "domain error: "),
+        (["dmat", "--dmat", f"E={huge}; phi={{}}"], 2, "domain error: "),
+        (["dmat", "--dmat", "E=1001; phi={}"], 2, "domain error: "),
+        (["dmat", "--dmat", f"E=3; phi={{}},{{1,{huge}}}"], 1, "parse error: "),
+        (["dmat", "--dmat", "E=3; phi={},{1}", "--dual", huge], 2, "domain error: "),
+        (["dmat", "--dmat", "E=3; phi={},{1}", "--distance", f"1,{huge}"], 2, "domain error: "),
+        (["pivot", "--graph", "n=3; edges=1-2", "--a", "1", "--b", huge], 2, "domain error: "),
+        (["pivot", "--perm", "(1 3)(2 4)", "--a", "1,3", "--b", f"2,{huge}"], 2, "domain error: "),
     ):
         assert run(argv) == code, argv
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(prefix), argv
+
+
+def test_wgl_of_the_largest_admitted_identity(capsys):
+    # every block is stripped in a loop, not a recursion, and C1's slot holds
+    # the largest admitted exponent
+    ident = ",".join(str(i) for i in range(1, 1001))
+    assert run(["wgl", "--perm", ident, "--cap", "1000"]) == 0
+    assert out_of(capsys) == ["C1^1000"]
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):

@@ -26,8 +26,8 @@ FUZZ = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-# Integers have at most three digits for set-system text.  Permutation and
-# graph text also draw numbers past their parse budgets (MAX_POINTS,
+# Permutation, graph and set-system text and the CLI's element, vertex and
+# pair options also draw numbers past their parse budgets (MAX_POINTS,
 # MAX_VERTICES), up to a digit run longer than int() converts.
 NUMBER = st.integers(0, 999).map(str)
 HUGE = st.one_of(st.integers(1000, 10**12).map(str), st.just("9" * 5000))
@@ -81,7 +81,7 @@ def dmat_text(number):
 
 
 @FUZZ
-@given(perm_text(WIDE), graph_text(WIDE), dmat_text(NUMBER))
+@given(perm_text(WIDE), graph_text(WIDE), dmat_text(WIDE))
 def test_parsers_raise_only_typed_errors(ptext, gtext, dtext):
     for parse, text in ((perm_parse, ptext), (graph_parse, gtext), (dmat_parse, dtext)):
         try:
@@ -95,8 +95,8 @@ def flag(*flags):
 
 
 def _argv():
-    perm, graph, dmat = perm_text(CLI_WIDE), graph_text(CLI_WIDE), dmat_text(CLI_NUMBER)
-    text = st.one_of(token_text(CLI_NUMBER), st.lists(SMALL, max_size=3).map(",".join))
+    perm, graph, dmat = perm_text(CLI_WIDE), graph_text(CLI_WIDE), dmat_text(CLI_WIDE)
+    text = st.one_of(token_text(CLI_WIDE), st.lists(st.one_of(SMALL, HUGE), max_size=3).map(",".join))
     return st.one_of(
         st.builds(lambda p: ["wgl", "--perm", p], perm),
         st.builds(lambda p: ["faces", "--perm", p], perm),

@@ -5,11 +5,13 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from random import Random
 
 import pytest
 
 import wsys
-from wsys.algebra import Poly, RatFunc, casimir, poly_subst
+from wsys import glws
+from wsys.algebra import EXP_BITS, Poly, RatFunc, casimir, poly_subst, var_key
 from wsys.errors import DomainError
 from wsys.glws import (
     casimir_to_N,
@@ -27,6 +29,8 @@ from wsys.glws import (
 )
 from wsys.perm import (
     EMPTY,
+    MAX_POINTS,
+    Perm,
     all_chord_diagrams,
     all_perms,
     concat,
@@ -97,6 +101,77 @@ def test_recurrence_soundness():
             want = wgl(p)
             for l in range(1, m):
                 assert state_value(rule_apply(p, l)) == want
+
+
+def _contract_by_slots(img, l, variant):
+    """The contraction written out in the index-class calculus: factors
+    (class, alpha(class)) in position order, the merged factor in slots
+    l, l+1, identified classes renamed to one token, each class then
+    relabelled by the position of the factor that carries it."""
+    m = len(img)
+    c, d = img[l - 1], img[l]
+    fst, snd, glue = (l, d, (c, l + 1)) if variant == 1 else (l + 1, c, (d, l))
+    trivial = glue[0] == glue[1]
+    slots = [(q, img[q - 1]) for q in range(1, m + 1)]
+    slots[l - 1 : l + 1] = [(fst, snd)]
+    if not trivial:
+        slots = [(0 if a in glue else a, 0 if b in glue else b) for a, b in slots]
+    carrier = {a: idx for idx, (a, _) in enumerate(slots, 1)}
+    assert len(carrier) == len(slots)
+    return int(trivial), tuple(carrier[b] for _, b in slots)
+
+
+def test_contraction_matches_index_class_calculus():
+    for m in range(2, 7):
+        for p in all_perms(m):
+            for l in range(1, m):
+                for variant in (1, 2):
+                    want = _contract_by_slots(p.img, l, variant)
+                    assert glws._contract(p.img, l, variant) == want, (p.img, l, variant)
+
+
+def test_binding_rings_hold_every_admitted_exponent():
+    # a packed ring's variables are distinct and in the fixed order, and the
+    # slots hold every exponent on MAX_POINTS points
+    assert MAX_POINTS < 1 << EXP_BITS
+    assert glws._WGL.ring.names == ("N",) + tuple(casimir(k) for k in range(1, MAX_POINTS + 1))
+    for b in (glws._WGL, glws._FEPS, glws._STANDARD, glws._CYCLES, glws._GL11, glws._INTERLACE):
+        names = b.ring.names
+        assert list(names) == sorted(set(names), key=var_key), b.name
+
+
+def _seeded_perms(seed):
+    rng = Random(seed)
+    for m in (8, 9, 10):
+        for _ in range(5):
+            img = list(range(1, m + 1))
+            rng.shuffle(img)
+            yield Perm(tuple(img))
+
+
+def test_feps_equals_direct_enumeration_past_exhaustive_range():
+    for p in _seeded_perms(2023):
+        assert str(feps(p)) == str(feps_direct(p)), p.img
+
+
+def test_built_in_specialization_checks_past_exhaustive_range():
+    # spec_standard and casimir_to_N raise InternalError on a wrong value
+    for p in _seeded_perms(7):
+        assert spec_standard(p) == N ** (face_count(p) - 1)
+        assert casimir_to_N(p) == N ** cycle_count(p)
+
+
+def test_wgl_multiplicative_past_exhaustive_range():
+    rng = Random(11)
+    for m in (8, 9, 10):
+        for _ in range(5):
+            a = rng.randint(1, m - 1)
+            parts = []
+            for size in (a, m - a):
+                img = list(range(1, size + 1))
+                rng.shuffle(img)
+                parts.append(Perm(tuple(img)))
+            assert wgl(concat(*parts), memo={}) == wgl(parts[0]) * wgl(parts[1]), parts
 
 
 def test_rule_terms_shapes():
