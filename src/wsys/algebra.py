@@ -19,10 +19,12 @@ monomial and the canonical ordering of monomials in the printed form (see
 denominator is a power of ``1 - z`` (the only pole the interlace family
 ever produces); it is kept normalized so equality is structural.
 
-:class:`PackedRing` is the working form of the recurrence engine in
-``glws``: a ring with a fixed tuple of variables, whose monomials are
-packed exponent vectors in one ``int``, converted to :class:`Poly` once
-at the end.
+:class:`PackedRing` is a ring with a fixed tuple of variables, whose
+monomials are packed exponent vectors in one ``int``.  It is the working
+form of the recurrence engine in ``glws`` and of the subset convolutions
+of the Hopf projection in ``hopf``; both convert to :class:`Poly` once at
+the end, and ``glws.interlace_perm`` reads its univariate result straight
+into a :class:`RatFunc`.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import comb
+from itertools import accumulate
 from typing import Iterable, Mapping, Union
 
 from .errors import DomainError, InternalError, is_uint
@@ -392,6 +394,16 @@ class PackedRing:
             terms[mono] = _frac(coef)
         return Poly._raw(terms)
 
+    def coeff_list(self, value: Packed) -> list[Coeflike]:
+        """Coefficient list [c0, c1, ...] of a value of a univariate ring,
+        whose packed monomial is the exponent itself."""
+        if len(self.names) != 1:
+            raise DomainError(f"the ring {self.names} is not univariate")
+        coeffs: list[Coeflike] = [0] * (max(value, default=0) + 1)
+        for e, c in value.items():
+            coeffs[e] = c
+        return coeffs
+
     def _monomial(self, key: int) -> Monomial:
         names, top = self.names, len(self.names) - 1
         mono = []
@@ -445,18 +457,17 @@ class RatFunc:
 
     @classmethod
     def make(cls, num: Poly, dpow: int) -> "RatFunc":
+        return cls.from_coeffs(poly_coeffs_z(num), dpow)  # validates univariate-in-z
+
+    @classmethod
+    def from_coeffs(cls, coeffs: list[Coeflike], dpow: int) -> "RatFunc":
+        """(c0 + c1 z + ...) / (1-z)^dpow, normalized."""
         if dpow < 0:
             raise DomainError(f"negative denominator power {dpow}")
-        coeffs = poly_coeffs_z(num)  # validates univariate-in-z
         while dpow > 0 and sum(coeffs) == 0 and any(coeffs):
             # num(1) = 0: divide by (1-z); quotient coefficients are the
             # prefix sums of the dividend's.
-            running = 0
-            quotient: list[Coeflike] = []
-            for c in coeffs[:-1]:
-                running += c
-                quotient.append(running)
-            coeffs = quotient
+            coeffs = list(accumulate(coeffs[:-1]))
             dpow -= 1
         if not any(coeffs):
             return cls(Poly.zero(), 0)
@@ -480,23 +491,16 @@ class RatFunc:
         return self.dpow == 0
 
     def series(self, order: int) -> list[Fraction]:
-        """Taylor coefficients of z^0 .. z^order at z = 0."""
+        """Taylor coefficients of z^0 .. z^order at z = 0.  Dividing by
+        (1-z) takes prefix sums, so the series is dpow running prefix sums
+        of the numerator's coefficients, in int for an integer numerator."""
         if order < 0:
             raise DomainError(f"negative series order {order}")
-        coeffs = poly_coeffs_z(self.num)
-        out: list[Fraction] = []
-        for n in range(order + 1):
-            if self.dpow == 0:
-                out.append(Fraction(coeffs[n]) if n < len(coeffs) else Fraction(0))
-            else:
-                # 1/(1-z)^d = sum_k comb(k+d-1, d-1) z^k
-                total = Fraction(0)
-                for k, c in enumerate(coeffs):
-                    if k > n:
-                        break
-                    total += c * comb(n - k + self.dpow - 1, self.dpow - 1)
-                out.append(total)
-        return out
+        coeffs = poly_coeffs_z(self.num)[: order + 1]
+        coeffs += [0] * (order + 1 - len(coeffs))
+        for _ in range(self.dpow):
+            coeffs = list(accumulate(coeffs))
+        return [Fraction(c) for c in coeffs]
 
     def evaluate(self, zval: Coeflike) -> Fraction:
         zval = _frac(zval)

@@ -35,11 +35,28 @@ def is_uint(text: str) -> bool:
     return re.fullmatch(r"[0-9]+", text) is not None
 
 
+class _LongRun(int):
+    """limit + 1 standing for a digit run longer than the limit's.  It
+    prints as the run, shortened past 12 digits, so that a message about it
+    quotes what was typed rather than a number nobody typed."""
+
+    def __new__(cls, limit: int, digits: str):
+        self = super().__new__(cls, limit + 1)
+        self.text = digits if len(digits) <= 12 else f"{digits[:3]}...{digits[-3:]} ({len(digits)} digits)"
+        return self
+
+    def __str__(self) -> str:
+        return self.text
+
+    __repr__ = __str__
+
+
 def bounded_uint(text: str, limit: int) -> int:
-    """Value of a run of ASCII digits, or limit + 1 when the run is longer
-    than the limit's: such a run is never converted, so a huge number in
-    input text costs nothing beyond reading it."""
+    """Value of a run of ASCII digits, or limit + 1 (printing as the run)
+    when the run is longer than the limit's: such a run is never
+    converted, so a huge number in input text costs nothing beyond reading
+    it."""
     digits = text.lstrip("0")
     if len(digits) > len(str(limit)):
-        return limit + 1
+        return _LongRun(limit, digits)
     return int(digits or "0")

@@ -32,7 +32,9 @@ of a contraction that frees no index class or one: 1 and N in wgl).  A
 binding names its ring's variables, and the evaluator computes in that
 ring's packed form (:class:`wsys.algebra.PackedRing`, one int per
 monomial).  A memo maps each reduced one-line image to its packed value;
-the public functions convert the result to :class:`Poly` once.
+the public functions convert the result to :class:`Poly` once, and
+``interlace_perm`` reads its univariate value straight into a
+:class:`RatFunc`.
 """
 
 from __future__ import annotations
@@ -176,25 +178,32 @@ def _wgl_tuple(img: tuple[int, ...], b: _Binding, memo: MutableMapping) -> Packe
 _MEMOS: dict[str, dict[tuple[int, ...], Packed]] = {}
 
 
-def _evaluate(p: Perm, cap: int, b: _Binding, memo: MutableMapping | None = None) -> Poly:
+def _packed_value(p: Perm, cap: int, b: _Binding, memo: MutableMapping | None = None) -> Packed:
     what, limit = ("cap", cap) if cap <= MAX_POINTS else ("budget", MAX_POINTS)
     if p.m > limit:
         raise DomainError(f"permutation has {p.m} points, exceeding the {what} {limit}")
     table = _MEMOS.setdefault(b.name, {}) if memo is None else memo
     table.setdefault((), {0: 1})
-    return b.ring.poly(_wgl_tuple(p.img, b, table))
+    return _wgl_tuple(p.img, b, table)
+
+
+def _evaluate(p: Perm, cap: int, b: _Binding, memo: MutableMapping | None = None) -> Poly:
+    return b.ring.poly(_packed_value(p, cap, b, memo))
 
 
 # Slot 0 holds N and slot k holds C_k.  A wgl value on m points has weighted
 # degree at most m (N of weight 1, C_k of weight k), since a strip of C_k
 # leaves m - k points and a contraction one factor N at most and m - 1
 # points; so has every partial sum of the evaluator, and every exponent is
-# at most m <= MAX_POINTS < 2^EXP_BITS (_evaluate refuses more points).
+# at most m <= MAX_POINTS < 2^EXP_BITS (_packed_value refuses more points).
 # feps's image of C_k has degree <= k in N and in eps, so its exponents
 # are at most m too.  The interlace, gl(1|1), standard and cycle rings are
 # univariate and so are not packed.
-_CASIMIRS = tuple(casimir(k) for k in range(1, MAX_POINTS + 1))
-_WGL = _binding("wgl", ("N", *_CASIMIRS), lambda k: Poly.var(casimir(k)), (None, _N))
+@cache
+def _wgl_binding() -> _Binding:
+    """The wgl binding, built on first use: its ring names MAX_POINTS Casimirs."""
+    casimirs = tuple(casimir(k) for k in range(1, MAX_POINTS + 1))
+    return _binding("wgl", ("N", *casimirs), lambda k: Poly.var(casimir(k)), (None, _N))
 
 
 def wgl(
@@ -205,7 +214,7 @@ def wgl(
     """Value of the universal gl-weight system, a polynomial in N, C1, C2, ...
     Pass a private ``memo`` dict to isolate the computation (cold timing);
     it maps each reduced one-line image to the engine's packed value."""
-    return _evaluate(p, cap, _WGL, memo)
+    return _evaluate(p, cap, _wgl_binding(), memo)
 
 
 def rule_terms(p: Perm, l: int) -> tuple[Perm, int, Perm, int, Perm]:
@@ -340,4 +349,4 @@ def interlace_perm(p: Perm, cap: int = DEFAULT_CAP) -> RatFunc:
     """Interlace rational function of a permutation: the two-parameter
     family at N = z^2 - 1, eps = 1/(1-z).  A polynomial (dpow = 0) on
     chord diagrams."""
-    return RatFunc.make(_evaluate(p, cap, _INTERLACE), p.m)
+    return RatFunc.from_coeffs(_INTERLACE.ring.coeff_list(_packed_value(p, cap, _INTERLACE)), p.m)

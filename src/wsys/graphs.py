@@ -215,6 +215,9 @@ def graph_pivot(g: Graph, a: int, b: int) -> Graph:
     absent) between two *different* classes among the first three is
     toggled; everything else is untouched.
     """
+    for v in (a, b):
+        if not 1 <= v <= g.n:
+            raise DomainError(f"vertex {v} out of range 1..{g.n}")
     if not g.has_edge(a, b):
         raise DomainError(f"pivot requires edge {a}-{b}")
     classes: dict[int, int] = {}

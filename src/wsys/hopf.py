@@ -14,14 +14,16 @@ with its inverse, the exponential,
 
 Both run on bitmasks with fewer than 3^n products for n ground elements.
 They are identities of the algebra, so they hold for every f,
-multiplicative or not.
+multiplicative or not.  The values are packed once into the
+:class:`wsys.algebra.PackedRing` of their variables, the convolutions run
+there, and the result converts to :class:`Poly` once.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Sequence, TypeVar
 
-from .algebra import Poly
+from .algebra import EXP_BITS, Packed, PackedRing, Poly, packed_add, packed_mul, var_key
 from .errors import DomainError, InternalError
 from .glws import feps, spec_standard
 from .graphs import Graph, induced_subgraph
@@ -35,35 +37,46 @@ def _restricted_values(
     obj: T,
     ground: Sequence[int],
     restrict: Callable[[T, Sequence[int]], T],
-) -> list[Poly]:
+) -> tuple[PackedRing, list[Packed]]:
     """f(obj restricted to U) for every subset mask U of the ground
-    sequence; the empty subset is taken as 1 and f is not called on it."""
+    sequence, packed into the ring of their variables; the empty subset is
+    taken as 1 and f is not called on it.
+
+    By induction on |S|, a monomial of p(S), of g(S) or of a product in
+    their recursions has each exponent at most |S| times the largest
+    exponent e among the values, so n * e < 2^EXP_BITS keeps every slot in
+    range (the last variable's is not bounded)."""
     items = list(ground)
     values = [Poly.one()]
     for mask in range(1, 1 << len(items)):
         values.append(f(restrict(obj, [x for i, x in enumerate(items) if mask >> i & 1])))
-    return values
+    names = sorted({var for v in values for var in v.variables()}, key=var_key)
+    top = max((e for v in values for mono in v.terms for var, e in mono if var != names[-1]), default=0)
+    if len(items) * top >> EXP_BITS:
+        raise DomainError(f"exponent {top} on {len(items)} ground elements exceeds the packed slots")
+    ring = PackedRing(tuple(names))
+    return ring, [ring.pack(v) for v in values]
 
 
-def _pointed_sum(p: list[Poly], g: list[Poly], s: int) -> Poly:
+def _pointed_sum(p: list[Packed], g: list[Packed], s: int) -> Packed:
     """Sum of p(T) * g(S - T) over the T strictly inside S that hold min S."""
     low = s & -s
     rest = s ^ low
-    total = Poly.zero()
+    total: Packed = {}
     r = rest
     while r:
         r = (r - 1) & rest
         t = low | r
         if p[t]:
-            total = total + p[t] * g[s ^ t]
+            total = packed_add(total, packed_mul(p[t], g[s ^ t]))
     return total
 
 
-def _connected_parts(values: list[Poly]) -> list[Poly]:
+def _connected_parts(values: list[Packed]) -> list[Packed]:
     """The primitive projection p of every subset, by the log recursion."""
-    p = [Poly.zero()]
+    p: list[Packed] = [{}]
     for s in range(1, len(values)):
-        p.append(values[s] - _pointed_sum(p, values, s))
+        p.append(packed_add(values[s], _pointed_sum(p, values, s), -1))
     return p
 
 
@@ -74,7 +87,8 @@ def primitive_eval(
     restrict: Callable[[T, Sequence[int]], T],
 ) -> Poly:
     """(f o pi)(obj) by the connected-part recursion; 0 on an empty ground set."""
-    return _connected_parts(_restricted_values(f, obj, ground, restrict))[-1]
+    ring, values = _restricted_values(f, obj, ground, restrict)
+    return ring.poly(_connected_parts(values)[-1])
 
 
 def reconstruct_from_primitives(
@@ -85,11 +99,12 @@ def reconstruct_from_primitives(
 ) -> Poly:
     """The exponential of the projection: rebuilds f(obj) from the values
     of f o pi on the subsets of the ground set (1 on an empty ground set)."""
-    p = _connected_parts(_restricted_values(f, obj, ground, restrict))
-    g = [Poly.one()]
+    ring, values = _restricted_values(f, obj, ground, restrict)
+    p = _connected_parts(values)
+    g: list[Packed] = [{0: 1}]
     for s in range(1, len(p)):
-        g.append(p[s] + _pointed_sum(p, g, s))
-    return g[-1]
+        g.append(packed_add(p[s], _pointed_sum(p, g, s)))
+    return ring.poly(g[-1])
 
 
 # -- concrete ground sets -----------------------------------------------------
@@ -111,8 +126,12 @@ def primitive_eval_graph(f: Callable[[Graph], Poly], g: Graph) -> Poly:
 
 
 def primitive_eval_diagram(f: Callable[[Perm], Poly], b: Perm) -> Poly:
-    n = len(chords(b))
-    return primitive_eval(f, b, range(1, n + 1), restrict_diagram)
+    ch = chords(b)  # once, not once per subset as restrict_diagram would
+
+    def restrict(b: Perm, chord_indices: Sequence[int]) -> Perm:
+        return subperm(b, [pt for i in chord_indices for pt in ch[i - 1]])
+
+    return primitive_eval(f, b, range(1, len(ch) + 1), restrict)
 
 
 def eps_independence_check(b: Perm) -> tuple[bool, Poly]:

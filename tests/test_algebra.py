@@ -1,6 +1,8 @@
 """Exact sparse-polynomial and rational-function arithmetic."""
 
 from fractions import Fraction
+from math import comb
+from random import Random
 
 import pytest
 
@@ -62,6 +64,12 @@ def test_packed_ring_round_trip_and_arithmetic():
         ring.pack(N ** (1 << EXP_BITS))
     with pytest.raises(DomainError):
         ring.pack(z)
+    # a univariate ring's packed monomial is the exponent itself
+    zring = PackedRing(("z",))
+    assert zring.coeff_list(zring.pack(2 * z**3 - 1)) == poly_coeffs_z(2 * z**3 - 1) == [-1, 0, 0, 2]
+    assert zring.coeff_list({}) == [0]
+    with pytest.raises(DomainError):
+        ring.coeff_list(pa)
 
 
 def test_packed_decode_refuses_a_set_guard_bit():
@@ -206,6 +214,34 @@ def test_ratfunc_series_geometric():
     # polynomial numerator shifts the expansion
     r3 = RatFunc.make(2 * z**2, 1)
     assert r3.series(5) == [0, 0, 2, 2, 2, 2]
+
+
+def _series_by_binomials(r: RatFunc, order: int) -> list[Fraction]:
+    """Reference: the coefficient of z^n is sum_k c_k binom(n - k + d - 1, d - 1)."""
+    coeffs = poly_coeffs_z(r.num)
+    out = []
+    for n in range(order + 1):
+        if r.dpow == 0:
+            out.append(Fraction(coeffs[n]) if n < len(coeffs) else Fraction(0))
+        else:
+            total = Fraction(0)
+            for k, c in enumerate(coeffs[: n + 1]):
+                total += c * comb(n - k + r.dpow - 1, r.dpow - 1)
+            out.append(total)
+    return out
+
+
+def test_series_prefix_sums_match_binomial_sums():
+    rng = Random(2023)
+    for _ in range(300):
+        coeffs = [
+            rng.choice([0, 1, -1, 3, -7, Fraction(2, 3), Fraction(-5, 2)]) for _ in range(rng.randrange(9))
+        ]
+        r = RatFunc(coeffs_to_poly_z(coeffs), rng.randrange(13))  # any dpow, unnormalized
+        for order in (0, 1, rng.randrange(21), 20):
+            got = r.series(order)
+            assert got == _series_by_binomials(r, order), (coeffs, r.dpow, order)
+            assert all(type(c) is Fraction for c in got)
 
 
 def test_ratfunc_evaluate():

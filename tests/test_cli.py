@@ -151,23 +151,44 @@ def test_subset_budgets(capsys):
 def test_parse_budgets(capsys):
     # a huge point, vertex or element count is refused with one line, before
     # allocation; a huge value in one-line or set-system text is out of range,
-    # and so is a huge vertex, pair member or element in an option
+    # and so is a huge vertex, pair member or element in an option, whose
+    # message quotes the digits typed, shortened
     huge = "9" * 5000
-    for argv, code, prefix in (
-        (["wgl", "--perm", "(1 100000000)"], 2, "domain error: "),
-        (["faces", "--perm", "1," + huge], 1, "parse error: "),
-        (["pivot", "--graph", "n=100000000; edges=1-2", "--a", "1", "--b", "2"], 2, "domain error: "),
-        (["dmat", "--dmat", f"E={huge}; phi={{}}"], 2, "domain error: "),
-        (["dmat", "--dmat", "E=1001; phi={}"], 2, "domain error: "),
-        (["dmat", "--dmat", f"E=3; phi={{}},{{1,{huge}}}"], 1, "parse error: "),
-        (["dmat", "--dmat", "E=3; phi={},{1}", "--dual", huge], 2, "domain error: "),
-        (["dmat", "--dmat", "E=3; phi={},{1}", "--distance", f"1,{huge}"], 2, "domain error: "),
-        (["pivot", "--graph", "n=3; edges=1-2", "--a", "1", "--b", huge], 2, "domain error: "),
-        (["pivot", "--perm", "(1 3)(2 4)", "--a", "1,3", "--b", f"2,{huge}"], 2, "domain error: "),
+    shown = "999...999 (5000 digits)"
+    for argv, code, message in (
+        (["wgl", "--perm", "(1 100000000)"], 2, "domain error: a point exceeds the budget of 1000 points"),
+        (["faces", "--perm", "1," + huge], 1, "parse error: not a permutation of 1..2: 1," + huge),
+        (["pivot", "--graph", "n=100000000; edges=1-2", "--a", "1", "--b", "2"], 2,
+         "domain error: n exceeds the budget of 1000 vertices"),
+        (["dmat", "--dmat", f"E={huge}; phi={{}}"], 2, "domain error: E exceeds the budget of 1000 elements"),
+        (["dmat", "--dmat", "E=1001; phi={}"], 2, "domain error: E exceeds the budget of 1000 elements"),
+        (["dmat", "--dmat", f"E=3; phi={{}},{{1,{huge}}}"], 1, f"parse error: element {shown} out of range 1..3"),
+        (["dmat", "--dmat", "E=3; phi={},{1}", "--dual", huge], 2, f"domain error: element {shown} out of range 1..3"),
+        (["dmat", "--dmat", "E=3; phi={},{1}", "--distance", f"1,{huge}"], 2,
+         f"domain error: element {shown} out of range 1..3"),
+        (["pivot", "--graph", "n=3; edges=1-2", "--a", "1", "--b", huge], 2,
+         f"domain error: vertex {shown} out of range 1..3"),
+        (["pivot", "--perm", "(1 3)(2 4)", "--a", "1,3", "--b", f"2,{huge}"], 2,
+         f"domain error: (2, {shown}) is not a 2-cycle of the permutation"),
     ):
         assert run(argv) == code, argv
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith(prefix), argv
+        assert err == [message], argv
+
+
+def test_pivot_vertex_out_of_range(capsys):
+    # a vertex outside 1..n is a domain error, not an index into the rows
+    for graph, a, b, bad in (
+        ("n=3; edges=1-2", "7", "1", "7"),
+        ("n=3; edges=1-2", "1", "12", "12"),  # longer than n's digits
+        ("n=3; edges=1-2", "1", "0012", "12"),
+        ("n=3; edges=1-2", "1", "0", "0"),
+        ("n=3; edges=1-2", "0", "1", "0"),
+        ("n=3; edges=1-3", "0", "1", "0"),
+    ):
+        assert run(["pivot", "--graph", graph, "--a", a, "--b", b]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"domain error: vertex {bad} out of range 1..3"], (graph, a, b)
 
 
 def test_wgl_of_the_largest_admitted_identity(capsys):

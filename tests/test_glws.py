@@ -134,8 +134,8 @@ def test_binding_rings_hold_every_admitted_exponent():
     # a packed ring's variables are distinct and in the fixed order, and the
     # slots hold every exponent on MAX_POINTS points
     assert MAX_POINTS < 1 << EXP_BITS
-    assert glws._WGL.ring.names == ("N",) + tuple(casimir(k) for k in range(1, MAX_POINTS + 1))
-    for b in (glws._WGL, glws._FEPS, glws._STANDARD, glws._CYCLES, glws._GL11, glws._INTERLACE):
+    assert glws._wgl_binding().ring.names == ("N",) + tuple(casimir(k) for k in range(1, MAX_POINTS + 1))
+    for b in (glws._wgl_binding(), glws._FEPS, glws._STANDARD, glws._CYCLES, glws._GL11, glws._INTERLACE):
         names = b.ring.names
         assert list(names) == sorted(set(names), key=var_key), b.name
 
@@ -366,3 +366,27 @@ def test_printed_outputs_are_unchanged():
     ]
     assert len(lines) == 874
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == OUTPUT_DIGEST_M6
+
+
+# SHA-256 of the printed series(12) of every permutation with at most six
+# points and of the Hopf projection of feps on every chord diagram with at
+# most four chords, one tab-separated line each, as the binomial-sum series
+# and the Poly convolution printed them.
+SERIES_HOPF_DIGEST = "88e116a1bd3942cf376b06f0dd570a4d00c3b76f8db87e4d2bb52fa7776789cf"
+
+
+def test_printed_series_and_projections_are_unchanged():
+    from wsys.hopf import primitive_eval_diagram
+
+    lines = [
+        f"{perm_format(p)}\t{' '.join(map(str, interlace_perm(p).series(12)))}\n"
+        for m in range(7)
+        for p in all_perms(m)
+    ]
+    lines += [
+        f"{perm_format(b)}\t{primitive_eval_diagram(feps, b)}\n"
+        for n in range(5)
+        for b in all_chord_diagrams(n)
+    ]
+    assert len(lines) == 999
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == SERIES_HOPF_DIGEST

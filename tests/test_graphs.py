@@ -129,6 +129,8 @@ def test_graph_pivot_requires_edge():
         graph_pivot(Graph.empty(2), 1, 2)
     with pytest.raises(DomainError):
         graph_pivot(complete_graph(2), 1, 1)
+    with pytest.raises(DomainError):  # a vertex outside 1..n
+        graph_pivot(complete_graph(2), 1, 3)
 
 
 def test_graph_pivot_small_cases():

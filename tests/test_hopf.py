@@ -17,7 +17,7 @@ from wsys.hopf import (
     restrict_diagram,
     restrict_graph,
 )
-from wsys.invariants import skew_char, vertex_count_power_u
+from wsys.invariants import refined_skew_char_graph, skew_char, vertex_count_power_u
 from wsys.perm import all_chord_diagrams, perm_parse
 
 N = Poly.var("N")
@@ -135,3 +135,63 @@ def test_primitive_eval_generic_signature():
     b = perm_parse("(1 3)(2 4)")
     got = primitive_eval(feps, b, [1, 2], restrict_diagram)
     assert got == 1 - N**2
+
+
+def _poly_convolution(f, obj, ground, restrict):
+    """Reference: the projection and its exponential by the connected-part
+    recursions in Poly arithmetic, as (f o pi)(obj) and the rebuilt f(obj)."""
+    items = list(ground)
+    values = [Poly.one()] + [
+        f(restrict(obj, [x for i, x in enumerate(items) if mask >> i & 1])) for mask in range(1, 1 << len(items))
+    ]
+
+    def pointed_sum(p, g, s):
+        low = s & -s
+        rest = s ^ low
+        total = Poly.zero()
+        r = rest
+        while r:
+            r = (r - 1) & rest
+            total = total + p[low | r] * g[s ^ (low | r)]
+        return total
+
+    p = [Poly.zero()]
+    for s in range(1, len(values)):
+        p.append(values[s] - pointed_sum(p, values, s))
+    g = [Poly.one()]
+    for s in range(1, len(p)):
+        g.append(p[s] + pointed_sum(p, g, s))
+    return p[-1], g[-1]
+
+
+def _agrees_with_poly_convolution(f, obj, ground, restrict):
+    want_p, want_g = _poly_convolution(f, obj, ground, restrict)
+    got_p = primitive_eval(f, obj, ground, restrict)
+    got_g = reconstruct_from_primitives(f, obj, ground, restrict)
+    return (got_p, str(got_p), got_g, str(got_g)) == (want_p, str(want_p), want_g, str(want_g))
+
+
+def test_packed_convolution_matches_poly_convolution():
+    for n in range(5):
+        for b in all_chord_diagrams(n):
+            for f in (feps, spec_standard):
+                assert _agrees_with_poly_convolution(f, b, range(1, n + 1), restrict_diagram), (b, f)
+                assert primitive_eval_diagram(f, b) == primitive_eval(f, b, range(1, n + 1), restrict_diagram)
+    for n in range(5):
+        for g in all_graphs(n):
+            for f in (skew_char, refined_skew_char_graph):
+                assert _agrees_with_poly_convolution(f, g, range(1, n + 1), restrict_graph), (g, f)
+
+
+def test_packed_convolution_exponent_budget():
+    # every exponent of the convolution is at most n times the largest
+    # exponent among the values; the last variable's slot is unbounded
+    def pick(obj, items):
+        return items
+
+    def big_u(items):
+        return u ** (600 * len(items)) + 1
+
+    assert _agrees_with_poly_convolution(big_u, None, [1, 2], pick)
+    with pytest.raises(DomainError):
+        primitive_eval(lambda items: big_u(items) * N ** 600, None, [1, 2], pick)
