@@ -17,13 +17,21 @@ permutation.  The degenerate configurations (fixed points at l or l+1,
 the descending edge alpha(l+1) = l, the ascending edge alpha(l) = l+1)
 are all instances of the same calculus and need no special casing.
 
-Reduction strategy: strip leading standard-cycle blocks (each contributes
-a Casimir factor); otherwise locate the first element of the cycle through
-1 that is out of place and bubble it one position left per step.  Each
-swap strictly decreases the position of that element, each contraction
-decreases the number of points, so the reduction terminates.  Strips and
-swaps run in one loop; only contractions recurse.  All intermediate states
-are memoized on the way out.
+Reduction strategy: first remove every fixed point, each a factor C1.
+The index class of a fixed point j occurs only in its own factor E_{i_j
+i_j}, and summing over that class gives the central element C1, so
+wgl(alpha) = C1 * wgl(alpha without j) at any position j.  Then strip
+leading standard-cycle blocks (each contributes a Casimir factor);
+otherwise locate the first element of the cycle through 1 that is out of
+place and bubble it one position left per step.  Each swap strictly
+decreases the position of that element, each contraction decreases the
+number of points, so the reduction terminates.  Strips and swaps run in
+one loop; only contractions recurse.  A swap is a conjugation and a strip
+drops a whole block, so neither creates a fixed point: only a contraction
+can, and the fixed points are removed once per evaluator call (the input
+and each contraction result), not once per swap.  All intermediate states
+are memoized on the way out, the image with its fixed points as well as
+the image without them.
 
 Every specialization is a ring homomorphism out of Q[N, C1, C2, ...], so
 it commutes with the recurrence: one evaluator runs the recurrence in each
@@ -144,12 +152,28 @@ def _contract(img: tuple[int, ...], l: int, variant: int) -> tuple[int, tuple[in
     return int(trivial), out
 
 
+def _drop_fixed(img: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """(f, image): img with its f fixed points removed and the other points
+    renumbered in order."""
+    below: list[int] = []  # fixed points at or before each position
+    f = 0
+    for x, y in enumerate(img, 1):
+        f += x == y
+        below.append(f)
+    if not f:
+        return 0, img
+    return f, tuple([y - below[y - 1] for x, y in enumerate(img, 1) if x != y])
+
+
 def _wgl_tuple(img: tuple[int, ...], b: _Binding, memo: MutableMapping) -> Packed:
-    """The value of img in b's ring.  Leading standard blocks are stripped
-    and the out-of-place element bubbled left in one loop; only the
-    contractions (one point fewer each) recurse."""
+    """The value of img in b's ring.  Fixed points are factored out as C1
+    first; then leading standard blocks are stripped and the out-of-place
+    element bubbled left in one loop; only the contractions (one point
+    fewer each) recurse."""
+    if (val := memo.get(img)) is not None:
+        return val
+    fixed, cur = _drop_fixed(img)
     pending: list[tuple[tuple[int, ...], bool, Packed]] = []  # (image, strip?, factor or term)
-    cur = img
     while (val := memo.get(cur)) is None:
         kind, v = _scan(cur)
         if kind == "strip":
@@ -170,6 +194,11 @@ def _wgl_tuple(img: tuple[int, ...], b: _Binding, memo: MutableMapping) -> Packe
     for cimg, strip, x in reversed(pending):
         val = packed_mul(x, val) if strip else packed_add(val, x)
         memo[cimg] = val
+    if fixed:
+        c1 = b.strip(1)
+        for _ in range(fixed):
+            val = packed_mul(c1, val)
+        memo[img] = val
     return val
 
 
@@ -279,7 +308,8 @@ _GL11 = _binding(
     (None, Poly.zero()),
 )
 # The interlace family homogenized by (1-z)^m: every contraction drops one
-# point, so it takes one factor (1-z) besides its N.
+# point, so it takes one factor (1-z) besides its N; a removed fixed point
+# takes its (1-z) with the image of C1.
 _INTERLACE = _binding("interlace", ("z",), _interlace_casimir, (_ONE_MINUS_Z, _Z2 * _ONE_MINUS_Z))
 
 

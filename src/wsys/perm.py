@@ -121,7 +121,7 @@ def perm_parse(text: str, m: int | None = None) -> Perm:
                     raise ParseError(f"bad point {p!r} in cycle notation")
                 if v > limit:
                     if m is not None:
-                        raise ParseError(f"point {p} exceeds m = {m}")
+                        raise ParseError(f"point {v} exceeds m = {m}")
                     raise DomainError(f"a point exceeds the budget of {MAX_POINTS} points")
                 if v in points_seen:
                     raise ParseError(f"point {v} appears twice")
@@ -143,7 +143,7 @@ def perm_parse(text: str, m: int | None = None) -> Perm:
     if m is not None and m != len(img):
         raise ParseError(f"one-line form has {len(img)} points, expected {m}")
     if sorted(img) != list(range(1, len(img) + 1)):
-        raise ParseError(f"not a permutation of 1..{len(img)}: {body}")
+        raise ParseError(f"not a permutation of 1..{len(img)}: {','.join(map(str, img))}")
     return Perm(tuple(img))
 
 

@@ -157,7 +157,7 @@ def test_parse_budgets(capsys):
     shown = "999...999 (5000 digits)"
     for argv, code, message in (
         (["wgl", "--perm", "(1 100000000)"], 2, "domain error: a point exceeds the budget of 1000 points"),
-        (["faces", "--perm", "1," + huge], 1, "parse error: not a permutation of 1..2: 1," + huge),
+        (["faces", "--perm", "1," + huge], 1, f"parse error: not a permutation of 1..2: 1,{shown}"),
         (["pivot", "--graph", "n=100000000; edges=1-2", "--a", "1", "--b", "2"], 2,
          "domain error: n exceeds the budget of 1000 vertices"),
         (["dmat", "--dmat", f"E={huge}; phi={{}}"], 2, "domain error: E exceeds the budget of 1000 elements"),

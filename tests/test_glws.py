@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import factorial
 from random import Random
 
 import pytest
@@ -42,6 +43,7 @@ from wsys.perm import (
     perm_format,
     perm_parse,
     standard_cycle,
+    subperm,
 )
 
 N = Poly.var("N")
@@ -197,6 +199,52 @@ def test_wgl_memo_isolation():
     v = wgl(perm_parse("(1 3 2)"), memo=fresh)
     assert str(v) == "C3 + C1^2 - N*C2"
     assert fresh  # the private memo actually gets populated
+
+
+def test_fixed_point_factors_out_as_c1():
+    # wgl(alpha) = C1 * wgl(alpha without j) for a fixed point j at any
+    # position; under feps C1 is 1 + N*eps, and at the interlace point -z.
+    # Each side is computed on emptied memos, so no value of one side is
+    # read from an entry the other side wrote.
+    pairs = [
+        (p, subperm(p, [i for i in range(1, m + 1) if i != j]))
+        for m in range(1, 8)
+        for p in all_perms(m)
+        for j in range(1, m + 1)
+        if p(j) == j
+    ]
+    assert len(pairs) == sum(factorial(m) for m in range(1, 8))  # one fixed point per permutation on average
+
+    def values(perms):
+        glws._MEMOS.clear()
+        return [(wgl(p), feps(p), interlace_perm(p)) for p in perms]
+
+    whole = values([p for p, _ in pairs])
+    dropped = values([q for _, q in pairs])
+    c1, minus_z = Poly.var("C1"), RatFunc.from_poly(-z)
+    for (p, _), (w, f, i), (wq, fq, iq) in zip(pairs, whole, dropped):
+        assert w == c1 * wq, p
+        assert f == (1 + N * eps) * fq, p
+        assert i == minus_z * iq, p
+
+
+def test_fixed_points_add_no_recurrence_states():
+    # four interior fixed points inserted into a fixed-point-free seeded
+    # 8-point permutation add one memo entry (the 12-point image itself),
+    # not a 12-point recurrence
+    rng = Random(5)
+    img = list(range(1, 9))
+    rng.shuffle(img)
+    beta = Perm(tuple(img))
+    at = [i for i in range(1, 13) if i not in (3, 6, 7, 10)]  # where beta's points go
+    alpha_img = list(range(1, 13))
+    for i, v in enumerate(beta.img):
+        alpha_img[at[i] - 1] = at[v - 1]
+    alpha = Perm(tuple(alpha_img))
+    memo_alpha: dict = {}
+    memo_beta: dict = {}
+    assert wgl(alpha, cap=12, memo=memo_alpha) == Poly.var("C1", 4) * wgl(beta, memo=memo_beta)
+    assert len(memo_alpha) <= len(memo_beta) + 5
 
 
 def test_feps_casimir_binding():
