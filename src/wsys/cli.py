@@ -26,7 +26,7 @@ from .dmat import (
     partial_dual,
     set_to_mask,
 )
-from .errors import DomainError, InternalError, ParseError, bounded_uint, is_uint
+from .errors import DomainError, InternalError, ParseError, bounded_uint, is_uint, shorten
 from .glws import feps, feps_direct, feps_in_v, gl11_skewchar, interlace_perm, wgl
 from .graphs import graph_format, graph_parse, graph_pivot
 from .invariants import (
@@ -58,20 +58,20 @@ def _parse_subset(text: str, ground: int) -> int:
         return 0
     members = [s.strip() for s in body.split(",")]
     if not all(is_uint(s) for s in members):
-        raise ParseError(f"malformed element list {text!r}")
+        raise ParseError(f"malformed element list {shorten(text)!r}")
     return set_to_mask((bounded_uint(s, ground) for s in members), ground)
 
 
 def _parse_pair(text: str, m: int) -> tuple[int, int]:
     parts = [s.strip() for s in text.split(",")]
     if len(parts) != 2 or not all(is_uint(s) for s in parts):
-        raise ParseError(f"expected a pair like \"2,5\", got {text!r}")
+        raise ParseError(f"expected a pair like \"2,5\", got {shorten(text)!r}")
     return bounded_uint(parts[0], m), bounded_uint(parts[1], m)
 
 
 def _parse_vertex(text: str, n: int) -> int:
     if not is_uint(text.strip()):
-        raise ParseError(f"expected a vertex number, got {text!r}")
+        raise ParseError(f"expected a vertex number, got {shorten(text)!r}")
     return bounded_uint(text.strip(), n)
 
 

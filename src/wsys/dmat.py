@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import Iterable, Union
 
 from . import graphs, perm
-from .errors import DomainError, InternalError, ParseError, bounded_uint, is_uint
+from .errors import DomainError, InternalError, ParseError, bounded_uint, is_uint, shorten
 from .graphs import MAX_GROUND
 
 Subsetlike = Union[int, Iterable[int]]
@@ -213,7 +213,7 @@ _DMAT_RE = re.compile(r"^\s*E\s*=\s*([0-9]+)\s*;\s*phi\s*=\s*(.*?)\s*$")
 def dmat_parse(text: str) -> DMat:
     match = _DMAT_RE.match(text)
     if not match:
-        raise ParseError(f"malformed set-system text: {text!r}")
+        raise ParseError(f"malformed set-system text: {shorten(text)!r}")
     ground = bounded_uint(match.group(1), graphs.MAX_VERTICES)
     if ground > graphs.MAX_VERTICES:
         raise DomainError(f"E exceeds the budget of {graphs.MAX_VERTICES} elements")
@@ -224,20 +224,20 @@ def dmat_parse(text: str) -> DMat:
     for piece in re.findall(r"\{([^{}]*)\}", body):
         members = [s for s in re.split(r"[\s,]+", piece.strip()) if s]
         if not all(is_uint(s) for s in members):
-            raise ParseError(f"malformed admissible set {{{piece}}}")
+            raise ParseError(f"malformed admissible set {{{shorten(piece)}}}")
         pts = [bounded_uint(s, ground) for s in members]
         for p in pts:
             if not 1 <= p <= ground:
                 raise ParseError(f"element {p} out of range 1..{ground}")
         if len(set(pts)) != len(pts):
-            raise ParseError(f"repeated element in {{{piece}}}")
+            raise ParseError(f"repeated element in {{{shorten(piece)}}}")
         mask = set_to_mask(pts, ground)
         if mask in masks:
-            raise ParseError(f"duplicate admissible set {{{piece}}}")
+            raise ParseError(f"duplicate admissible set {{{shorten(piece)}}}")
         masks.add(mask)
     leftover = re.sub(r"\{[^{}]*\}", "", body).replace(",", "").strip()
     if leftover:
-        raise ParseError(f"stray text {leftover!r} in set-system text")
+        raise ParseError(f"stray text {shorten(leftover)!r} in set-system text")
     return DMat(ground, frozenset(masks))
 
 

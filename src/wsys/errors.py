@@ -35,6 +35,16 @@ def is_uint(text: str) -> bool:
     return re.fullmatch(r"[0-9]+", text) is not None
 
 
+def shorten(text: str, unit: str = "characters", keep: int = 10) -> str:
+    """text itself when at most 4 * keep long, else its first and last
+    ``keep`` characters around "..." and its length: ``999...999 (5000
+    digits)`` for keep = 3.  A message that quotes input stays one short
+    line however long the input is."""
+    if len(text) <= 4 * keep:
+        return text
+    return f"{text[:keep]}...{text[-keep:]} ({len(text)} {unit})"
+
+
 class _LongRun(int):
     """limit + 1 standing for a digit run longer than the limit's.  It
     prints as the run, shortened past 12 digits, so that a message about it
@@ -42,7 +52,7 @@ class _LongRun(int):
 
     def __new__(cls, limit: int, digits: str):
         self = super().__new__(cls, limit + 1)
-        self.text = digits if len(digits) <= 12 else f"{digits[:3]}...{digits[-3:]} ({len(digits)} digits)"
+        self.text = shorten(digits, "digits", 3)
         return self
 
     def __str__(self) -> str:

@@ -29,9 +29,14 @@ number of points, so the reduction terminates.  Strips and swaps run in
 one loop; only contractions recurse.  A swap is a conjugation and a strip
 drops a whole block, so neither creates a fixed point: only a contraction
 can, and the fixed points are removed once per evaluator call (the input
-and each contraction result), not once per swap.  All intermediate states
-are memoized on the way out, the image with its fixed points as well as
-the image without them.
+and each contraction result), not once per swap.  The value is also
+unchanged under conjugation by the long cycle (rotating the circle), so a
+fixed-point-free image the memo misses is replaced by its least rotation
+(:func:`_least_rotation`) before it is reduced: the m rotations of a state
+share one reduction.  Swap and strip states inside the loop stay
+unrotated, and contraction results are rotated by the recursive call.  All
+intermediate states are memoized on the way out, and so is the input
+image whenever it differs from the rotation that was reduced.
 
 Every specialization is a ring homomorphism out of Q[N, C1, C2, ...], so
 it commutes with the recurrence: one evaluator runs the recurrence in each
@@ -39,10 +44,11 @@ target ring, given a binding (the image of a stripped C_k, and the factor
 of a contraction that frees no index class or one: 1 and N in wgl).  A
 binding names its ring's variables, and the evaluator computes in that
 ring's packed form (:class:`wsys.algebra.PackedRing`, one int per
-monomial).  A memo maps each reduced one-line image to its packed value;
-the public functions convert the result to :class:`Poly` once, and
-``interlace_perm`` reads its univariate value straight into a
-:class:`RatFunc`.
+monomial); the fixed-point and rotation rules hold in every ring for the
+same reason.  A memo maps each one-line image it has seen (rotation
+representatives, loop states and inputs) to its packed value; the public
+functions convert the result to :class:`Poly` once, and ``interlace_perm``
+reads its univariate value straight into a :class:`RatFunc`.
 """
 
 from __future__ import annotations
@@ -165,14 +171,47 @@ def _drop_fixed(img: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     return f, tuple([y - below[y - 1] for x, y in enumerate(img, 1) if x != y])
 
 
+def _least_rotation(img: tuple[int, ...]) -> tuple[int, ...]:
+    """The least of the m rotations of a fixed-point-free image (conjugates
+    by powers of the long cycle): the smallest first entry, ties broken
+    lexicographically.  The k-th power maps position x to x + k and value y
+    to y + k (mod m), so the rotation that starts at 0-based position x
+    has first entry 1 + ((img[x] - 1 - x) mod m); only the rotations tied
+    for the smallest are built."""
+    m = len(img)
+    firsts = [(y - 1 - x) % m for x, y in enumerate(img)]
+    least = min(firsts)
+    return min(
+        tuple([(y - 1 - x) % m + 1 for y in img[x:] + img[:x]])
+        for x, first in enumerate(firsts)
+        if first == least
+    )
+
+
 def _wgl_tuple(img: tuple[int, ...], b: _Binding, memo: MutableMapping) -> Packed:
     """The value of img in b's ring.  Fixed points are factored out as C1
-    first; then leading standard blocks are stripped and the out-of-place
-    element bubbled left in one loop; only the contractions (one point
-    fewer each) recurse."""
+    first, and an image the memo misses is replaced by its least rotation;
+    then leading standard blocks are stripped and the out-of-place element
+    bubbled left in one loop; only the contractions (one point fewer each)
+    recurse."""
     if (val := memo.get(img)) is not None:
         return val
     fixed, cur = _drop_fixed(img)
+    if (val := memo.get(cur)) is None:
+        cur = _least_rotation(cur)
+        val = _reduce(cur, b, memo)
+    if fixed:
+        c1 = b.strip(1)
+        for _ in range(fixed):
+            val = packed_mul(c1, val)
+    if cur != img:
+        memo[img] = val
+    return val
+
+
+def _reduce(cur: tuple[int, ...], b: _Binding, memo: MutableMapping) -> Packed:
+    """The value of a fixed-point-free image by strips, swaps and
+    contractions, memoizing every state of the loop."""
     pending: list[tuple[tuple[int, ...], bool, Packed]] = []  # (image, strip?, factor or term)
     while (val := memo.get(cur)) is None:
         kind, v = _scan(cur)
@@ -194,11 +233,6 @@ def _wgl_tuple(img: tuple[int, ...], b: _Binding, memo: MutableMapping) -> Packe
     for cimg, strip, x in reversed(pending):
         val = packed_mul(x, val) if strip else packed_add(val, x)
         memo[cimg] = val
-    if fixed:
-        c1 = b.strip(1)
-        for _ in range(fixed):
-            val = packed_mul(c1, val)
-        memo[img] = val
     return val
 
 
@@ -242,7 +276,9 @@ def wgl(
 ) -> Poly:
     """Value of the universal gl-weight system, a polynomial in N, C1, C2, ...
     Pass a private ``memo`` dict to isolate the computation (cold timing);
-    it maps each reduced one-line image to the engine's packed value."""
+    it maps one-line images to the engine's packed value: each input, the
+    least rotation of each fixed-point-free image reduced, and the states
+    of its strip/swap loop."""
     return _evaluate(p, cap, _wgl_binding(), memo)
 
 

@@ -17,7 +17,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DomainError, ParseError, bounded_uint
+from .errors import DomainError, ParseError, bounded_uint, shorten
 
 #: Largest vertex, point or ground-set count a 2^n subset enumeration accepts.
 MAX_GROUND = 20
@@ -107,7 +107,7 @@ _GRAPH_RE = re.compile(r"^\s*n\s*=\s*([0-9]+)\s*;\s*edges\s*=\s*(.*?)\s*$")
 def graph_parse(text: str) -> Graph:
     match = _GRAPH_RE.match(text)
     if not match:
-        raise ParseError(f"malformed graph text: {text!r}")
+        raise ParseError(f"malformed graph text: {shorten(text)!r}")
     n = bounded_uint(match.group(1), MAX_VERTICES)
     if n > MAX_VERTICES:
         raise DomainError(f"n exceeds the budget of {MAX_VERTICES} vertices")
@@ -119,10 +119,10 @@ def graph_parse(text: str) -> Graph:
             piece = part.strip()
             m = re.fullmatch(r"([0-9]+)\s*-\s*([0-9]+)", piece)
             if not m:
-                raise ParseError(f"malformed edge {piece!r}")
+                raise ParseError(f"malformed edge {shorten(piece)!r}")
             a, b = bounded_uint(m.group(1), n), bounded_uint(m.group(2), n)
             if not (1 <= a <= n and 1 <= b <= n):
-                raise ParseError(f"edge {piece} out of range 1..{n}")
+                raise ParseError(f"edge {a}-{b} out of range 1..{n}")
             if a == b:
                 raise ParseError(f"loop at vertex {a}")
             key = (min(a, b), max(a, b))

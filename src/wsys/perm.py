@@ -27,7 +27,7 @@ from itertools import permutations as _permutations
 from typing import Iterable, Iterator, Mapping
 
 from . import graphs
-from .errors import DomainError, ParseError, bounded_uint, is_uint
+from .errors import DomainError, ParseError, bounded_uint, is_uint, shorten
 
 #: Largest point count perm_parse accepts, from a cycle point, m or a one-line length.
 MAX_POINTS = 1000
@@ -106,7 +106,7 @@ def perm_parse(text: str, m: int | None = None) -> Perm:
     if "(" in body:
         leftover = _CYCLE_RE.sub("", body).strip()
         if leftover:
-            raise ParseError(f"stray text {leftover!r} outside cycles")
+            raise ParseError(f"stray text {shorten(leftover)!r} outside cycles")
         limit = MAX_POINTS if m is None else m
         points_seen: set[int] = set()
         cycles: list[list[int]] = []
@@ -118,7 +118,7 @@ def perm_parse(text: str, m: int | None = None) -> Perm:
             for p in pts:
                 v = bounded_uint(p, limit) if is_uint(p) else 0
                 if v < 1:
-                    raise ParseError(f"bad point {p!r} in cycle notation")
+                    raise ParseError(f"bad point {shorten(p)!r} in cycle notation")
                 if v > limit:
                     if m is not None:
                         raise ParseError(f"point {v} exceeds m = {m}")
@@ -136,7 +136,7 @@ def perm_parse(text: str, m: int | None = None) -> Perm:
         return Perm(tuple(img))
     pts = [p for p in re.split(r"[\s,]+", body) if p]
     if not all(is_uint(p) for p in pts):
-        raise ParseError(f"malformed permutation text: {text!r}")
+        raise ParseError(f"malformed permutation text: {shorten(text)!r}")
     if len(pts) > MAX_POINTS:
         raise DomainError(f"{len(pts)} points exceed the budget of {MAX_POINTS}")
     img = [bounded_uint(p, len(pts)) for p in pts]

@@ -176,6 +176,33 @@ def test_parse_budgets(capsys):
         assert err == [message], argv
 
 
+def test_parse_errors_quote_a_bounded_excerpt(capsys):
+    # every parser error that quotes input text shortens it, so a huge
+    # malformed input still gets one short line
+    junk = "x" * 3000
+    nines = "9" * 5000
+    for argv in (
+        ["faces", "--perm", "1," + junk],
+        ["faces", "--perm", f"(1 {junk})"],
+        ["faces", "--perm", f"(1 2) {junk}"],
+        ["interlace", "--graph", f"n=3 {junk}"],
+        ["interlace", "--graph", f"n=3; edges=1-{junk}"],
+        ["interlace", "--graph", f"n=3; edges=1-{nines}"],
+        ["dmat", "--dmat", f"E=3 {junk}"],
+        ["dmat", "--dmat", f"E=3; phi={{}},{{1,{junk}}}"],
+        ["dmat", "--dmat", f"E=3; phi={{}},{{{'1,' * 3000}1}}"],
+        ["dmat", "--dmat", f"E=3; phi={{}},{{1}},{{{' ' * 3000}1}}"],
+        ["dmat", "--dmat", f"E=3; phi={{}},{junk}"],
+        ["dmat", "--dmat", "E=3; phi={},{1}", "--dual", junk],
+        ["pivot", "--perm", "(1 3)(2 4)", "--a", junk, "--b", "2,4"],
+        ["pivot", "--graph", "n=3; edges=1-2", "--a", "1", "--b", junk],
+    ):
+        assert run(argv) == 1, argv[:2]
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("parse error: "), err
+        assert len(err[0]) < 200, err[0]
+
+
 def test_pivot_vertex_out_of_range(capsys):
     # a vertex outside 1..n is a domain error, not an index into the rows
     for graph, a, b, bad in (

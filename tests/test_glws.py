@@ -90,10 +90,68 @@ def test_wgl_multiplicative_under_concatenation():
                     assert wgl(concat(a, b)) == wgl(a) * wgl(b)
 
 
+def _plain_wgl(img, memo):
+    """wgl by the bare recurrence: strips, swaps and contractions from
+    glws, with no rotation step and no fixed-point rule, in Poly."""
+    if not img:
+        return Poly.one()
+    if img not in memo:
+        kind, v = glws._scan(img)
+        if kind == "strip":
+            memo[img] = Poly.var(casimir(v)) * _plain_wgl(tuple(w - v for w in img[v:]), memo)
+        else:
+            l = v - 1
+            n1, merge1 = glws._contract(img, l, 1)
+            n2, merge2 = glws._contract(img, l, 2)
+            memo[img] = (
+                _plain_wgl(glws._conj_swap(img, l), memo)
+                + N**n1 * _plain_wgl(merge1, memo)
+                - N**n2 * _plain_wgl(merge2, memo)
+            )
+    return memo[img]
+
+
 def test_wgl_cyclic_shift_invariance():
-    for m in range(0, 6):
+    # wgl reduces one rotation per state, so its own values are invariant by
+    # construction; the bare recurrence checks each rotation independently
+    plain: dict = {}
+    for m in range(0, 7):
         for p in all_perms(m):
-            assert wgl(cyclic_shift(p)) == wgl(p)
+            want = _plain_wgl(p.img, plain)
+            q = p
+            for _ in range(max(m, 1)):
+                assert wgl(q) == want, (p.img, q.img)
+                q = cyclic_shift(q)
+
+
+def test_least_rotation_is_the_least_cyclic_shift():
+    count = 0
+    for m in range(2, 8):
+        for p in all_perms(m):
+            if any(p(i) == i for i in range(1, m + 1)):
+                continue
+            rotations = [p]
+            for _ in range(m - 1):
+                rotations.append(cyclic_shift(rotations[-1]))
+            assert glws._least_rotation(p.img) == min(q.img for q in rotations), p.img
+            count += 1
+    assert count == 1 + 2 + 9 + 44 + 265 + 1854  # the derangements with 2..7 points
+
+
+def test_rotations_share_one_reduction():
+    # after the first rotation of a seeded 9-point permutation, each further
+    # rotation adds at most its own image to a shared memo
+    rng = Random(9)
+    img = list(range(1, 10))
+    rng.shuffle(img)
+    p = Perm(tuple(img))
+    memo: dict = {}
+    want = wgl(p, memo=memo)
+    for _ in range(8):
+        p = cyclic_shift(p)
+        size = len(memo)
+        assert wgl(p, memo=memo) == want
+        assert len(memo) <= size + 1, p.img
 
 
 def test_recurrence_soundness():
@@ -414,6 +472,18 @@ def test_printed_outputs_are_unchanged():
     ]
     assert len(lines) == 874
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == OUTPUT_DIGEST_M6
+
+
+# SHA-256 of the printed wgl of every permutation with seven points, one
+# tab-separated line each, as the engine printed them before it reduced one
+# rotation per state.
+OUTPUT_DIGEST_M7 = "c27e5ad8cf81c422da5735ae953ad01ce82122ad0bd371dc1194b253b672a907"
+
+
+def test_printed_wgl_at_seven_points_is_unchanged():
+    lines = [f"{perm_format(p)}\t{wgl(p)}\n" for p in all_perms(7)]
+    assert len(lines) == 5040
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == OUTPUT_DIGEST_M7
 
 
 # SHA-256 of the printed series(12) of every permutation with at most six
