@@ -35,14 +35,7 @@ def set_to_mask(points: Iterable[int], ground: int) -> int:
 
 
 def mask_to_set(mask: int) -> tuple[int, ...]:
-    out = []
-    e = 1
-    while mask:
-        if mask & 1:
-            out.append(e)
-        mask >>= 1
-        e += 1
-    return tuple(out)
+    return tuple([e + 1 for e in graphs._bits(mask)])
 
 
 @dataclass(frozen=True)
@@ -198,10 +191,7 @@ def dmat_delete(d: DMat, e: int) -> DMat:
     bit = _element_bit(d, e)
     if is_coloop(d, e):
         raise DomainError(f"cannot delete the coloop {e}")
-    low = bit - 1
-    kept = frozenset(
-        (f & low) | ((f >> 1) & ~low) for f in d.phi if not f & bit
-    )
+    kept = frozenset(graphs._drop_bit(f, e - 1) for f in d.phi if not f & bit)
     return DMat(d.ground - 1, kept)
 
 

@@ -304,9 +304,11 @@ def rule_apply(p: Perm, l: int) -> WglState:
 def state_value(
     state: WglState,
     cap: int = DEFAULT_CAP,
-    memo: MutableMapping[tuple[int, ...], Poly] | None = None,
+    memo: MutableMapping[tuple[int, ...], Packed] | None = None,
 ) -> Poly:
-    """Evaluate a formal linear combination under wgl."""
+    """Evaluate a formal linear combination under wgl.  ``memo`` is passed
+    to :func:`wgl` for every term, so it holds the engine's packed values,
+    keyed by one-line images, not ``Poly`` values."""
     total = Poly.zero()
     for coef, perm in state:
         total = total + coef * wgl(perm, cap=cap, memo=memo)

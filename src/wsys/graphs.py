@@ -3,7 +3,11 @@
 Vertices are labeled 1..n.  Adjacency is stored as one integer bitmask per
 vertex (bit j-1 of ``rows[i-1]`` is set iff i ~ j), which makes Gaussian
 elimination over GF(2) a few word operations per row.  All operations are
-pure: they return new graphs.
+pure: they return new graphs.  The structural ones (vertex deletion,
+induced subgraphs, the pivot, the 4-term images) compute the result's rows
+directly from the input's rows and construct one :class:`Graph` each.
+Every vertex argument is checked against 1..n and refused with
+:class:`~wsys.errors.DomainError`.
 
 Text format: ``"n=4; edges=1-2,1-3,2-3"`` (edges sorted, smaller endpoint
 first).
@@ -31,6 +35,18 @@ def _bits(row: int) -> Iterator[int]:
         low = row & -row
         yield low.bit_length() - 1
         row ^= low
+
+
+def _drop_bit(mask: int, i: int) -> int:
+    """mask without bit i, the bits above it shifted down one place."""
+    low = (1 << i) - 1
+    return mask & low | mask >> 1 & ~low
+
+
+def _check_vertices(g: Graph, vertices: Iterable[int]) -> None:
+    for v in vertices:
+        if not 1 <= v <= g.n:
+            raise DomainError(f"vertex {v} out of range 1..{g.n}")
 
 
 @dataclass(frozen=True)
@@ -70,15 +86,18 @@ class Graph:
         return cls(n, tuple(rows))
 
     def has_edge(self, a: int, b: int) -> bool:
+        _check_vertices(self, (a, b))
         return bool(self.rows[a - 1] >> (b - 1) & 1)
 
     def edges(self) -> list[tuple[int, int]]:
         return [(i + 1, j + 1) for i, row in enumerate(self.rows) for j in _bits(row >> i << i)]
 
     def neighbors(self, v: int) -> set[int]:
+        _check_vertices(self, (v,))
         return {j + 1 for j in _bits(self.rows[v - 1])}
 
     def toggle_edge(self, a: int, b: int) -> "Graph":
+        _check_vertices(self, (a, b))
         if a == b:
             raise DomainError(f"cannot toggle a loop at {a}")
         rows = list(self.rows)
@@ -172,9 +191,7 @@ def induced_corank(g: Graph, vertices: Iterable[int]) -> int:
     """Corank of the adjacency matrix restricted to a vertex subset,
     eliminating directly on the masked rows (no subgraph object)."""
     vs = sorted(set(vertices))
-    for v in vs:
-        if not 1 <= v <= g.n:
-            raise DomainError(f"vertex {v} out of range 1..{g.n}")
+    _check_vertices(g, vs)
     mask = sum(1 << (v - 1) for v in vs)
     return len(vs) - gf2_rank([g.rows[v - 1] & mask for v in vs])
 
@@ -189,22 +206,17 @@ def is_nondegenerate(g: Graph) -> bool:
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     vs = sorted(set(vertices))
-    for v in vs:
-        if not 1 <= v <= g.n:
-            raise DomainError(f"vertex {v} out of range 1..{g.n}")
-    index = {v: i for i, v in enumerate(vs)}
-    rows = [0] * len(vs)
-    for v in vs:
-        for u in vs:
-            if u != v and g.has_edge(v, u):
-                rows[index[v]] |= 1 << index[u]
+    _check_vertices(g, vs)
+    index = {v - 1: k for k, v in enumerate(vs)}
+    mask = sum(1 << (v - 1) for v in vs)
+    rows = [sum(1 << index[j] for j in _bits(g.rows[v - 1] & mask)) for v in vs]
     return Graph(len(vs), tuple(rows))
 
 
 def delete_vertex(g: Graph, v: int) -> Graph:
-    if not 1 <= v <= g.n:
-        raise DomainError(f"vertex {v} out of range 1..{g.n}")
-    return induced_subgraph(g, (u for u in range(1, g.n + 1) if u != v))
+    _check_vertices(g, (v,))
+    rows = [_drop_bit(row, v - 1) for u, row in enumerate(g.rows, 1) if u != v]
+    return Graph(g.n - 1, tuple(rows))
 
 
 def graph_pivot(g: Graph, a: int, b: int) -> Graph:
@@ -213,29 +225,19 @@ def graph_pivot(g: Graph, a: int, b: int) -> Graph:
     Vertices outside {a, b} split into: adjacent to both ends, adjacent to a
     only, adjacent to b only, adjacent to neither.  Every edge (present or
     absent) between two *different* classes among the first three is
-    toggled; everything else is untouched.
+    toggled; everything else is untouched.  So each vertex of a class
+    flips its row by the union of the three classes minus its own class.
     """
-    for v in (a, b):
-        if not 1 <= v <= g.n:
-            raise DomainError(f"vertex {v} out of range 1..{g.n}")
     if not g.has_edge(a, b):
         raise DomainError(f"pivot requires edge {a}-{b}")
-    classes: dict[int, int] = {}
-    for v in range(1, g.n + 1):
-        if v in (a, b):
-            continue
-        va, vb = g.has_edge(v, a), g.has_edge(v, b)
-        if va and vb:
-            classes[v] = 1
-        elif va:
-            classes[v] = 2
-        elif vb:
-            classes[v] = 3
-    out = g
-    for u, v in combinations(sorted(classes), 2):
-        if classes[u] != classes[v]:
-            out = out.toggle_edge(u, v)
-    return out
+    near_a = g.rows[a - 1] & ~(1 << (b - 1))
+    near_b = g.rows[b - 1] & ~(1 << (a - 1))
+    both, union = near_a & near_b, near_a | near_b
+    rows = list(g.rows)
+    for cls in (both, near_a ^ both, near_b ^ both):
+        for v in _bits(cls):
+            rows[v] ^= union ^ cls
+    return Graph(g.n, tuple(rows))
 
 
 def four_term_images(g: Graph, a: int, b: int) -> tuple[Graph, Graph, Graph]:
@@ -245,14 +247,17 @@ def four_term_images(g: Graph, a: int, b: int) -> tuple[Graph, Graph, Graph]:
     {a, v} for every v adjacent to b other than a, and g~' is g~ with ab
     toggled again.
     """
+    _check_vertices(g, (a, b))
     if a == b:
         raise DomainError("4-term images need two distinct vertices")
-    g_prime = g.toggle_edge(a, b)
-    g_tilde = g
-    for v in sorted(g.neighbors(b)):
-        if v not in (a, b):
-            g_tilde = g_tilde.toggle_edge(a, v)
-    return g_prime, g_tilde, g_tilde.toggle_edge(a, b)
+    a_bit = 1 << (a - 1)
+    others = g.rows[b - 1] & ~a_bit
+    rows = list(g.rows)
+    rows[a - 1] ^= others
+    for v in _bits(others):
+        rows[v] ^= a_bit
+    g_tilde = Graph(g.n, tuple(rows))
+    return g.toggle_edge(a, b), g_tilde, g_tilde.toggle_edge(a, b)
 
 
 # -- enumeration and standard graphs ----------------------------------------

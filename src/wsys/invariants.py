@@ -18,6 +18,7 @@ from .errors import DomainError
 from .graphs import (
     MAX_GROUND,
     Graph,
+    _bits,
     delete_vertex,
     four_term_images,
     graph_pivot,
@@ -75,11 +76,9 @@ _RECURSION_MEMO: dict[tuple[int, tuple[int, ...]], Poly] = {}
 
 
 def first_edge(g: Graph) -> tuple[int, int] | None:
-    for a in range(1, g.n + 1):
-        row = g.rows[a - 1] >> a  # neighbors above a
-        if row:
-            b = a + 1 + (row & -row).bit_length() - 1
-            return a, b
+    for a, row in enumerate(g.rows, 1):
+        for j in _bits(row >> a):  # neighbors above a
+            return a, a + 1 + j
     return None
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import permutations as _permutations
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import graphs
 from .errors import DomainError, ParseError, bounded_uint, is_uint, shorten
@@ -236,10 +236,8 @@ def _interlace(p: tuple[int, int], q: tuple[int, int]) -> bool:
     return a1 < b1 < a2 < b2 or b1 < a1 < b2 < a2
 
 
-def intersection_graph(b: Perm) -> graphs.Graph:
-    """One vertex per chord (ordered by smaller endpoint), edges between
-    interlacing chords."""
-    ch = chords(b)
+def _chord_graph(ch: Sequence[tuple[int, int]]) -> graphs.Graph:
+    """Vertex k for the chord ch[k-1], edges between interlacing chords."""
     return graphs.Graph.from_edges(
         len(ch),
         (
@@ -249,6 +247,12 @@ def intersection_graph(b: Perm) -> graphs.Graph:
             if _interlace(ch[i], ch[j])
         ),
     )
+
+
+def intersection_graph(b: Perm) -> graphs.Graph:
+    """One vertex per chord (ordered by smaller endpoint), edges between
+    interlacing chords."""
+    return _chord_graph(chords(b))
 
 
 # -- pivot ---------------------------------------------------------------------
@@ -362,21 +366,9 @@ def chord_4t_graphs(
     (G, G'_ab, G~_ab, G~'_ab).
     """
     base = chords(b)
-    out: list[graphs.Graph] = []
-    for perm, mu in _quadruple_maps(b, e, e2):
-        moved = [tuple(sorted((mu[p], mu[q]))) for p, q in base]
-        out.append(
-            graphs.Graph.from_edges(
-                len(moved),
-                (
-                    (i + 1, j + 1)
-                    for i in range(len(moved))
-                    for j in range(i + 1, len(moved))
-                    if _interlace(moved[i], moved[j])
-                ),
-            )
-        )
-    return tuple(out)
+    return tuple(
+        _chord_graph([(mu[p], mu[q]) for p, q in base]) for _, mu in _quadruple_maps(b, e, e2)
+    )
 
 
 def chord_index(b: Perm, point: int) -> int:

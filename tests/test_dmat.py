@@ -1,5 +1,7 @@
 """Delta-matroids: admissible sets, exchange axiom, distance, partial duality."""
 
+from random import Random
+
 import pytest
 
 from wsys.dmat import (
@@ -22,6 +24,10 @@ from wsys.graphs import Graph, all_graphs, complete_graph, path_graph
 from wsys.perm import all_chord_diagrams, face_count, perm_parse, subperm
 
 
+def set_bits(mask):
+    return {i + 1 for i in range(mask.bit_length()) if mask >> i & 1}
+
+
 def test_masks():
     assert set_to_mask([1, 3], 3) == 0b101
     assert set_to_mask([], 3) == 0
@@ -31,6 +37,8 @@ def test_masks():
         set_to_mask([4], 3)
     with pytest.raises(DomainError):
         set_to_mask([0], 3)
+    for mask in [*range(1 << 10), 1 << 40, (1 << 64) - 1, 0b1011 << 100]:
+        assert mask_to_set(mask) == tuple(sorted(set_bits(mask)))
 
 
 def test_dmat_validation():
@@ -131,6 +139,19 @@ def test_dmat_delete():
     co = DMat(1, frozenset({0b1}))
     with pytest.raises(DomainError):
         dmat_delete(co, 1)  # deleting a coloop empties the system
+    # against the definition on sets: keep the sets avoiding e, renumber
+    # the elements above e one lower
+    rng = Random(7)
+    systems = [dmat_from_graph(g) for n in range(5) for g in all_graphs(n)]
+    for _ in range(200):
+        ground = rng.randint(1, 9)
+        systems.append(DMat(ground, frozenset(rng.randrange(1 << ground) for _ in range(rng.randint(1, 12)))))
+    for d in systems:
+        for e in range(1, d.ground + 1):
+            if is_coloop(d, e):
+                continue
+            kept = {frozenset(x - (x > e) for x in set_bits(f)) for f in d.phi if e not in set_bits(f)}
+            assert {frozenset(set_bits(f)) for f in dmat_delete(d, e).phi} == kept
 
 
 def test_parse_format_round_trip():

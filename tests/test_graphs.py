@@ -1,5 +1,8 @@
 """Simple graphs over GF(2): adjacency coranks, pivots, four-term images."""
 
+from itertools import combinations
+from random import Random
+
 import pytest
 
 from wsys.errors import DomainError, ParseError
@@ -23,6 +26,7 @@ from wsys.graphs import (
     is_nondegenerate,
     path_graph,
 )
+from wsys.invariants import graph_4t_check, skew_char
 
 
 def test_construction_and_edges():
@@ -168,3 +172,102 @@ def test_named_graphs():
     assert d.n == 4 and len(d.edges()) == 5
     assert sum(1 for _ in all_graphs(3)) == 8
     assert sum(1 for _ in all_graphs(4)) == 64
+
+
+# -- reference constructions: one has_edge test or one toggle at a time ------
+
+
+def ref_induced_subgraph(g, vertices):
+    vs = sorted(set(vertices))
+    rows = [0] * len(vs)
+    for i, v in enumerate(vs):
+        for k, u in enumerate(vs):
+            if u != v and g.has_edge(v, u):
+                rows[i] |= 1 << k
+    return Graph(len(vs), tuple(rows))
+
+
+def ref_delete_vertex(g, v):
+    return ref_induced_subgraph(g, [u for u in range(1, g.n + 1) if u != v])
+
+
+def ref_graph_pivot(g, a, b):
+    classes = {}
+    for v in range(1, g.n + 1):
+        if v not in (a, b) and (g.has_edge(v, a) or g.has_edge(v, b)):
+            classes[v] = (g.has_edge(v, a), g.has_edge(v, b))
+    out = g
+    for u, v in combinations(sorted(classes), 2):
+        if classes[u] != classes[v]:
+            out = out.toggle_edge(u, v)
+    return out
+
+
+def ref_four_term_images(g, a, b):
+    g_tilde = g
+    for v in sorted(g.neighbors(b) - {a}):
+        g_tilde = g_tilde.toggle_edge(a, v)
+    return g.toggle_edge(a, b), g_tilde, g_tilde.toggle_edge(a, b)
+
+
+def seeded_graphs(seed, count):
+    rng = Random(seed)
+    for _ in range(count):
+        n = rng.randint(8, 12)
+        density = rng.choice((0.3, 0.5, 0.7))
+        yield Graph.from_edges(n, [p for p in combinations(range(1, n + 1), 2) if rng.random() < density])
+
+
+def check_against_references(g, subsets):
+    for v in range(1, g.n + 1):
+        assert delete_vertex(g, v) == ref_delete_vertex(g, v)
+    for a in range(1, g.n + 1):
+        for b in range(1, g.n + 1):
+            if a == b:
+                continue
+            assert four_term_images(g, a, b) == ref_four_term_images(g, a, b)
+            if g.has_edge(a, b):
+                assert graph_pivot(g, a, b) == ref_graph_pivot(g, a, b)
+    for mask in subsets:
+        subset = [v + 1 for v in range(g.n) if mask >> v & 1]
+        assert induced_subgraph(g, subset) == ref_induced_subgraph(g, subset)
+
+
+def test_structural_operations_match_references_exhaustively():
+    # every vertex, ordered pair and subset of every graph with n <= 5
+    for n in range(6):
+        for g in all_graphs(n):
+            check_against_references(g, range(1 << n))
+
+
+def test_structural_operations_match_references_on_seeded_graphs():
+    rng = Random(12)
+    for g in seeded_graphs(2024, 40):
+        check_against_references(g, [rng.randrange(1 << g.n) for _ in range(30)])
+
+
+L3 = graph_parse("n=3; edges=1-3")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        # has_edge(0, 1) used to read index -1, which wraps around to vertex 3
+        pytest.param(lambda: L3.has_edge(0, 1), id="has_edge(0,1)"),
+        pytest.param(lambda: L3.has_edge(1, 4), id="has_edge(1,4)"),
+        pytest.param(lambda: L3.neighbors(0), id="neighbors(0)"),
+        pytest.param(lambda: L3.neighbors(4), id="neighbors(4)"),
+        pytest.param(lambda: L3.toggle_edge(1, 5), id="toggle_edge(1,5)"),
+        pytest.param(lambda: L3.toggle_edge(0, 2), id="toggle_edge(0,2)"),
+        pytest.param(lambda: four_term_images(L3, 1, 9), id="four_term_images(1,9)"),
+        pytest.param(lambda: four_term_images(L3, 0, 1), id="four_term_images(0,1)"),
+        pytest.param(lambda: graph_4t_check(skew_char, L3, 0, 1), id="graph_4t_check(0,1)"),
+        pytest.param(lambda: graph_pivot(L3, 0, 1), id="graph_pivot(0,1)"),
+        pytest.param(lambda: delete_vertex(L3, 4), id="delete_vertex(4)"),
+        pytest.param(lambda: induced_subgraph(L3, [0, 1]), id="induced_subgraph(0,1)"),
+        pytest.param(lambda: induced_corank(L3, [4]), id="induced_corank(4)"),
+    ],
+)
+def test_vertices_outside_the_range_are_refused(call):
+    with pytest.raises(DomainError, match="out of range"):
+        call()
