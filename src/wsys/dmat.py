@@ -108,16 +108,10 @@ def dmat_from_chord_diagram(b: perm.Perm) -> DMat:
     signal a convention bug.
     """
     d = dmat_from_graph(perm.intersection_graph(b))
-    ch = perm.chords(b)
     by_faces = frozenset(
         mask
-        for mask in range(1 << len(ch))
-        if perm.face_count(
-            perm.subperm(
-                b, [pt for i in range(len(ch)) if mask >> i & 1 for pt in ch[i]]
-            )
-        )
-        == 1
+        for mask, chosen in graphs.subsets(perm.chords(b))
+        if perm.face_count(perm.chord_subdiagram(b, chosen)) == 1
     )
     if d.phi != by_faces:
         raise InternalError(f"graph and face admissibility disagree for {b.img}")

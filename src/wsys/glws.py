@@ -60,7 +60,7 @@ from typing import Callable, MutableMapping, NamedTuple
 
 from .algebra import Packed, PackedRing, Poly, RatFunc, casimir, packed_add, packed_mul
 from .errors import DomainError, InternalError
-from .graphs import MAX_GROUND
+from .graphs import subsets
 from .invariants import refined_skew_char_graph, subset_poly
 from .perm import MAX_POINTS, Perm, cycle_count, face_count, intersection_graph, is_chord_diagram, subperm
 
@@ -360,16 +360,9 @@ def feps(p: Perm, cap: int = DEFAULT_CAP) -> Poly:
 def feps_direct(p: Perm) -> Poly:
     """The same family computed as a sum over all point subsets:
     sum_U N^(c(p) - c(p|U) + f(p|U) - 1) * eps^(m - |U|)."""
-    m = p.m
-    if m > MAX_GROUND:
-        raise DomainError(f"{m} points exceed the subset budget of {MAX_GROUND}")
-    c_full = cycle_count(p)
-
-    def npow(mask: int) -> int:
-        sub = subperm(p, [i + 1 for i in range(m) if mask >> i & 1])
-        return c_full - cycle_count(sub) + face_count(sub) - 1
-
-    stats = [npow(mask) for mask in range(1 << m)]
+    m, c_full = p.m, cycle_count(p)
+    subs = (subperm(p, points) for _, points in subsets(range(1, m + 1)))
+    stats = [c_full - cycle_count(sub) + face_count(sub) - 1 for sub in subs]
     return subset_poly(stats, lambda s, c: (("N", c), ("eps", m - s)))
 
 

@@ -9,6 +9,9 @@ directly from the input's rows and construct one :class:`Graph` each.
 Every vertex argument is checked against 1..n and refused with
 :class:`~wsys.errors.DomainError`.
 
+Every sum over the subsets of vertices, points, chords or ground elements
+runs on :func:`subsets`, which refuses more than ``MAX_GROUND`` items.
+
 Text format: ``"n=4; edges=1-2,1-3,2-3"`` (edges sorted, smaller endpoint
 first).
 """
@@ -19,7 +22,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 from .errors import DomainError, ParseError, bounded_uint, shorten
 
@@ -27,6 +30,8 @@ from .errors import DomainError, ParseError, bounded_uint, shorten
 MAX_GROUND = 20
 #: Largest vertex count graph_parse accepts; refused before any row is built.
 MAX_VERTICES = 1000
+
+T = TypeVar("T")
 
 
 def _bits(row: int) -> Iterator[int]:
@@ -41,6 +46,16 @@ def _drop_bit(mask: int, i: int) -> int:
     """mask without bit i, the bits above it shifted down one place."""
     low = (1 << i) - 1
     return mask & low | mask >> 1 & ~low
+
+
+def subsets(items: Sequence[T]) -> Iterator[tuple[int, list[T]]]:
+    """Every subset of items as (mask, members), masks ascending, bit i
+    standing for items[i] and members in input order.  More than
+    MAX_GROUND items raise DomainError on the first next()."""
+    if len(items) > MAX_GROUND:
+        raise DomainError(f"{len(items)} elements exceed the subset budget of {MAX_GROUND}")
+    for mask in range(1 << len(items)):
+        yield mask, [x for i, x in enumerate(items) if mask >> i & 1]
 
 
 def _check_vertices(g: Graph, vertices: Iterable[int]) -> None:
@@ -109,13 +124,7 @@ class Graph:
     def coranks(self) -> tuple[int, ...]:
         """Induced corank of every vertex subset, indexed by its bitmask;
         computed once per graph."""
-        if self.n > MAX_GROUND:
-            raise DomainError(f"{self.n} vertices exceed the subset budget of {MAX_GROUND}")
-        return tuple(
-            mask.bit_count()
-            - gf2_rank([row & mask for v, row in enumerate(self.rows) if mask >> v & 1])
-            for mask in range(1 << self.n)
-        )
+        return tuple(len(rows) - gf2_rank([row & mask for row in rows]) for mask, rows in subsets(self.rows))
 
 
 # -- text form -------------------------------------------------------------

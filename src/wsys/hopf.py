@@ -26,34 +26,32 @@ from typing import Callable, Sequence, TypeVar
 from .algebra import EXP_BITS, Packed, PackedRing, Poly, packed_add, packed_mul, var_key
 from .errors import DomainError, InternalError
 from .glws import feps, spec_standard
-from .graphs import Graph, induced_subgraph
-from .perm import Perm, chords, subperm
+from .graphs import Graph, induced_subgraph, subsets
+from .perm import Perm, chord_subdiagram, chords
 
 T = TypeVar("T")
+E = TypeVar("E")
 
 
 def _restricted_values(
     f: Callable[[T], Poly],
     obj: T,
-    ground: Sequence[int],
-    restrict: Callable[[T, Sequence[int]], T],
+    ground: Sequence[E],
+    restrict: Callable[[T, list[E]], T],
 ) -> tuple[PackedRing, list[Packed]]:
     """f(obj restricted to U) for every subset mask U of the ground
     sequence, packed into the ring of their variables; the empty subset is
-    taken as 1 and f is not called on it.
+    taken as 1 and f is not called on it (nor at all past MAX_GROUND).
 
     By induction on |S|, a monomial of p(S), of g(S) or of a product in
     their recursions has each exponent at most |S| times the largest
     exponent e among the values, so n * e < 2^EXP_BITS keeps every slot in
     range (the last variable's is not bounded)."""
-    items = list(ground)
-    values = [Poly.one()]
-    for mask in range(1, 1 << len(items)):
-        values.append(f(restrict(obj, [x for i, x in enumerate(items) if mask >> i & 1])))
+    values = [f(restrict(obj, members)) if mask else Poly.one() for mask, members in subsets(ground)]
     names = sorted({var for v in values for var in v.variables()}, key=var_key)
     top = max((e for v in values for mono in v.terms for var, e in mono if var != names[-1]), default=0)
-    if len(items) * top >> EXP_BITS:
-        raise DomainError(f"exponent {top} on {len(items)} ground elements exceeds the packed slots")
+    if len(ground) * top >> EXP_BITS:
+        raise DomainError(f"exponent {top} on {len(ground)} ground elements exceeds the packed slots")
     ring = PackedRing(tuple(names))
     return ring, [ring.pack(v) for v in values]
 
@@ -83,8 +81,8 @@ def _connected_parts(values: list[Packed]) -> list[Packed]:
 def primitive_eval(
     f: Callable[[T], Poly],
     obj: T,
-    ground: Sequence[int],
-    restrict: Callable[[T, Sequence[int]], T],
+    ground: Sequence[E],
+    restrict: Callable[[T, list[E]], T],
 ) -> Poly:
     """(f o pi)(obj) by the connected-part recursion; 0 on an empty ground set."""
     ring, values = _restricted_values(f, obj, ground, restrict)
@@ -94,8 +92,8 @@ def primitive_eval(
 def reconstruct_from_primitives(
     f: Callable[[T], Poly],
     obj: T,
-    ground: Sequence[int],
-    restrict: Callable[[T, Sequence[int]], T],
+    ground: Sequence[E],
+    restrict: Callable[[T, list[E]], T],
 ) -> Poly:
     """The exponential of the projection: rebuilds f(obj) from the values
     of f o pi on the subsets of the ground set (1 on an empty ground set)."""
@@ -117,8 +115,10 @@ def restrict_graph(g: Graph, vertices: Sequence[int]) -> Graph:
 def restrict_diagram(b: Perm, chord_indices: Sequence[int]) -> Perm:
     """Subdiagram on the chords with the given (1-based) indices."""
     ch = chords(b)
-    points = [pt for i in chord_indices for pt in ch[i - 1]]
-    return subperm(b, points)
+    for i in chord_indices:
+        if not 1 <= i <= len(ch):
+            raise DomainError(f"chord {i} out of range 1..{len(ch)}")
+    return chord_subdiagram(b, [ch[i - 1] for i in chord_indices])
 
 
 def primitive_eval_graph(f: Callable[[Graph], Poly], g: Graph) -> Poly:
@@ -126,12 +126,7 @@ def primitive_eval_graph(f: Callable[[Graph], Poly], g: Graph) -> Poly:
 
 
 def primitive_eval_diagram(f: Callable[[Perm], Poly], b: Perm) -> Poly:
-    ch = chords(b)  # once, not once per subset as restrict_diagram would
-
-    def restrict(b: Perm, chord_indices: Sequence[int]) -> Perm:
-        return subperm(b, [pt for i in chord_indices for pt in ch[i - 1]])
-
-    return primitive_eval(f, b, range(1, len(ch) + 1), restrict)
+    return primitive_eval(f, b, chords(b), chord_subdiagram)
 
 
 def eps_independence_check(b: Perm) -> tuple[bool, Poly]:

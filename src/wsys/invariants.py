@@ -24,6 +24,7 @@ from .graphs import (
     graph_pivot,
     induced_corank,
     induced_subgraph,
+    subsets,
 )
 
 GraphInvariant = Callable[[Graph], Poly]
@@ -91,7 +92,7 @@ def interlace_graph_recursive(
     (x+1)^n on edgeless graphs.  The result does not depend on which edge
     the policy picks; the default takes the lexicographically first."""
     if g.n > MAX_GROUND:
-        raise DomainError(f"{g.n} vertices exceed the subset budget of {MAX_GROUND}")
+        raise DomainError(f"{g.n} elements exceed the subset budget of {MAX_GROUND}")
     table = _RECURSION_MEMO if memo is None else memo
     key = (g.n, g.rows)
     cached = table.get(key)
@@ -129,10 +130,9 @@ def convolution(f: GraphInvariant, g: GraphInvariant, graph: Graph) -> Poly:
     """(f * g)(G) = sum over vertex subsets U of f(G|U) g(G|rest)."""
     full = (1 << graph.n) - 1
     total = Poly.zero()
-    for mask in range(1 << graph.n):
-        total = total + f(induced_subgraph(graph, mask_to_set(mask))) * g(
-            induced_subgraph(graph, mask_to_set(full ^ mask))
-        )
+    for mask, part in subsets(range(1, graph.n + 1)):
+        rest = mask_to_set(full ^ mask)
+        total = total + f(induced_subgraph(graph, part)) * g(induced_subgraph(graph, rest))
     return total
 
 

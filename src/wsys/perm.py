@@ -230,6 +230,11 @@ def chords(b: Perm) -> list[tuple[int, int]]:
     return [(i, b(i)) for i in range(1, b.m + 1) if i < b(i)]
 
 
+def chord_subdiagram(b: Perm, chosen_chords: Iterable[tuple[int, int]]) -> Perm:
+    """The subdiagram of b on the given chords, as pairs from :func:`chords`."""
+    return subperm(b, [pt for chord in chosen_chords for pt in chord])
+
+
 def _interlace(p: tuple[int, int], q: tuple[int, int]) -> bool:
     a1, a2 = sorted(p)
     b1, b2 = sorted(q)

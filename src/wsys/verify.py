@@ -45,6 +45,7 @@ from .graphs import (
     graph_format,
     induced_corank,
     path_graph,
+    subsets,
 )
 from .hopf import eps_independence_check
 from .invariants import (
@@ -62,6 +63,7 @@ from .perm import (
     all_chord_diagrams,
     all_perms,
     chord_4t_quadruple,
+    chord_subdiagram,
     chords,
     cycle_count,
     face_count,
@@ -393,8 +395,7 @@ def suite_distance_corank(max_vertices: int = 5) -> Checks:
     corank of the induced adjacency matrix, subset by subset."""
     for g in _graph_range(max_vertices):
         dist, text = dmat_from_graph(g).distances, graph_format(g)
-        for mask in range(1 << g.n):
-            subset = [v + 1 for v in range(g.n) if mask >> v & 1]
+        for mask, subset in subsets(range(1, g.n + 1)):
             members = ",".join(str(v) for v in subset)
             yield dist[mask] == induced_corank(g, subset), f"{text} @ U={{{members}}}"
 
@@ -406,10 +407,10 @@ def suite_distance_faces(max_chords: int = 5) -> Checks:
     for b in _diagram_range(max_chords):
         dist, text = dmat_from_chord_diagram(b).distances, perm_format(b)
         ch = chords(b)
-        for mask in range(1 << len(ch)):
-            pts = [pt for i in range(len(ch)) if mask >> i & 1 for pt in ch[i]]
-            members = ",".join(str(i + 1) for i in range(len(ch)) if mask >> i & 1)
-            yield dist[mask] == face_count(subperm(b, pts)) - 1, f"{text} @ U={{{members}}}"
+        for mask, chosen in subsets(range(1, len(ch) + 1)):
+            members = ",".join(str(i) for i in chosen)
+            sub = chord_subdiagram(b, [ch[i - 1] for i in chosen])
+            yield dist[mask] == face_count(sub) - 1, f"{text} @ U={{{members}}}"
 
 
 @_suite("gl11-skewchar")

@@ -34,6 +34,7 @@ from wsys.perm import (
     Perm,
     all_chord_diagrams,
     all_perms,
+    chord_4t_quadruple,
     concat,
     cycle_count,
     cyclic_shift,
@@ -155,6 +156,31 @@ def test_wgl_is_invariant_under_reflection_of_the_inverse():
         cases.append(Perm(tuple(img)))
     for p in cases:
         assert wgl(reflected(p), cap=11) == wgl(p, cap=11), perm_format(p)
+
+
+def test_chord_four_term_relation_past_three_chords():
+    # wgl(B1) - wgl(B2) == wgl(B3) - wgl(B4) at every pair of adjacent ends
+    # on distinct chords: all 105 diagrams with 4 chords, 30 seeded with 5
+    diagrams = list(all_chord_diagrams(4))
+    assert len(diagrams) == 105
+    rng, seeded = Random(45), set()
+    while len(seeded) < 30:
+        points = list(range(1, 11))
+        rng.shuffle(points)
+        img = [0] * 10
+        for p, q in zip(points[::2], points[1::2]):
+            img[p - 1], img[q - 1] = q, p
+        seeded.add(Perm(tuple(img)))
+    quadruples = 0
+    for b in diagrams + sorted(seeded, key=lambda b: b.img):
+        for e in range(1, b.m + 1):
+            e2 = e % b.m + 1
+            if b(e) == e2:
+                continue
+            q1, q2, q3, q4 = chord_4t_quadruple(b, e, e2)
+            assert wgl(q1) - wgl(q2) == wgl(q3) - wgl(q4), (perm_format(b), e)
+            quadruples += 1
+    assert quadruples == 720 + 265
 
 
 def test_rotations_share_one_reduction():

@@ -1,12 +1,17 @@
 """Simple graphs over GF(2): adjacency coranks, pivots, four-term images."""
 
+import ast
+import re
 from itertools import combinations
+from pathlib import Path
 from random import Random
 
 import pytest
 
+import wsys
 from wsys.errors import DomainError, ParseError
 from wsys.graphs import (
+    MAX_GROUND,
     MAX_VERTICES,
     Graph,
     adjacency_matrix,
@@ -25,6 +30,7 @@ from wsys.graphs import (
     induced_subgraph,
     is_nondegenerate,
     path_graph,
+    subsets,
 )
 from wsys.invariants import graph_4t_check, skew_char
 
@@ -271,3 +277,36 @@ L3 = graph_parse("n=3; edges=1-3")
 def test_vertices_outside_the_range_are_refused(call):
     with pytest.raises(DomainError, match="out of range"):
         call()
+
+
+def test_subsets_in_mask_order_with_members_in_input_order():
+    for n in range(7):
+        for items in ("gfedcba"[:n], tuple(range(10, 10 - n, -1)), range(3, 3 + n)):
+            got = list(subsets(items))
+            assert [mask for mask, _ in got] == list(range(1 << n)), items
+            for mask, members in got:
+                assert members == [x for i, x in enumerate(items) if mask >> i & 1], (items, mask)
+
+
+def test_subsets_budget():
+    assert next(subsets(range(MAX_GROUND))) == (0, [])
+    over = subsets(range(MAX_GROUND + 1))  # refused on the first next(), not before
+    with pytest.raises(DomainError, match="^21 elements exceed the subset budget of 20$"):
+        next(over)
+
+
+def test_no_subset_loop_outside_the_enumerator():
+    # a 2^n loop written outside graphs.subsets would bypass its budget;
+    # all_graphs enumerates edge sets and the partial-dual suite its dual
+    # masks, neither of which builds a member list
+    allowed = {("graphs", "subsets"), ("graphs", "all_graphs"), ("verify", "suite_partial_dual_invariance")}
+    found = set()
+    for path in sorted(Path(wsys.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        funcs = [node for node in ast.walk(ast.parse(text)) if isinstance(node, ast.FunctionDef)]
+        for lineno, line in enumerate(text.splitlines(), 1):
+            if re.search(r"\brange\((?:1, )?1 <<", line):
+                owners = [f for f in funcs if f.lineno <= lineno <= f.end_lineno]
+                found.add((path.stem, max(owners, key=lambda f: f.lineno).name if owners else None))
+    assert ("graphs", "subsets") in found
+    assert found <= allowed, sorted(found - allowed)

@@ -18,7 +18,7 @@ from wsys.hopf import (
     restrict_graph,
 )
 from wsys.invariants import refined_skew_char_graph, skew_char, vertex_count_power_u
-from wsys.perm import all_chord_diagrams, perm_parse
+from wsys.perm import Perm, all_chord_diagrams, perm_parse
 
 N = Poly.var("N")
 u = Poly.var("u")
@@ -36,6 +36,34 @@ def test_restrict_diagram():
     assert restrict_diagram(b, [1]) == perm_parse("(1 2)")
     assert restrict_diagram(b, [1, 2]) == perm_parse("(1 3)(2 4)")
     assert restrict_diagram(b, [1, 2, 3]) == b
+
+
+def test_restrict_diagram_refuses_chord_indices_out_of_range():
+    # 0 and -1 used to wrap around to the last chord, 4 to raise IndexError
+    b = perm_parse("(1 3)(2 5)(4 6)")
+    for indices in ([0], [-1], [4], [1, 4]):
+        with pytest.raises(DomainError, match="out of range 1..3"):
+            restrict_diagram(b, indices)
+
+
+def test_projection_refuses_past_the_subset_budget():
+    # 21 ground elements are refused before the invariant is evaluated once
+    calls = []
+
+    def counted(obj):
+        calls.append(obj)
+        raise AssertionError("invariant evaluated past the subset budget")
+
+    graph = Graph.empty(21)
+    diagram = Perm(tuple(range(22, 43)) + tuple(range(1, 22)))  # 21 parallel chords
+    for run in (
+        lambda: primitive_eval_graph(counted, graph),
+        lambda: primitive_eval_diagram(counted, diagram),
+        lambda: reconstruct_from_primitives(counted, graph, range(1, 22), restrict_graph),
+    ):
+        with pytest.raises(DomainError, match="21 elements exceed the subset budget of 20"):
+            run()
+    assert calls == []
 
 
 def test_primitive_projection_single_chord():

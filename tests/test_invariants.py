@@ -168,6 +168,18 @@ def test_convolution_counit():
             assert convolution(unit_invariant, skew_char, g) == skew_char(g)
 
 
+def test_convolution_refuses_past_the_subset_budget():
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        raise AssertionError("invariant evaluated past the subset budget")
+
+    with pytest.raises(DomainError, match="21 elements exceed the subset budget of 20"):
+        convolution(counted, counted, Graph.empty(21))
+    assert calls == []
+
+
 def test_convolution_characterizes_skew_char():
     for n in range(0, 5):
         for g in all_graphs(n):

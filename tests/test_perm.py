@@ -12,6 +12,7 @@ from wsys.perm import (
     chord_4t_graphs,
     chord_4t_quadruple,
     chord_index,
+    chord_subdiagram,
     chords,
     concat,
     cycle_count,
@@ -124,6 +125,18 @@ def test_subperm():
     assert subperm(q, []) == EMPTY
     with pytest.raises(DomainError):
         subperm(q, [1, 4])
+
+
+def test_chord_subdiagram_is_the_restriction_to_the_chords_points():
+    for n in range(5):
+        for b in all_chord_diagrams(n):
+            ch = chords(b)
+            for mask in range(1 << n):
+                chosen = [c for i, c in enumerate(ch) if mask >> i & 1]
+                points = [p for p in range(1, b.m + 1) if mask >> chord_index(b, p) - 1 & 1]
+                sub = chord_subdiagram(b, chosen)
+                assert sub == subperm(b, points), (perm_format(b), mask)
+                assert len(chords(sub)) == len(chosen)
 
 
 def test_concat_shifts_second_block():
