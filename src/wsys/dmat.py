@@ -72,31 +72,19 @@ class DMat:
         """:func:`distance` of every subset, indexed by its bitmask: a
         breadth-first search on the hypercube from all admissible sets at
         once, O(ground * 2^ground), computed once per system."""
-        dist = [-1] * (1 << self.ground)
-        frontier = list(self.phi)
-        for f in frontier:
-            dist[f] = 0
-        bits = [1 << i for i in range(self.ground)]
-        level = 0
-        while frontier:
-            level += 1
-            reached = []
-            for mask in frontier:
-                for bit in bits:
-                    near = mask ^ bit
-                    if dist[near] < 0:
-                        dist[near] = level
-                        reached.append(near)
-            frontier = reached
-        return tuple(dist)
+        return graphs.hypercube_distances(self.ground, self.phi)
 
 
 # -- construction ------------------------------------------------------------
 
 
 def dmat_from_graph(g: graphs.Graph) -> DMat:
-    """Admissible = vertex subsets inducing a mod-2 nondegenerate subgraph."""
-    return DMat(g.n, frozenset(mask for mask, c in enumerate(g.coranks) if c == 0))
+    """Admissible = vertex subsets inducing a mod-2 nondegenerate subgraph.
+    The system's distances are the graph's coranks (suite distance-corank),
+    so it adopts that table instead of searching the hypercube again."""
+    d = DMat(g.n, frozenset(mask for mask, c in enumerate(g.coranks) if c == 0))
+    vars(d)["distances"] = g.coranks
+    return d
 
 
 def dmat_from_chord_diagram(b: perm.Perm) -> DMat:

@@ -9,8 +9,17 @@ directly from the input's rows and construct one :class:`Graph` each.
 Every vertex argument is checked against 1..n and refused with
 :class:`~wsys.errors.DomainError`.
 
-Every sum over the subsets of vertices, points, chords or ground elements
-runs on :func:`subsets`, which refuses more than ``MAX_GROUND`` items.
+Every loop over the 2^n subsets of vertices, points, chords or ground
+elements runs on :func:`subset_masks`, which refuses more than
+``MAX_GROUND`` elements; :func:`subsets` adds the member lists.
+
+The induced corank of every vertex subset (``Graph.coranks``) comes from
+two whole-table passes instead of 2^n eliminations: the mod-2 Pfaffian of
+every subset, O(deg) per mask, finds the nondegenerate family, and one
+breadth-first search on the hypercube (:func:`hypercube_distances`,
+O(n * 2^n)) gives each subset's distance from it, which is its corank.
+:func:`gf2_rank` and :func:`induced_corank` stay as the independent
+per-subset route.
 
 Text format: ``"n=4; edges=1-2,1-3,2-3"`` (edges sorted, smaller endpoint
 first).
@@ -48,14 +57,72 @@ def _drop_bit(mask: int, i: int) -> int:
     return mask & low | mask >> 1 & ~low
 
 
+def subset_masks(n: int) -> range:
+    """Every subset mask of n elements, ascending.  More than MAX_GROUND
+    elements raise DomainError."""
+    if n > MAX_GROUND:
+        raise DomainError(f"{n} elements exceed the subset budget of {MAX_GROUND}")
+    return range(1 << n)
+
+
 def subsets(items: Sequence[T]) -> Iterator[tuple[int, list[T]]]:
     """Every subset of items as (mask, members), masks ascending, bit i
     standing for items[i] and members in input order.  More than
     MAX_GROUND items raise DomainError on the first next()."""
-    if len(items) > MAX_GROUND:
-        raise DomainError(f"{len(items)} elements exceed the subset budget of {MAX_GROUND}")
-    for mask in range(1 << len(items)):
+    for mask in subset_masks(len(items)):
         yield mask, [x for i, x in enumerate(items) if mask >> i & 1]
+
+
+def hypercube_distances(n: int, sources: Iterable[int]) -> tuple[int, ...]:
+    """Hamming distance of every n-bit mask from the nearest source mask,
+    indexed by mask (all -1 without sources): one breadth-first search on
+    the hypercube from all sources at once, O(n * 2^n)."""
+    dist = [-1] * len(subset_masks(n))
+    frontier = list(sources)
+    for mask in frontier:
+        dist[mask] = 0
+    bits = [1 << i for i in range(n)]
+    level = 0
+    while frontier:
+        level += 1
+        reached = []
+        for mask in frontier:
+            for bit in bits:
+                near = mask ^ bit
+                if dist[near] < 0:
+                    dist[near] = level
+                    reached.append(near)
+        frontier = reached
+    return tuple(dist)
+
+
+def _nondegenerate_masks(rows: Sequence[int]) -> list[int]:
+    """Masks U whose induced adjacency matrix is invertible over GF(2).
+
+    For a zero-diagonal symmetric matrix det = Pf (mod 2), so U qualifies
+    iff G[U] has an odd number of perfect matchings.  Expanding along the
+    lowest vertex v of U, pf(U) = XOR of pf(U - v - w) over the neighbours
+    w of v in U, with pf(empty) = 1; odd subsets have none.
+    """
+    masks = subset_masks(len(rows))
+    pf = bytearray(len(masks))
+    pf[0] = 1
+    found = [0]
+    for mask in masks[1:]:
+        if mask.bit_count() & 1:
+            continue
+        low = mask & -mask
+        rest = mask ^ low
+        near = rows[low.bit_length() - 1] & rest
+        odd = 0
+        while near:
+            w = near & -near
+            odd ^= pf[rest ^ w]
+            near ^= w
+        if odd:
+            pf[mask] = 1
+            found.append(mask)
+    return found
 
 
 def _check_vertices(g: Graph, vertices: Iterable[int]) -> None:
@@ -83,6 +150,15 @@ class Graph:
             for j in _bits(row):
                 if not self.rows[j] >> i & 1:
                     raise DomainError(f"asymmetric adjacency at {min(i, j) + 1},{max(i, j) + 1}")
+
+    @classmethod
+    def _raw(cls, n: int, rows: tuple[int, ...]) -> "Graph":
+        """Adopt rows derived from a valid graph's rows: symmetric, no
+        loops, inside 1..n.  Skips the validation of the public constructor."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "rows", rows)
+        return g
 
     @classmethod
     def empty(cls, n: int) -> "Graph":
@@ -118,13 +194,14 @@ class Graph:
         rows = list(self.rows)
         rows[a - 1] ^= 1 << (b - 1)
         rows[b - 1] ^= 1 << (a - 1)
-        return Graph(self.n, tuple(rows))
+        return Graph._raw(self.n, tuple(rows))
 
     @cached_property
     def coranks(self) -> tuple[int, ...]:
-        """Induced corank of every vertex subset, indexed by its bitmask;
+        """Induced corank of every vertex subset, indexed by its bitmask:
+        the subset's hypercube distance from the nondegenerate subsets,
         computed once per graph."""
-        return tuple(len(rows) - gf2_rank([row & mask for row in rows]) for mask, rows in subsets(self.rows))
+        return hypercube_distances(self.n, _nondegenerate_masks(self.rows))
 
 
 # -- text form -------------------------------------------------------------
@@ -219,13 +296,13 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     index = {v - 1: k for k, v in enumerate(vs)}
     mask = sum(1 << (v - 1) for v in vs)
     rows = [sum(1 << index[j] for j in _bits(g.rows[v - 1] & mask)) for v in vs]
-    return Graph(len(vs), tuple(rows))
+    return Graph._raw(len(vs), tuple(rows))
 
 
 def delete_vertex(g: Graph, v: int) -> Graph:
     _check_vertices(g, (v,))
     rows = [_drop_bit(row, v - 1) for u, row in enumerate(g.rows, 1) if u != v]
-    return Graph(g.n - 1, tuple(rows))
+    return Graph._raw(g.n - 1, tuple(rows))
 
 
 def graph_pivot(g: Graph, a: int, b: int) -> Graph:
@@ -246,7 +323,7 @@ def graph_pivot(g: Graph, a: int, b: int) -> Graph:
     for cls in (both, near_a ^ both, near_b ^ both):
         for v in _bits(cls):
             rows[v] ^= union ^ cls
-    return Graph(g.n, tuple(rows))
+    return Graph._raw(g.n, tuple(rows))
 
 
 def four_term_images(g: Graph, a: int, b: int) -> tuple[Graph, Graph, Graph]:
@@ -265,7 +342,7 @@ def four_term_images(g: Graph, a: int, b: int) -> tuple[Graph, Graph, Graph]:
     rows[a - 1] ^= others
     for v in _bits(others):
         rows[v] ^= a_bit
-    g_tilde = Graph(g.n, tuple(rows))
+    g_tilde = Graph._raw(g.n, tuple(rows))
     return g.toggle_edge(a, b), g_tilde, g_tilde.toggle_edge(a, b)
 
 

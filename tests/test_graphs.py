@@ -9,11 +9,13 @@ from random import Random
 import pytest
 
 import wsys
+from wsys.dmat import dmat_from_graph
 from wsys.errors import DomainError, ParseError
 from wsys.graphs import (
     MAX_GROUND,
     MAX_VERTICES,
     Graph,
+    _bits,
     adjacency_matrix,
     all_graphs,
     complete_graph,
@@ -30,6 +32,7 @@ from wsys.graphs import (
     induced_subgraph,
     is_nondegenerate,
     path_graph,
+    subset_masks,
     subsets,
 )
 from wsys.invariants import graph_4t_check, skew_char
@@ -112,6 +115,32 @@ def test_adjacency_corank_known_graphs():
                 subset = [v + 1 for v in range(n) if mask >> v & 1]
                 sub = induced_subgraph(g, subset)
                 assert coranks[mask] == induced_corank(g, subset) == gf2_corank(sub.rows, sub.n)
+
+
+def seeded_corank_graphs():
+    # two graphs per vertex count past the exhaustive range, densities 0.2-0.8
+    rng = Random(2718)
+    for n in range(6, 15):
+        for _ in range(2):
+            density = rng.choice((0.2, 0.4, 0.6, 0.8))
+            yield Graph.from_edges(n, [p for p in combinations(range(1, n + 1), 2) if rng.random() < density])
+
+
+def test_coranks_past_the_exhaustive_range():
+    rng = Random(31)
+    for g in seeded_corank_graphs():
+        coranks, full = g.coranks, range(1 << g.n)
+        masks = full if g.n <= 8 else [rng.randrange(1 << g.n) for _ in range(200)]
+        for mask in masks:
+            assert coranks[mask] == induced_corank(g, [v + 1 for v in _bits(mask)]), (g, mask)
+        for mask in full:
+            # a GF(2) alternating matrix has even rank, and deleting one
+            # vertex changes the rank by at most 2, so the corank by exactly 1
+            assert coranks[mask] % 2 == mask.bit_count() % 2, (g, mask)
+            for v in _bits(mask):
+                assert abs(coranks[mask] - coranks[mask ^ 1 << v]) == 1, (g, mask, v)
+        nondegenerate = {mask for mask in full if induced_corank(g, [v + 1 for v in _bits(mask)]) == 0}
+        assert dmat_from_graph(g).phi == nondegenerate, g
 
 
 def test_nondegeneracy():
@@ -295,11 +324,41 @@ def test_subsets_budget():
         next(over)
 
 
+def test_subset_masks_budget():
+    assert subset_masks(0) == range(1)
+    assert subset_masks(MAX_GROUND) == range(1 << MAX_GROUND)
+    with pytest.raises(DomainError, match="^21 elements exceed the subset budget of 20$"):
+        subset_masks(MAX_GROUND + 1)
+    with pytest.raises(DomainError, match="^21 elements exceed the subset budget of 20$"):
+        Graph.empty(MAX_GROUND + 1).coranks
+
+
+def test_derived_graphs_pass_the_validating_constructor():
+    # the structural operations build their results without validation;
+    # every result must still be a graph the public constructor accepts
+    def validated(h):
+        assert Graph(h.n, h.rows) == h
+
+    for n in range(6):
+        for g in all_graphs(n):
+            for mask in range(1 << n):
+                validated(induced_subgraph(g, [v + 1 for v in range(n) if mask >> v & 1]))
+            for v in range(1, n + 1):
+                validated(delete_vertex(g, v))
+            for a, b in combinations(range(1, n + 1), 2):
+                validated(g.toggle_edge(a, b))
+                for x, y in ((a, b), (b, a)):
+                    for h in four_term_images(g, x, y):
+                        validated(h)
+                    if g.has_edge(x, y):
+                        validated(graph_pivot(g, x, y))
+
+
 def test_no_subset_loop_outside_the_enumerator():
-    # a 2^n loop written outside graphs.subsets would bypass its budget;
+    # a 2^n loop written outside graphs.subset_masks would bypass its budget;
     # all_graphs enumerates edge sets and the partial-dual suite its dual
     # masks, neither of which builds a member list
-    allowed = {("graphs", "subsets"), ("graphs", "all_graphs"), ("verify", "suite_partial_dual_invariance")}
+    allowed = {("graphs", "subset_masks"), ("graphs", "all_graphs"), ("verify", "suite_partial_dual_invariance")}
     found = set()
     for path in sorted(Path(wsys.__file__).parent.glob("*.py")):
         text = path.read_text()
@@ -308,5 +367,5 @@ def test_no_subset_loop_outside_the_enumerator():
             if re.search(r"\brange\((?:1, )?1 <<", line):
                 owners = [f for f in funcs if f.lineno <= lineno <= f.end_lineno]
                 found.add((path.stem, max(owners, key=lambda f: f.lineno).name if owners else None))
-    assert ("graphs", "subsets") in found
+    assert ("graphs", "subset_masks") in found
     assert found <= allowed, sorted(found - allowed)

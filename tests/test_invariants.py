@@ -230,16 +230,19 @@ def test_invariant_building_blocks():
 
 
 def test_subset_tables_computed_once(monkeypatch):
-    # the set system and both skew characteristic polynomials of one graph
-    # share its corank table: 2^n eliminations, not 3 * 2^n
+    # the set system and the four subset sums of one graph share one
+    # hypercube search: the system adopts the graph's corank table as its
+    # distances instead of searching again from its admissible sets
     import wsys.graphs
 
     calls = []
-    gf2_rank = wsys.graphs.gf2_rank
-    monkeypatch.setattr(wsys.graphs, "gf2_rank", lambda rows: calls.append(rows) or gf2_rank(rows))
+    search = wsys.graphs.hypercube_distances
+    monkeypatch.setattr(wsys.graphs, "hypercube_distances", lambda n, sources: calls.append(n) or search(n, sources))
     g = graph_parse("n=6; edges=1-2,1-4,1-6,2-3,3-4,4-5,5-6")
     d = dmat_from_graph(g)
     skew_char(g)
     refined_skew_char_graph(g)
-    assert len(calls) == 1 << g.n
-    assert d.distances is d.distances
+    interlace_dmat(d)
+    two_var_interlace(d)
+    assert calls == [g.n]
+    assert d.distances is g.coranks
