@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Union
+from typing import Iterable, Mapping, Union
 
 from . import graphs, perm
 from .errors import DomainError, InternalError, ParseError, bounded_uint, is_uint, shorten
@@ -74,6 +74,12 @@ class DMat:
         once, O(ground * 2^ground), computed once per system."""
         return graphs.hypercube_distances(self.ground, self.phi)
 
+    @cached_property
+    def distance_counts(self) -> Mapping[tuple[int, int], int]:
+        """:func:`~wsys.graphs.subset_counts` of the distances, computed
+        once per system."""
+        return graphs.subset_counts(self.distances)
+
 
 # -- construction ------------------------------------------------------------
 
@@ -81,9 +87,11 @@ class DMat:
 def dmat_from_graph(g: graphs.Graph) -> DMat:
     """Admissible = vertex subsets inducing a mod-2 nondegenerate subgraph.
     The system's distances are the graph's coranks (suite distance-corank),
-    so it adopts that table instead of searching the hypercube again."""
-    d = DMat(g.n, frozenset(mask for mask, c in enumerate(g.coranks) if c == 0))
+    so it adopts the graph's nondegenerate masks, corank table and its
+    histogram instead of computing them again."""
+    d = DMat(g.n, g.nondegenerate)
     vars(d)["distances"] = g.coranks
+    vars(d)["distance_counts"] = g.corank_counts
     return d
 
 

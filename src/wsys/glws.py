@@ -60,7 +60,7 @@ from typing import Callable, MutableMapping, NamedTuple
 
 from .algebra import Packed, PackedRing, Poly, RatFunc, casimir, packed_add, packed_mul
 from .errors import DomainError, InternalError
-from .graphs import subsets
+from .graphs import subset_counts, subsets
 from .invariants import refined_skew_char_graph, subset_poly
 from .perm import MAX_POINTS, Perm, cycle_count, face_count, intersection_graph, is_chord_diagram, subperm
 
@@ -363,7 +363,7 @@ def feps_direct(p: Perm) -> Poly:
     m, c_full = p.m, cycle_count(p)
     subs = (subperm(p, points) for _, points in subsets(range(1, m + 1)))
     stats = [c_full - cycle_count(sub) + face_count(sub) - 1 for sub in subs]
-    return subset_poly(stats, lambda s, c: (("N", c), ("eps", m - s)))
+    return subset_poly(subset_counts(stats), lambda s, c: (("N", c), ("eps", m - s)))
 
 
 def spec_standard(p: Perm, cap: int = DEFAULT_CAP) -> Poly:

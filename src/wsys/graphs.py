@@ -18,8 +18,9 @@ two whole-table passes instead of 2^n eliminations: the mod-2 Pfaffian of
 every subset, O(deg) per mask, finds the nondegenerate family, and one
 breadth-first search on the hypercube (:func:`hypercube_distances`,
 O(n * 2^n)) gives each subset's distance from it, which is its corank.
-:func:`gf2_rank` and :func:`induced_corank` stay as the independent
-per-subset route.
+The graph keeps the nondegenerate masks, the coranks and their
+(|U|, corank) histogram (:func:`subset_counts`).  :func:`gf2_rank` and
+:func:`induced_corank` stay as the independent per-subset route.
 
 Text format: ``"n=4; edges=1-2,1-3,2-3"`` (edges sorted, smaller endpoint
 first).
@@ -28,12 +29,15 @@ first).
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
-from typing import Iterable, Iterator, Sequence, TypeVar
+from itertools import combinations, repeat
+from operator import add, mul
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
 
-from .errors import DomainError, ParseError, bounded_uint, shorten
+from .errors import DomainError, InternalError, ParseError, bounded_uint, shorten
 
 #: Largest vertex, point or ground-set count a 2^n subset enumeration accepts.
 MAX_GROUND = 20
@@ -71,6 +75,19 @@ def subsets(items: Sequence[T]) -> Iterator[tuple[int, list[T]]]:
     MAX_GROUND items raise DomainError on the first next()."""
     for mask in subset_masks(len(items)):
         yield mask, [x for i, x in enumerate(items) if mask >> i & 1]
+
+
+def subset_counts(stats: Sequence[int]) -> Mapping[tuple[int, int], int]:
+    """Histogram {(|U|, stats[U]): count} over the subset masks U, in one
+    pass, as a read-only mapping.  Every size is below
+    w = len(stats).bit_length(), so the pair is counted as the integer
+    stat * w + size.  Every statistic must be nonnegative; a negative one
+    raises InternalError."""
+    w = len(stats).bit_length()
+    keys = Counter(map(add, map(mul, stats, repeat(w)), map(int.bit_count, range(len(stats)))))
+    if keys and min(keys) < 0:  # a key is negative iff its statistic is
+        raise InternalError(f"negative subset statistic {min(keys) // w}")
+    return MappingProxyType({(key % w, key // w): count for key, count in keys.items()})
 
 
 def hypercube_distances(n: int, sources: Iterable[int]) -> tuple[int, ...]:
@@ -197,11 +214,22 @@ class Graph:
         return Graph._raw(self.n, tuple(rows))
 
     @cached_property
+    def nondegenerate(self) -> frozenset[int]:
+        """Masks of the vertex subsets inducing a mod-2 nondegenerate
+        subgraph, from one Pfaffian pass, computed once per graph."""
+        return frozenset(_nondegenerate_masks(self.rows))
+
+    @cached_property
     def coranks(self) -> tuple[int, ...]:
         """Induced corank of every vertex subset, indexed by its bitmask:
         the subset's hypercube distance from the nondegenerate subsets,
         computed once per graph."""
-        return hypercube_distances(self.n, _nondegenerate_masks(self.rows))
+        return hypercube_distances(self.n, self.nondegenerate)
+
+    @cached_property
+    def corank_counts(self) -> Mapping[tuple[int, int], int]:
+        """:func:`subset_counts` of the coranks, computed once per graph."""
+        return subset_counts(self.coranks)
 
 
 # -- text form -------------------------------------------------------------
@@ -299,10 +327,29 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     return Graph._raw(len(vs), tuple(rows))
 
 
+def _delete_row(rows: Sequence[int], i: int) -> tuple[int, ...]:
+    """Rows without vertex i + 1: row i dropped, bit i dropped from the rest."""
+    low = (1 << i) - 1
+    return tuple([row & low | row >> 1 & ~low for row in rows[:i] + rows[i + 1 :]])
+
+
+def _pivot_rows(rows: list[int], i: int, j: int) -> None:
+    """Pivot the rows in place on the edge between vertices i + 1 and j + 1
+    (see :func:`graph_pivot`)."""
+    near_a = rows[i] & ~(1 << j)
+    near_b = rows[j] & ~(1 << i)
+    both, union = near_a & near_b, near_a | near_b
+    for cls in (both, near_a ^ both, near_b ^ both):
+        flip = union ^ cls
+        while cls:
+            low = cls & -cls
+            rows[low.bit_length() - 1] ^= flip
+            cls ^= low
+
+
 def delete_vertex(g: Graph, v: int) -> Graph:
     _check_vertices(g, (v,))
-    rows = [_drop_bit(row, v - 1) for u, row in enumerate(g.rows, 1) if u != v]
-    return Graph._raw(g.n - 1, tuple(rows))
+    return Graph._raw(g.n - 1, _delete_row(g.rows, v - 1))
 
 
 def graph_pivot(g: Graph, a: int, b: int) -> Graph:
@@ -316,13 +363,8 @@ def graph_pivot(g: Graph, a: int, b: int) -> Graph:
     """
     if not g.has_edge(a, b):
         raise DomainError(f"pivot requires edge {a}-{b}")
-    near_a = g.rows[a - 1] & ~(1 << (b - 1))
-    near_b = g.rows[b - 1] & ~(1 << (a - 1))
-    both, union = near_a & near_b, near_a | near_b
     rows = list(g.rows)
-    for cls in (both, near_a ^ both, near_b ^ both):
-        for v in _bits(cls):
-            rows[v] ^= union ^ cls
+    _pivot_rows(rows, a - 1, b - 1)
     return Graph._raw(g.n, tuple(rows))
 
 

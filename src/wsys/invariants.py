@@ -5,23 +5,30 @@ passed around first-class (the convolution product takes two of them).
 The delta-matroid versions take a :class:`~wsys.dmat.DMat` and use the
 distance function in place of the GF(2) corank; on systems coming from
 graphs the two agree subset by subset.
+
+Every subset sum reads the histogram of (|U|, statistic) pairs kept on
+its graph (``Graph.corank_counts``) or system (``DMat.distance_counts``),
+so a graph and the system ``dmat_from_graph`` makes of it share one.
+The vertex recursion of the interlace polynomial runs on adjacency rows
+and on packed integers (L at x = 2^21) and decodes to a Poly once per
+call.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, MutableMapping, Sequence
+from typing import Callable, Mapping, MutableMapping
 
 from .algebra import Monomial, Poly
 from .dmat import DMat, mask_to_set
-from .errors import DomainError
+from .errors import DomainError, InternalError
 from .graphs import (
     MAX_GROUND,
     Graph,
-    _bits,
-    delete_vertex,
+    _delete_row,
+    _pivot_rows,
     four_term_images,
-    graph_pivot,
+    graph_format,
     induced_corank,
     induced_subgraph,
     subsets,
@@ -30,16 +37,17 @@ from .graphs import (
 GraphInvariant = Callable[[Graph], Poly]
 
 
-def subset_poly(stats: Sequence[int], mono: Callable[[int, int], Monomial | None]) -> Poly:
-    """Sum over subset masks U of the monomial mono(|U|, stats[U]).
-
-    ``stats`` holds one statistic per mask (a corank or a distance).  The
-    monomial is a tuple of (variable, exponent) pairs in the fixed variable
-    order; factors with exponent 0 are dropped, and None leaves U out.
+def subset_poly(
+    counts: Mapping[tuple[int, int], int], mono: Callable[[int, int], Monomial | None]
+) -> Poly:
+    """Sum over subsets U of the monomial mono(|U|, stat(U)), read from the
+    histogram {(|U|, stat): count} of :func:`~wsys.graphs.subset_counts`
+    (the statistic is a corank or a distance).  The monomial is a tuple of
+    (variable, exponent) pairs in the fixed variable order; factors with
+    exponent 0 are dropped, and None leaves U out.
     """
-    pairs = Counter((mask.bit_count(), stat) for mask, stat in enumerate(stats))
     terms: Counter = Counter()
-    for (size, stat), count in pairs.items():
+    for (size, stat), count in counts.items():
         key = mono(size, stat)
         if key is not None:
             terms[tuple((var, e) for var, e in key if e)] += count
@@ -48,68 +56,94 @@ def subset_poly(stats: Sequence[int], mono: Callable[[int, int], Monomial | None
 
 def skew_char(g: Graph) -> Poly:
     """Q(u) = sum over mod-2 nondegenerate vertex subsets of u^(n - |U|)."""
-    return subset_poly(g.coranks, lambda s, c: None if c else (("u", g.n - s),))
+    return subset_poly(g.corank_counts, lambda s, c: None if c else (("u", g.n - s),))
 
 
 def refined_skew_char_graph(g: Graph) -> Poly:
     """Qbar(u, w) = sum over all vertex subsets of u^(n-|U|) w^(corank A_U)."""
-    return subset_poly(g.coranks, lambda s, c: (("u", g.n - s), ("w", c)))
+    return subset_poly(g.corank_counts, lambda s, c: (("u", g.n - s), ("w", c)))
 
 
 def refined_skew_char_dmat(d: DMat) -> Poly:
     """Qbar(u, w) with the distance to the admissible family as exponent."""
-    return subset_poly(d.distances, lambda s, c: (("u", d.ground - s), ("w", c)))
+    return subset_poly(d.distance_counts, lambda s, c: (("u", d.ground - s), ("w", c)))
 
 
 def interlace_dmat(d: DMat) -> Poly:
     """L(x) = sum over all subsets of x^(distance)."""
-    return subset_poly(d.distances, lambda s, c: (("x", c),))
+    return subset_poly(d.distance_counts, lambda s, c: (("x", c),))
 
 
 def two_var_interlace(d: DMat) -> Poly:
     """Lbar(x, y) = sum over all subsets of x^|U| y^(distance)."""
-    return subset_poly(d.distances, lambda s, c: (("x", s), ("y", c)))
+    return subset_poly(d.distance_counts, lambda s, c: (("x", s), ("y", c)))
 
 
 # -- recursive interlace -------------------------------------------------------
 
-_RECURSION_MEMO: dict[tuple[int, tuple[int, ...]], Poly] = {}
+# The recursion evaluates L at x = 2^_SLOT, one _SLOT-bit slot per
+# coefficient.  By induction on n, L of an n-vertex graph has nonnegative
+# coefficients summing to exactly 2^n: (x+1)^n does, and L(G - a) and
+# L(G^{ab} - b) each sum to 2^(n-1).  Under the budget n <= MAX_GROUND every
+# coefficient is at most 2^MAX_GROUND < 2^_SLOT, so no slot carries into
+# the next, and adding two polynomials is one int addition.
+_SLOT = MAX_GROUND + 1
+_X_PLUS_ONE = (1 << _SLOT) + 1
+
+#: Packed L of every graph the recursion has met, keyed by (n, rows).
+_RECURSION_MEMO: dict[tuple[int, tuple[int, ...]], int] = {}
 
 
 def first_edge(g: Graph) -> tuple[int, int] | None:
     for a, row in enumerate(g.rows, 1):
-        for j in _bits(row >> a):  # neighbors above a
-            return a, a + 1 + j
+        above = row >> a  # neighbors above a
+        if above:
+            return a, a + (above & -above).bit_length()
     return None
+
+
+def _interlace_packed(
+    n: int,
+    rows: tuple[int, ...],
+    memo: MutableMapping[tuple[int, tuple[int, ...]], int],
+    edge_policy: Callable[[Graph], tuple[int, int] | None],
+) -> int:
+    """Packed L of the graph with these rows, by the vertex recursion."""
+    key = (n, rows)
+    value = memo.get(key)
+    if value is None:
+        edge = edge_policy(Graph._raw(n, rows))
+        if edge is None:
+            value = _X_PLUS_ONE**n
+        else:
+            a, b = edge
+            if not (0 < a <= n and 0 < b <= n and rows[a - 1] >> (b - 1) & 1):
+                raise DomainError(f"pivot requires edge {a}-{b}")
+            pivoted = list(rows)
+            _pivot_rows(pivoted, a - 1, b - 1)
+            value = _interlace_packed(n - 1, _delete_row(rows, a - 1), memo, edge_policy)
+            value += _interlace_packed(n - 1, _delete_row(pivoted, b - 1), memo, edge_policy)
+        memo[key] = value
+    return value
 
 
 def interlace_graph_recursive(
     g: Graph,
-    memo: MutableMapping[tuple[int, tuple[int, ...]], Poly] | None = None,
+    memo: MutableMapping[tuple[int, tuple[int, ...]], int] | None = None,
     edge_policy: Callable[[Graph], tuple[int, int] | None] = first_edge,
 ) -> Poly:
     """L(x) by the vertex recursion L(G) = L(G - a) + L(G^{ab} - b), with
     (x+1)^n on edgeless graphs.  The result does not depend on which edge
-    the policy picks; the default takes the lexicographically first."""
+    the policy picks; the default takes the lexicographically first.  The
+    memo holds packed values (L at x = 2^(MAX_GROUND + 1))."""
     if g.n > MAX_GROUND:
         raise DomainError(f"{g.n} elements exceed the subset budget of {MAX_GROUND}")
-    table = _RECURSION_MEMO if memo is None else memo
-    key = (g.n, g.rows)
-    cached = table.get(key)
-    if cached is not None:
-        return cached
-    edge = edge_policy(g)
-    if edge is None:
-        result = (Poly.var("x") + Poly.one()) ** g.n
-    else:
-        a, b = edge
-        result = interlace_graph_recursive(
-            delete_vertex(g, a), table, edge_policy
-        ) + interlace_graph_recursive(
-            delete_vertex(graph_pivot(g, a, b), b), table, edge_policy
-        )
-    table[key] = result
-    return result
+    value = _interlace_packed(g.n, g.rows, _RECURSION_MEMO if memo is None else memo, edge_policy)
+    mask = (1 << _SLOT) - 1
+    coeffs = [value >> _SLOT * k & mask for k in range(g.n + 1)]
+    if value >> _SLOT * (g.n + 1) or sum(coeffs) != 1 << g.n:
+        raise InternalError(f"interlace coefficients of {graph_format(g)} do not sum to 2^{g.n}")
+    return Poly._raw({(("x", k),) if k else (): c for k, c in enumerate(coeffs) if c})
 
 
 def interlace_graph(g: Graph) -> Poly:

@@ -2,6 +2,7 @@
 
 import ast
 import re
+from collections import Counter
 from itertools import combinations
 from pathlib import Path
 from random import Random
@@ -10,7 +11,7 @@ import pytest
 
 import wsys
 from wsys.dmat import dmat_from_graph
-from wsys.errors import DomainError, ParseError
+from wsys.errors import DomainError, InternalError, ParseError
 from wsys.graphs import (
     MAX_GROUND,
     MAX_VERTICES,
@@ -32,10 +33,12 @@ from wsys.graphs import (
     induced_subgraph,
     is_nondegenerate,
     path_graph,
+    subset_counts,
     subset_masks,
     subsets,
 )
 from wsys.invariants import graph_4t_check, skew_char
+from wsys.perm import all_perms, cycle_count, face_count, subperm
 
 
 def test_construction_and_edges():
@@ -315,6 +318,34 @@ def test_subsets_in_mask_order_with_members_in_input_order():
             assert [mask for mask, _ in got] == list(range(1 << n)), items
             for mask, members in got:
                 assert members == [x for i, x in enumerate(items) if mask >> i & 1], (items, mask)
+
+
+def test_subset_counts_equals_the_naive_histogram():
+    def naive(stats):
+        return dict(Counter((mask.bit_count(), s) for mask, s in enumerate(stats)))
+
+    rng = Random(1414)
+    tables = [(0,), (5,)]  # tables of length 1
+    for n in range(15):
+        density = rng.choice((0.2, 0.4, 0.6, 0.8))
+        g = Graph.from_edges(n, [p for p in combinations(range(1, n + 1), 2) if rng.random() < density])
+        tables.append(g.coranks)
+    for m in range(6):  # the statistics feps_direct sums over
+        for p in all_perms(m):
+            subs = [subperm(p, points) for _, points in subsets(range(1, m + 1))]
+            tables.append([cycle_count(p) - cycle_count(sub) + face_count(sub) - 1 for sub in subs])
+    for stats in tables:
+        assert subset_counts(stats) == naive(stats), stats
+    assert subset_counts((5,)) == {(0, 5): 1}
+    # the histogram a graph keeps, and shares with its set system, is read-only
+    with pytest.raises(TypeError):
+        complete_graph(2).corank_counts[(0, 0)] = 2
+
+
+def test_subset_counts_refuses_a_negative_statistic():
+    # decoded blindly, the key -1 * 3 + 1 would still read as (1, -1); it is refused
+    with pytest.raises(InternalError, match="^negative subset statistic -1$"):
+        subset_counts((0, -1, 0, 0))
 
 
 def test_subsets_budget():

@@ -1,12 +1,18 @@
 """Skew-characteristic and interlace polynomials on graphs and delta-matroids."""
 
 import os
+import subprocess
+import sys
+from itertools import combinations
+from random import Random
 
 import pytest
 
+import wsys
+
 from wsys.algebra import Poly, poly_subst
 from wsys.dmat import dmat_from_graph, partial_dual
-from wsys.errors import DomainError
+from wsys.errors import DomainError, InternalError
 from wsys.graphs import (
     Graph,
     all_graphs,
@@ -86,6 +92,47 @@ def test_interlace_recursive_equals_subset_sum():
             assert interlace_graph_recursive(g) == interlace_dmat(dmat_from_graph(g))
 
 
+def test_interlace_recursion_past_the_exhaustive_range():
+    rng = Random(1618)
+    for n in range(13, 17):
+        for _ in range(2):
+            density = rng.choice((0.2, 0.4, 0.6, 0.8))
+            g = Graph.from_edges(n, [p for p in combinations(range(1, n + 1), 2) if rng.random() < density])
+            value = interlace_graph_recursive(g, memo={})
+            assert value == interlace_dmat(dmat_from_graph(g)), g
+            assert sum(value.terms.values()) == 1 << n
+
+
+def test_interlace_recursion_at_the_budget():
+    # the largest graph the budget admits; its coefficients sum to 2^20
+    assert interlace_graph_recursive(Graph.empty(20), memo={}) == (x + 1) ** 20
+    with pytest.raises(DomainError, match="^21 elements exceed the subset budget of 20$"):
+        interlace_graph_recursive(Graph.empty(21), memo={})
+
+
+def test_interlace_recursion_slot_check_survives_optimize_flag():
+    # a memo entry whose slot 0 overflowed into slot 1 reads as x, whose
+    # coefficients do not sum to 2^2; under python -O an assert would miss it
+    code = (
+        "import sys\n"
+        "from wsys.graphs import complete_graph\n"
+        "from wsys.errors import InternalError\n"
+        "from wsys.invariants import interlace_graph_recursive\n"
+        "memo = {(2, (2, 1)): 1 << 21}\n"
+        "try:\n"
+        "    interlace_graph_recursive(complete_graph(2), memo=memo)\n"
+        "except InternalError:\n"
+        "    print('InternalError', sys.flags.optimize)\n"
+    )
+    src = os.path.dirname(os.path.dirname(wsys.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["InternalError", "1"]
+
+
 def test_interlace_recursion_edge_policy_independent():
     import random
 
@@ -99,6 +146,11 @@ def test_interlace_recursion_edge_policy_independent():
         for g in all_graphs(n):
             a = interlace_graph_recursive(g, memo={}, edge_policy=random_edge)
             assert a == interlace_graph(g)
+
+
+def test_interlace_recursion_refuses_a_policy_edge_that_is_absent():
+    with pytest.raises(DomainError, match="^pivot requires edge 1-3$"):
+        interlace_graph_recursive(path_graph(3), memo={}, edge_policy=lambda g: (1, 3))
 
 
 def test_first_edge_policy():
@@ -232,12 +284,16 @@ def test_invariant_building_blocks():
 def test_subset_tables_computed_once(monkeypatch):
     # the set system and the four subset sums of one graph share one
     # hypercube search: the system adopts the graph's corank table as its
-    # distances instead of searching again from its admissible sets
+    # distances instead of searching again from its admissible sets; and
+    # one histogram of that table, built once for the graph and handed to
+    # the system by dmat_from_graph
     import wsys.graphs
 
-    calls = []
+    calls, counted = [], []
     search = wsys.graphs.hypercube_distances
+    count = wsys.graphs.subset_counts
     monkeypatch.setattr(wsys.graphs, "hypercube_distances", lambda n, sources: calls.append(n) or search(n, sources))
+    monkeypatch.setattr(wsys.graphs, "subset_counts", lambda stats: counted.append(len(stats)) or count(stats))
     g = graph_parse("n=6; edges=1-2,1-4,1-6,2-3,3-4,4-5,5-6")
     d = dmat_from_graph(g)
     skew_char(g)
@@ -246,3 +302,5 @@ def test_subset_tables_computed_once(monkeypatch):
     two_var_interlace(d)
     assert calls == [g.n]
     assert d.distances is g.coranks
+    assert counted == [1 << g.n]
+    assert d.distance_counts is g.corank_counts
