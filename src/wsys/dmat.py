@@ -7,6 +7,12 @@ nondegenerate subgraph) satisfy the Symmetric Exchange Axiom and are the
 delta-matroids this package works with; :func:`check_symmetric_exchange`
 verifies the axiom by brute force for anything else.
 
+The distance of every subset is read off a
+:class:`~wsys.graphs.SubsetTable` built from phi; a system made by
+:func:`dmat_from_graph` shares the graph's table and skips the public
+constructor's per-mask validation, since a valid graph's table can only
+hold masks inside its ground set.
+
 Text format: ``"E=3; phi={},{1,2},{1,3},{2,3}"`` (subsets sorted by size,
 then lexicographically; members ascending).
 """
@@ -67,18 +73,32 @@ class DMat:
     def admissible_sorted(self) -> list[int]:
         return sorted(self.phi, key=lambda m: (m.bit_count(), mask_to_set(m)))
 
-    @cached_property
-    def distances(self) -> tuple[int, ...]:
-        """:func:`distance` of every subset, indexed by its bitmask: a
-        breadth-first search on the hypercube from all admissible sets at
-        once, O(ground * 2^ground), computed once per system."""
-        return graphs.hypercube_distances(self.ground, self.phi)
+    @classmethod
+    def _raw(cls, table: graphs.SubsetTable) -> "DMat":
+        """Adopt a subset table built within the budget, such as a valid
+        graph's: its n as the ground size, its level-0 masks as phi.  Skips
+        the validation of the public constructor."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "ground", table.n)
+        object.__setattr__(d, "phi", table.phi)
+        object.__setattr__(d, "subset_table", table)
+        return d
 
     @cached_property
+    def subset_table(self) -> graphs.SubsetTable:
+        """:func:`distance` of every subset as level bitsets: the
+        hypercube distance from phi, built once per system."""
+        return graphs.SubsetTable.of_masks(self.ground, self.phi)
+
+    @property
+    def distances(self) -> tuple[int, ...]:
+        """:func:`distance` of every subset, indexed by its bitmask."""
+        return self.subset_table.distances
+
+    @property
     def distance_counts(self) -> Mapping[tuple[int, int], int]:
-        """:func:`~wsys.graphs.subset_counts` of the distances, computed
-        once per system."""
-        return graphs.subset_counts(self.distances)
+        """Histogram {(|U|, distance): count} of the subsets."""
+        return self.subset_table.counts
 
 
 # -- construction ------------------------------------------------------------
@@ -87,12 +107,8 @@ class DMat:
 def dmat_from_graph(g: graphs.Graph) -> DMat:
     """Admissible = vertex subsets inducing a mod-2 nondegenerate subgraph.
     The system's distances are the graph's coranks (suite distance-corank),
-    so it adopts the graph's nondegenerate masks, corank table and its
-    histogram instead of computing them again."""
-    d = DMat(g.n, g.nondegenerate)
-    vars(d)["distances"] = g.coranks
-    vars(d)["distance_counts"] = g.corank_counts
-    return d
+    so the system shares the graph's subset table."""
+    return DMat._raw(g.subset_table)
 
 
 def dmat_from_chord_diagram(b: perm.Perm) -> DMat:

@@ -13,14 +13,18 @@ Every loop over the 2^n subsets of vertices, points, chords or ground
 elements runs on :func:`subset_masks`, which refuses more than
 ``MAX_GROUND`` elements; :func:`subsets` adds the member lists.
 
-The induced corank of every vertex subset (``Graph.coranks``) comes from
-two whole-table passes instead of 2^n eliminations: the mod-2 Pfaffian of
-every subset, O(deg) per mask, finds the nondegenerate family, and one
-breadth-first search on the hypercube (:func:`hypercube_distances`,
-O(n * 2^n)) gives each subset's distance from it, which is its corank.
-The graph keeps the nondegenerate masks, the coranks and their
-(|U|, corank) histogram (:func:`subset_counts`).  :func:`gf2_rank` and
-:func:`induced_corank` stay as the independent per-subset route.
+The induced corank of every vertex subset comes from a :class:`SubsetTable`
+that keeps each corank level as one 2^n-bit ``int``, bit U standing for the
+subset with mask U, so every pass is a few C-level big-integer operations
+instead of a Python loop over masks: the mod-2 Pfaffian of every subset,
+one shift per edge, finds the nondegenerate family; level k + 1 is every
+one-element flip of level k not seen before, O(n) operations per level;
+and the (|U|, corank) histogram counts each level against the bitset of
+each subset size.  The graph keeps one table (``Graph.subset_table``) and
+reads ``nondegenerate``, ``coranks`` and ``corank_counts`` off it; the
+per-n bitsets live in the explicit cache :data:`SUBSET_BITSETS`.
+:func:`gf2_rank` and :func:`induced_corank` stay as the independent
+per-subset route.
 
 Text format: ``"n=4; edges=1-2,1-3,2-3"`` (edges sorted, smaller endpoint
 first).
@@ -32,7 +36,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, repeat
+from itertools import combinations, compress, repeat
 from operator import add, mul
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
@@ -90,56 +94,156 @@ def subset_counts(stats: Sequence[int]) -> Mapping[tuple[int, int], int]:
     return MappingProxyType({(key % w, key // w): count for key, count in keys.items()})
 
 
-def hypercube_distances(n: int, sources: Iterable[int]) -> tuple[int, ...]:
-    """Hamming distance of every n-bit mask from the nearest source mask,
-    indexed by mask (all -1 without sources): one breadth-first search on
-    the hypercube from all sources at once, O(n * 2^n)."""
-    dist = [-1] * len(subset_masks(n))
-    frontier = list(sources)
-    for mask in frontier:
-        dist[mask] = 0
-    bits = [1 << i for i in range(n)]
-    level = 0
-    while frontier:
-        level += 1
-        reached = []
-        for mask in frontier:
-            for bit in bits:
-                near = mask ^ bit
-                if dist[near] < 0:
-                    dist[near] = level
-                    reached.append(near)
-        frontier = reached
-    return tuple(dist)
+class SubsetBitsets:
+    """Per-n bitsets over the 2^n subset masks, bit U standing for the mask
+    U: ``holding[i]`` is the set of masks holding element i and ``sized[s]``
+    the set of masks of size s.  An explicit cache: each n is built once,
+    through :func:`subset_masks` and its budget, and kept until clear()."""
+
+    def __init__(self) -> None:
+        self._by_n: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+
+    def __call__(self, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        found = self._by_n.get(n)
+        if found is None:
+            width = len(subset_masks(n))
+            holding = []
+            for i in range(n):
+                step = 1 << i
+                pattern, span = ((1 << step) - 1) << step, 2 * step
+                while span < width:  # repeat the block of 2^i out, 2^i in
+                    pattern |= pattern << span
+                    span *= 2
+                holding.append(pattern)
+            sized = [1]
+            for i in range(n):  # element i joins: a mask of size s - 1 gains it
+                sized = [low | high << (1 << i) for low, high in zip(sized + [0], [0] + sized)]
+            found = self._by_n[n] = (tuple(holding), tuple(sized))
+        return found
+
+    def clear(self) -> None:
+        self._by_n.clear()
 
 
-def _nondegenerate_masks(rows: Sequence[int]) -> list[int]:
-    """Masks U whose induced adjacency matrix is invertible over GF(2).
+#: The holding and size bitsets of every n a subset table has used.
+SUBSET_BITSETS = SubsetBitsets()
+
+
+def _pfaffian_bits(rows: Sequence[int]) -> int:
+    """Bitset of the masks U whose induced adjacency matrix is invertible
+    over GF(2).
 
     For a zero-diagonal symmetric matrix det = Pf (mod 2), so U qualifies
     iff G[U] has an odd number of perfect matchings.  Expanding along the
     lowest vertex v of U, pf(U) = XOR of pf(U - v - w) over the neighbours
-    w of v in U, with pf(empty) = 1; odd subsets have none.
+    w of v in U, with pf(empty) = 1.  Going down from the top vertex, the
+    masks above v that hold w and whose pf(U - v - w) is 1 are one shift of
+    the values found so far, so the pass costs one shift per edge.
     """
-    masks = subset_masks(len(rows))
-    pf = bytearray(len(masks))
-    pf[0] = 1
-    found = [0]
-    for mask in masks[1:]:
-        if mask.bit_count() & 1:
-            continue
-        low = mask & -mask
-        rest = mask ^ low
-        near = rows[low.bit_length() - 1] & rest
+    holding, _ = SUBSET_BITSETS(len(rows))
+    found = 1  # the empty set; all masks found so far lie above v
+    for v in reversed(range(len(rows))):
         odd = 0
-        while near:
-            w = near & -near
-            odd ^= pf[rest ^ w]
-            near ^= w
-        if odd:
-            pf[mask] = 1
-            found.append(mask)
+        for w in _bits(rows[v] >> v + 1 << v + 1):
+            odd ^= (found ^ found & holding[w]) << (1 << w)
+        found |= odd << (1 << v)
     return found
+
+
+def _corank_levels(n: int, sources: int) -> tuple[int, ...]:
+    """Bitsets of the masks at hypercube distance 0, 1, 2, ... from the
+    source bitset, until every mask is reached.  A level's i-flip moves the
+    masks holding i down by 2^i and the others up by 2^i."""
+    holding, _ = SUBSET_BITSETS(n)
+    flips = [(held, 1 << i) for i, held in enumerate(holding)]
+    levels, seen = [sources], sources
+    while True:
+        level, near = levels[-1], 0
+        for held, step in flips:
+            down = level & held
+            near |= down >> step | (level ^ down) << step
+        near &= ~seen
+        if not near:
+            return tuple(levels)
+        levels.append(near)
+        seen |= near
+
+
+class SubsetTable:
+    """A statistic of every subset of n elements -- the induced corank of a
+    graph's vertex subsets, a set system's distance -- kept as level
+    bitsets: bit U of ``levels[k]`` is set iff the statistic of U is k.
+    Level 0 is the source family (``phi``); the statistic is the hypercube
+    distance from it.  ``phi``, the tuple ``distances`` and the histogram
+    ``counts`` are read off the levels when first asked for."""
+
+    def __init__(self, n: int, levels: tuple[int, ...]) -> None:
+        self.n = n
+        self.levels = levels
+
+    @classmethod
+    def of_graph(cls, rows: Sequence[int]) -> "SubsetTable":
+        """Induced coranks of a graph's vertex subsets, from one Pfaffian
+        pass and one level pass."""
+        return cls(len(rows), _corank_levels(len(rows), _pfaffian_bits(rows)))
+
+    @classmethod
+    def of_masks(cls, n: int, masks: Iterable[int]) -> "SubsetTable":
+        """Distances of the subsets of n elements from the given masks."""
+        flags = bytearray(len(subset_masks(n)))
+        for mask in masks:
+            flags[mask] = 1
+        return cls(n, _corank_levels(n, int(flags[::-1].translate(_DIGITS), 2)))
+
+    def _digits(self, level: int, k: int) -> bytes:
+        """One byte per mask, highest mask first: k for the masks in the
+        level, 0 for the others."""
+        return format(level, f"0{len(subset_masks(self.n))}b").encode().translate(_LEVEL_BYTES[k])
+
+    @cached_property
+    def phi(self) -> frozenset[int]:
+        """The masks of level 0."""
+        return frozenset(compress(subset_masks(self.n), self._digits(self.levels[0], 1)[::-1]))
+
+    @cached_property
+    def distances(self) -> tuple[int, ...]:
+        """The statistic of every subset, indexed by its mask."""
+        total = 0
+        for k, level in enumerate(self.levels[1:], 1):
+            # read little-endian, the digits put k at byte 2^n - 1 - U for
+            # each mask U of the level; the levels are disjoint and k <= 20,
+            # so the sum carries nowhere, and its big-endian bytes are the
+            # statistics in mask order
+            total += int.from_bytes(self._digits(level, k), "little")
+        return tuple(total.to_bytes(len(subset_masks(self.n)), "big"))
+
+    @cached_property
+    def counts(self) -> Mapping[tuple[int, int], int]:
+        """Histogram {(|U|, statistic): count} as a read-only mapping, as
+        :func:`subset_counts` gives it.  Levels that do not account for
+        exactly 2^n masks raise InternalError."""
+        _, sized = SUBSET_BITSETS(self.n)
+        counts = {}
+        for k, level in enumerate(self.levels):
+            for s, size_set in enumerate(sized):
+                count = (level & size_set).bit_count()
+                if count:
+                    counts[s, k] = count
+        if sum(counts.values()) != len(subset_masks(self.n)):
+            raise InternalError(f"subset levels of {self.n} elements do not hold 2^{self.n} masks")
+        return MappingProxyType(counts)
+
+
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_LEVEL_BYTES = [bytes.maketrans(b"01", bytes((0, k))) for k in range(MAX_GROUND + 1)]
+
+
+def hypercube_distances(n: int, sources: Iterable[int]) -> tuple[int, ...]:
+    """Hamming distance of every n-bit mask from the nearest source mask,
+    indexed by mask (all -1 without sources), read off the levels of
+    :class:`SubsetTable`."""
+    table = SubsetTable.of_masks(n, sources)
+    return table.distances if table.levels[0] else (-1,) * len(subset_masks(n))
 
 
 def _check_vertices(g: Graph, vertices: Iterable[int]) -> None:
@@ -214,22 +318,26 @@ class Graph:
         return Graph._raw(self.n, tuple(rows))
 
     @cached_property
+    def subset_table(self) -> SubsetTable:
+        """Induced corank of every vertex subset as level bitsets, built
+        once per graph and shared with the set system of
+        :func:`~wsys.dmat.dmat_from_graph`."""
+        return SubsetTable.of_graph(self.rows)
+
+    @property
     def nondegenerate(self) -> frozenset[int]:
-        """Masks of the vertex subsets inducing a mod-2 nondegenerate
-        subgraph, from one Pfaffian pass, computed once per graph."""
-        return frozenset(_nondegenerate_masks(self.rows))
+        """Masks of the vertex subsets inducing a mod-2 nondegenerate subgraph."""
+        return self.subset_table.phi
 
-    @cached_property
+    @property
     def coranks(self) -> tuple[int, ...]:
-        """Induced corank of every vertex subset, indexed by its bitmask:
-        the subset's hypercube distance from the nondegenerate subsets,
-        computed once per graph."""
-        return hypercube_distances(self.n, self.nondegenerate)
+        """Induced corank of every vertex subset, indexed by its bitmask."""
+        return self.subset_table.distances
 
-    @cached_property
+    @property
     def corank_counts(self) -> Mapping[tuple[int, int], int]:
-        """:func:`subset_counts` of the coranks, computed once per graph."""
-        return subset_counts(self.coranks)
+        """Histogram {(|U|, corank): count} of the vertex subsets."""
+        return self.subset_table.counts
 
 
 # -- text form -------------------------------------------------------------

@@ -6,9 +6,11 @@ The delta-matroid versions take a :class:`~wsys.dmat.DMat` and use the
 distance function in place of the GF(2) corank; on systems coming from
 graphs the two agree subset by subset.
 
-Every subset sum reads the histogram of (|U|, statistic) pairs kept on
-its graph (``Graph.corank_counts``) or system (``DMat.distance_counts``),
-so a graph and the system ``dmat_from_graph`` makes of it share one.
+Every subset sum reads the histogram of (|U|, statistic) pairs of the
+subset table kept on its graph (``Graph.corank_counts``) or system
+(``DMat.distance_counts``), so a graph and the system ``dmat_from_graph``
+makes of it share one table and one histogram; no sum decodes the 2^n
+statistics one by one.
 The vertex recursion of the interlace polynomial runs on adjacency rows
 and on packed integers (L at x = 2^21) and decodes to a Poly once per
 call.
@@ -41,10 +43,11 @@ def subset_poly(
     counts: Mapping[tuple[int, int], int], mono: Callable[[int, int], Monomial | None]
 ) -> Poly:
     """Sum over subsets U of the monomial mono(|U|, stat(U)), read from the
-    histogram {(|U|, stat): count} of :func:`~wsys.graphs.subset_counts`
-    (the statistic is a corank or a distance).  The monomial is a tuple of
-    (variable, exponent) pairs in the fixed variable order; factors with
-    exponent 0 are dropped, and None leaves U out.
+    histogram {(|U|, stat): count} of a subset table or of
+    :func:`~wsys.graphs.subset_counts` (the statistic is a corank or a
+    distance).  The monomial is a tuple of (variable, exponent) pairs in
+    the fixed variable order; factors with exponent 0 are dropped, and
+    None leaves U out.
     """
     terms: Counter = Counter()
     for (size, stat), count in counts.items():

@@ -1,5 +1,6 @@
 """Delta-matroids: admissible sets, exchange axiom, distance, partial duality."""
 
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -162,3 +163,34 @@ def test_parse_format_round_trip():
     for bad in ["", "E=2; phi=", "E=x; phi={}", "E=1; phi={2}", "phi={}"]:
         with pytest.raises(ParseError):
             dmat_parse(bad)
+
+
+def test_graph_systems_pass_the_validating_constructor():
+    # dmat_from_graph adopts the graph's table without validation; every
+    # result must still be a system the public constructor accepts
+    rng = Random(1212)
+    graphs = [g for n in range(6) for g in all_graphs(n)]
+    for n in range(6, 13):
+        for density in (0.2, 0.5, 0.8):
+            graphs.append(Graph.from_edges(n, [p for p in combinations(range(1, n + 1), 2) if rng.random() < density]))
+    for g in graphs:
+        d = dmat_from_graph(g)
+        checked = DMat(d.ground, d.phi)
+        assert checked == d and checked.phi == d.phi == g.nondegenerate, g
+        assert checked.distances == d.distances, g
+
+
+def test_distances_past_the_exhaustive_range():
+    # a parsed system and a seeded partial dual of a graph system, checked
+    # against the definition on sampled masks
+    rng = Random(1518)
+    for ground in range(15, 21):
+        phi = frozenset(rng.randrange(1 << ground) for _ in range(rng.randint(1, 40)))
+        parsed = dmat_parse(dmat_format(DMat(ground, phi)))
+        g = Graph.from_edges(ground - 4, [p for p in combinations(range(1, ground - 3), 2) if rng.random() < 0.5])
+        dual = partial_dual(dmat_from_graph(g), rng.randrange(1 << g.n))
+        for d in (parsed, dual):
+            assert sum(d.distance_counts.values()) == len(d.distances) == 1 << d.ground
+            masks = [rng.randrange(1 << d.ground) for _ in range(25)]
+            for mask in masks + rng.sample(sorted(d.phi), min(5, len(d.phi))):
+                assert d.distances[mask] == distance(d, mask), (dmat_format(d)[:80], mask)

@@ -1,7 +1,11 @@
 """Simple graphs over GF(2): adjacency coranks, pivots, four-term images."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 from pathlib import Path
@@ -15,7 +19,9 @@ from wsys.errors import DomainError, InternalError, ParseError
 from wsys.graphs import (
     MAX_GROUND,
     MAX_VERTICES,
+    SUBSET_BITSETS,
     Graph,
+    SubsetTable,
     _bits,
     adjacency_matrix,
     all_graphs,
@@ -29,6 +35,7 @@ from wsys.graphs import (
     graph_format,
     graph_parse,
     graph_pivot,
+    hypercube_distances,
     induced_corank,
     induced_subgraph,
     is_nondegenerate,
@@ -144,6 +151,81 @@ def test_coranks_past_the_exhaustive_range():
                 assert abs(coranks[mask] - coranks[mask ^ 1 << v]) == 1, (g, mask, v)
         nondegenerate = {mask for mask in full if induced_corank(g, [v + 1 for v in _bits(mask)]) == 0}
         assert dmat_from_graph(g).phi == nondegenerate, g
+
+
+def test_subset_tables_up_to_the_budget():
+    # one seeded graph per vertex count 15..20 and density: phi and sampled
+    # coranks against the per-subset elimination, the histogram against
+    # 2^n and the parity of an alternating matrix's corank
+    rng = Random(1620)
+    for n in range(15, MAX_GROUND + 1):
+        for density in (0.2, 0.5, 0.8):
+            g = Graph.from_edges(n, [p for p in combinations(range(1, n + 1), 2) if rng.random() < density])
+            phi, coranks, counts = g.nondegenerate, g.coranks, g.corank_counts
+            assert len(coranks) == sum(counts.values()) == 1 << n, g
+            assert all(size % 2 == corank % 2 for size, corank in counts), g
+            assert len(phi) == sum(c for (_, corank), c in counts.items() if corank == 0), g
+            masks = [rng.randrange(1 << n) for _ in range(40)] + rng.sample(sorted(phi), min(10, len(phi)))
+            for mask in masks:
+                corank = induced_corank(g, [v + 1 for v in _bits(mask)])
+                assert coranks[mask] == corank, (g, mask)
+                assert (mask in phi) == (corank == 0), (g, mask)
+
+
+def test_hypercube_distances_from_the_levels():
+    assert hypercube_distances(3, []) == (-1,) * 8
+    assert hypercube_distances(0, [0]) == (0,)
+    assert hypercube_distances(3, [0b011]) == (2, 1, 1, 0, 3, 2, 2, 1)
+    rng = Random(88)
+    for n in range(1, 9):
+        sources = {rng.randrange(1 << n) for _ in range(rng.randint(1, 5))}
+        expected = tuple(min((mask ^ f).bit_count() for f in sources) for mask in range(1 << n))
+        assert hypercube_distances(n, sources) == expected, (n, sources)
+
+
+def test_subset_tables_refuse_past_the_budget_before_building():
+    # refused by subset_masks before any 2^21-bit set exists
+    big = Graph.empty(MAX_GROUND + 1)
+    tracemalloc.start()
+    try:
+        for call in (lambda: big.coranks, lambda: big.corank_counts, lambda: dmat_from_graph(big)):
+            with pytest.raises(DomainError, match="^21 elements exceed the subset budget of 20$"):
+                call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (1 << MAX_GROUND + 1) // 8 // 4, peak
+
+
+def test_subset_bitsets_cache_clears_and_refills():
+    SUBSET_BITSETS.clear()
+    assert SUBSET_BITSETS(3) == ((0b10101010, 0b11001100, 0b11110000), (0b1, 0b00010110, 0b01101000, 0b10000000))
+    g = path_graph(4)
+    before = g.coranks
+    SUBSET_BITSETS.clear()
+    assert Graph(g.n, g.rows).coranks == before
+
+
+def test_subset_level_check_survives_optimize_flag():
+    # a table whose levels miss a mask would count 3 of the 4 subsets;
+    # under python -O an assert would miss it
+    code = (
+        "import sys\n"
+        "from wsys.errors import InternalError\n"
+        "from wsys.graphs import SubsetTable\n"
+        "try:\n"
+        "    SubsetTable(2, (0b0001, 0b1010)).counts\n"
+        "except InternalError:\n"
+        "    print('InternalError', sys.flags.optimize)\n"
+    )
+    src = os.path.dirname(os.path.dirname(wsys.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["InternalError", "1"]
+    assert SubsetTable(2, (0b0001, 0b0110, 0b1000)).counts == {(0, 0): 1, (1, 1): 2, (2, 2): 1}
 
 
 def test_nondegeneracy():

@@ -282,25 +282,25 @@ def test_invariant_building_blocks():
 
 
 def test_subset_tables_computed_once(monkeypatch):
-    # the set system and the four subset sums of one graph share one
-    # hypercube search: the system adopts the graph's corank table as its
-    # distances instead of searching again from its admissible sets; and
-    # one histogram of that table, built once for the graph and handed to
-    # the system by dmat_from_graph
+    # the set system and the four subset sums of one graph share one subset
+    # table: one Pfaffian pass and one level pass, built for the graph and
+    # handed to the system by dmat_from_graph, whose one histogram all four
+    # sums read; none of them decodes the 2^n coranks tuple
     import wsys.graphs
 
-    calls, counted = [], []
-    search = wsys.graphs.hypercube_distances
-    count = wsys.graphs.subset_counts
-    monkeypatch.setattr(wsys.graphs, "hypercube_distances", lambda n, sources: calls.append(n) or search(n, sources))
-    monkeypatch.setattr(wsys.graphs, "subset_counts", lambda stats: counted.append(len(stats)) or count(stats))
+    passes, levels = [], []
+    pfaffian, corank_levels = wsys.graphs._pfaffian_bits, wsys.graphs._corank_levels
+    monkeypatch.setattr(wsys.graphs, "_pfaffian_bits", lambda rows: passes.append(len(rows)) or pfaffian(rows))
+    monkeypatch.setattr(
+        wsys.graphs, "_corank_levels", lambda n, sources: levels.append(n) or corank_levels(n, sources)
+    )
     g = graph_parse("n=6; edges=1-2,1-4,1-6,2-3,3-4,4-5,5-6")
     d = dmat_from_graph(g)
     skew_char(g)
     refined_skew_char_graph(g)
     interlace_dmat(d)
     two_var_interlace(d)
-    assert calls == [g.n]
-    assert d.distances is g.coranks
-    assert counted == [1 << g.n]
+    assert passes == levels == [g.n]
+    assert d.subset_table is g.subset_table
     assert d.distance_counts is g.corank_counts
+    assert "distances" not in vars(g.subset_table)
