@@ -8,10 +8,8 @@ delta-matroids this package works with; :func:`check_symmetric_exchange`
 verifies the axiom by brute force for anything else.
 
 The distance of every subset is read off a
-:class:`~wsys.graphs.SubsetTable` built from phi; a system made by
-:func:`dmat_from_graph` shares the graph's table and skips the public
-constructor's per-mask validation, since a valid graph's table can only
-hold masks inside its ground set.
+:class:`~wsys.graphs.SubsetTable` built from phi, or shared with the graph
+a system comes from (:func:`dmat_from_graph`).
 
 Text format: ``"E=3; phi={},{1,2},{1,3},{2,3}"`` (subsets sorted by size,
 then lexicographically; members ascending).

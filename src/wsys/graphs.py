@@ -182,12 +182,6 @@ class SubsetTable:
         self.levels = levels
 
     @classmethod
-    def of_graph(cls, rows: Sequence[int]) -> "SubsetTable":
-        """Induced coranks of a graph's vertex subsets, from one Pfaffian
-        pass and one level pass."""
-        return cls(len(rows), _corank_levels(len(rows), _pfaffian_bits(rows)))
-
-    @classmethod
     def of_masks(cls, n: int, masks: Iterable[int]) -> "SubsetTable":
         """Distances of the subsets of n elements from the given masks."""
         flags = bytearray(len(subset_masks(n)))
@@ -319,10 +313,10 @@ class Graph:
 
     @cached_property
     def subset_table(self) -> SubsetTable:
-        """Induced corank of every vertex subset as level bitsets, built
-        once per graph and shared with the set system of
+        """Induced corank of every vertex subset as level bitsets, from one
+        Pfaffian pass and one level pass, shared with the set system of
         :func:`~wsys.dmat.dmat_from_graph`."""
-        return SubsetTable.of_graph(self.rows)
+        return SubsetTable(self.n, _corank_levels(self.n, _pfaffian_bits(self.rows)))
 
     @property
     def nondegenerate(self) -> frozenset[int]:
