@@ -33,6 +33,7 @@ first).
 from __future__ import annotations
 
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -123,6 +124,16 @@ class SubsetBitsets:
 
     def clear(self) -> None:
         self._by_n.clear()
+
+    def stats(self) -> dict[str, object]:
+        """The values of n held, the number of bitsets and their bytes by
+        sys.getsizeof."""
+        bitsets = [b for holding, sized in self._by_n.values() for b in holding + sized]
+        return {
+            "n": sorted(self._by_n),
+            "bitsets": len(bitsets),
+            "bytes": sum(map(sys.getsizeof, bitsets)),
+        }
 
 
 #: The holding and size bitsets of every n a subset table has used.

@@ -11,14 +11,19 @@ subset table kept on its graph (``Graph.corank_counts``) or system
 (``DMat.distance_counts``), so a graph and the system ``dmat_from_graph``
 makes of it share one table and one histogram; no sum decodes the 2^n
 statistics one by one.
+A sum adds each monomial's count into a plain dict and adopts it with
+``Poly._raw``: histogram counts are positive ints and the monomials come
+in the fixed variable order, so nothing is left to validate.
 The vertex recursion of the interlace polynomial runs on adjacency rows
 and on packed integers (L at x = 2^21) and decodes to a Poly once per
-call.
+call.  Its default edge rule reads the row tuple directly; a policy the
+caller passes gets a Graph per node and has its edge checked.  Packed
+values are kept in the explicit cache :data:`RECURSION_MEMO`.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from operator import itemgetter
 from typing import Callable, Mapping, MutableMapping
 
 from .algebra import Monomial, Poly
@@ -47,14 +52,17 @@ def subset_poly(
     :func:`~wsys.graphs.subset_counts` (the statistic is a corank or a
     distance).  The monomial is a tuple of (variable, exponent) pairs in
     the fixed variable order; factors with exponent 0 are dropped, and
-    None leaves U out.
+    None leaves U out.  The result is adopted without validation, which
+    holds because every count of a histogram is a positive int.
     """
-    terms: Counter = Counter()
+    terms: dict[Monomial, int] = {}
+    nonzero = itemgetter(1)
     for (size, stat), count in counts.items():
         key = mono(size, stat)
         if key is not None:
-            terms[tuple((var, e) for var, e in key if e)] += count
-    return Poly(terms)
+            key = tuple(filter(nonzero, key))
+            terms[key] = terms.get(key, 0) + count
+    return Poly._raw(terms)
 
 
 def skew_char(g: Graph) -> Poly:
@@ -93,11 +101,30 @@ def two_var_interlace(d: DMat) -> Poly:
 _SLOT = MAX_GROUND + 1
 _X_PLUS_ONE = (1 << _SLOT) + 1
 
-#: Packed L of every graph the recursion has met, keyed by (n, rows).
-_RECURSION_MEMO: dict[tuple[int, tuple[int, ...]], int] = {}
+RecursionKey = tuple[int, tuple[int, ...]]
+
+
+class RecursionMemo:
+    """Packed L of every graph the vertex recursion has met, keyed by
+    (n, rows): one int per graph.  An explicit cache, kept until clear()."""
+
+    def __init__(self) -> None:
+        self._values: dict[RecursionKey, int] = {}
+
+    def clear(self) -> None:
+        self._values.clear()
+
+    def stats(self) -> dict[str, int]:
+        return {"entries": len(self._values)}
+
+
+#: The memo of interlace_graph_recursive when the caller passes none.
+RECURSION_MEMO = RecursionMemo()
 
 
 def first_edge(g: Graph) -> tuple[int, int] | None:
+    """The lexicographically first edge: the lowest vertex that has a
+    neighbour, and its lowest neighbour."""
     for a, row in enumerate(g.rows, 1):
         above = row >> a  # neighbors above a
         if above:
@@ -108,40 +135,54 @@ def first_edge(g: Graph) -> tuple[int, int] | None:
 def _interlace_packed(
     n: int,
     rows: tuple[int, ...],
-    memo: MutableMapping[tuple[int, tuple[int, ...]], int],
-    edge_policy: Callable[[Graph], tuple[int, int] | None],
+    memo: MutableMapping[RecursionKey, int],
+    edge_policy: Callable[[Graph], tuple[int, int] | None] | None,
 ) -> int:
-    """Packed L of the graph with these rows, by the vertex recursion."""
+    """Packed L of the graph with these rows, by the vertex recursion.
+    With edge_policy None the edge is first_edge's, read off the rows."""
     key = (n, rows)
     value = memo.get(key)
-    if value is None:
+    if value is not None:
+        return value
+    a = b = -1  # no edge
+    if edge_policy is None:
+        for i, row in enumerate(rows):
+            if row:  # the lowest vertex with a neighbour; all lie above it
+                a, b = i, (row & -row).bit_length() - 1
+                break
+    else:
         edge = edge_policy(Graph._raw(n, rows))
-        if edge is None:
-            value = _X_PLUS_ONE**n
-        else:
+        if edge is not None:
             a, b = edge
             if not (0 < a <= n and 0 < b <= n and rows[a - 1] >> (b - 1) & 1):
                 raise DomainError(f"pivot requires edge {a}-{b}")
-            pivoted = list(rows)
-            _pivot_rows(pivoted, a - 1, b - 1)
-            value = _interlace_packed(n - 1, _delete_row(rows, a - 1), memo, edge_policy)
-            value += _interlace_packed(n - 1, _delete_row(pivoted, b - 1), memo, edge_policy)
-        memo[key] = value
+            a, b = a - 1, b - 1
+    if a < 0:
+        value = _X_PLUS_ONE**n
+    else:
+        pivoted = list(rows)
+        _pivot_rows(pivoted, a, b)
+        value = _interlace_packed(n - 1, _delete_row(rows, a), memo, edge_policy)
+        value += _interlace_packed(n - 1, _delete_row(pivoted, b), memo, edge_policy)
+    memo[key] = value
     return value
 
 
 def interlace_graph_recursive(
     g: Graph,
-    memo: MutableMapping[tuple[int, tuple[int, ...]], int] | None = None,
+    memo: MutableMapping[RecursionKey, int] | None = None,
     edge_policy: Callable[[Graph], tuple[int, int] | None] = first_edge,
 ) -> Poly:
     """L(x) by the vertex recursion L(G) = L(G - a) + L(G^{ab} - b), with
     (x+1)^n on edgeless graphs.  The result does not depend on which edge
-    the policy picks; the default takes the lexicographically first.  The
-    memo holds packed values (L at x = 2^(MAX_GROUND + 1))."""
+    the policy picks; the default, :func:`first_edge`, is applied to the
+    rows without building a Graph per node.  The memo (by default
+    :data:`RECURSION_MEMO`) holds packed values (L at x = 2^(MAX_GROUND + 1))."""
     if g.n > MAX_GROUND:
         raise DomainError(f"{g.n} elements exceed the subset budget of {MAX_GROUND}")
-    value = _interlace_packed(g.n, g.rows, _RECURSION_MEMO if memo is None else memo, edge_policy)
+    memo = RECURSION_MEMO._values if memo is None else memo
+    rule = None if edge_policy is first_edge else edge_policy
+    value = _interlace_packed(g.n, g.rows, memo, rule)
     mask = (1 << _SLOT) - 1
     coeffs = [value >> _SLOT * k & mask for k in range(g.n + 1)]
     if value >> _SLOT * (g.n + 1) or sum(coeffs) != 1 << g.n:

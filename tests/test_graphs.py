@@ -206,6 +206,17 @@ def test_subset_bitsets_cache_clears_and_refills():
     assert Graph(g.n, g.rows).coranks == before
 
 
+def test_subset_bitsets_stats():
+    SUBSET_BITSETS.clear()
+    assert SUBSET_BITSETS.stats() == {"n": [], "bitsets": 0, "bytes": 0}
+    held = [SUBSET_BITSETS(3), SUBSET_BITSETS(2)]
+    bitsets = [b for holding, sized in held for b in holding + sized]
+    assert len(bitsets) == (3 + 4) + (2 + 3)
+    assert SUBSET_BITSETS.stats() == {"n": [2, 3], "bitsets": 12, "bytes": sum(map(sys.getsizeof, bitsets))}
+    SUBSET_BITSETS.clear()
+    assert SUBSET_BITSETS.stats()["n"] == []
+
+
 def test_subset_level_check_survives_optimize_flag():
     # a table whose levels miss a mask would count 3 of the 4 subsets;
     # under python -O an assert would miss it

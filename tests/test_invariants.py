@@ -10,9 +10,10 @@ import pytest
 
 import wsys
 
-from wsys.algebra import Poly, poly_subst
+from wsys.algebra import Poly, poly_subst, var_key
 from wsys.dmat import dmat_from_graph, partial_dual
 from wsys.errors import DomainError, InternalError
+from wsys.glws import feps_direct
 from wsys.graphs import (
     Graph,
     all_graphs,
@@ -23,6 +24,7 @@ from wsys.graphs import (
     path_graph,
 )
 from wsys.invariants import (
+    RECURSION_MEMO,
     convolution,
     corank_power_N,
     first_edge,
@@ -39,6 +41,7 @@ from wsys.invariants import (
     unit_invariant,
     vertex_count_power_u,
 )
+from wsys.perm import all_perms
 
 N = Poly.var("N")
 u, w, x, y = Poly.var("u"), Poly.var("w"), Poly.var("x"), Poly.var("y")
@@ -146,11 +149,81 @@ def test_interlace_recursion_edge_policy_independent():
         for g in all_graphs(n):
             a = interlace_graph_recursive(g, memo={}, edge_policy=random_edge)
             assert a == interlace_graph(g)
+    graph_rng = Random(510)
+    for n in range(5, 11):
+        for density in (0.2, 0.5, 0.8):
+            g = Graph.from_edges(n, [p for p in combinations(range(1, n + 1), 2) if graph_rng.random() < density])
+            a = interlace_graph_recursive(g, memo={}, edge_policy=random_edge)
+            assert a == interlace_graph_recursive(g, memo={}), g
+
+    # the default route applies first_edge's rule to the rows (the lowest
+    # vertex with a neighbour, and its lowest neighbour) instead of calling
+    # it: both pick the same edge, so both routes fill the same memo
+    def row_rule(g):
+        return next(((v, min(g.neighbors(v))) for v in range(1, g.n + 1) if g.neighbors(v)), None)
+
+    for n in range(0, 6):
+        for g in all_graphs(n):
+            assert first_edge(g) == row_rule(g), g
+            by_rows, by_policy = {}, {}
+            interlace_graph_recursive(g, memo=by_rows)
+            interlace_graph_recursive(g, memo=by_policy, edge_policy=lambda h: first_edge(h))
+            assert by_rows == by_policy, g
 
 
 def test_interlace_recursion_refuses_a_policy_edge_that_is_absent():
     with pytest.raises(DomainError, match="^pivot requires edge 1-3$"):
         interlace_graph_recursive(path_graph(3), memo={}, edge_policy=lambda g: (1, 3))
+
+
+def test_default_edge_rule_builds_no_graph(monkeypatch):
+    g = cycle_graph(7)
+    built, raw = [], Graph._raw
+    monkeypatch.setattr(Graph, "_raw", classmethod(lambda cls, n, rows: built.append(n) or raw(n, rows)))
+    interlace_graph_recursive(g, memo={})
+    assert built == []
+    interlace_graph_recursive(g, memo={}, edge_policy=lambda h: first_edge(h))
+    assert built and built[0] == g.n
+
+
+def test_recursion_memo_is_an_explicit_cache():
+    # one packed int per graph the recursion meets, kept until clear()
+    g = diamond_graph()
+    fresh = {}
+    interlace_graph_recursive(g, memo=fresh)
+    assert len(fresh) > 1 and all(type(v) is int for v in fresh.values())
+    RECURSION_MEMO.clear()
+    assert RECURSION_MEMO.stats() == {"entries": 0}
+    first = interlace_graph_recursive(g)
+    assert RECURSION_MEMO.stats() == {"entries": len(fresh)}
+    assert interlace_graph_recursive(g) == first  # a memo hit
+    assert RECURSION_MEMO.stats() == {"entries": len(fresh)}
+    RECURSION_MEMO.clear()
+    assert RECURSION_MEMO.stats() == {"entries": 0}
+    assert interlace_graph_recursive(g) == first == interlace_dmat(dmat_from_graph(g))
+
+
+def test_subset_sums_adopt_canonical_terms():
+    # subset_poly adopts its dict without the validating constructor, so
+    # every coefficient must already be a positive int, every monomial free
+    # of zero exponents and in the fixed variable order
+    rng = Random(1717)
+    graphs = [g for n in range(6) for g in all_graphs(n)]
+    for n in range(6, 13):
+        for density in (0.2, 0.5, 0.8):
+            graphs.append(Graph.from_edges(n, [p for p in combinations(range(1, n + 1), 2) if rng.random() < density]))
+    results = []
+    for g in graphs:
+        d = dmat_from_graph(g)
+        results += [skew_char(g), refined_skew_char_graph(g), interlace_dmat(d), two_var_interlace(d)]
+        results.append(refined_skew_char_dmat(d))
+    results += [feps_direct(p) for m in range(6) for p in all_perms(m)]
+    for p in results:
+        assert all(type(c) is int and c > 0 for c in p.terms.values()), p
+        for mono in p.terms:
+            assert all(e for _, e in mono), p
+            assert list(mono) == sorted(mono, key=lambda factor: var_key(factor[0])), p
+        assert p == Poly(dict(p.terms))
 
 
 def test_first_edge_policy():
