@@ -324,14 +324,23 @@ _SLOT_MASK = (1 << SLOT_BITS) - 1
 
 def packed_add(a: Packed, b: Packed, sign: int = 1) -> Packed:
     """a + sign * b for sign = 1 or -1."""
+    return packed_fold(a, [(sign, 0, b)])
+
+
+def packed_fold(a: Packed, terms: list[tuple[int, int, Packed]]) -> Packed:
+    """a + sum of sign * x^shift * b over the (sign, shift, b) of terms,
+    sign 1 or -1 and x^shift the monomial whose packed form is shift, in
+    one copy of a."""
     out = dict(a)
     get = out.get
-    for mono, coef in b.items():
-        c = get(mono, 0) + sign * coef
-        if c:
-            out[mono] = c
-        else:
-            del out[mono]
+    for sign, shift, b in terms:
+        for mono, coef in b.items():
+            mono += shift
+            c = get(mono, 0) + sign * coef
+            if c:
+                out[mono] = c
+            else:
+                del out[mono]
     return out
 
 

@@ -27,7 +27,7 @@ from .dmat import (
     set_to_mask,
 )
 from .errors import DomainError, InternalError, ParseError, bounded_uint, is_uint, shorten
-from .glws import feps, feps_direct, feps_in_v, gl11_skewchar, interlace_perm, wgl
+from .glws import DEFAULT_CAP, feps, feps_direct, feps_in_v, gl11_skewchar, interlace_perm, wgl
 from .graphs import graph_format, graph_parse, graph_pivot
 from .invariants import (
     interlace_dmat,
@@ -143,6 +143,8 @@ def _cmd_skewchar(args) -> int:
     elif args.dmat is not None:
         value = refined_skew_char_dmat(dmat_parse(args.dmat))
     else:
+        if args.refined:
+            raise DomainError("--refined applies to graph or set-system input only")
         value = gl11_skewchar(perm_parse(args.perm))
     print(poly_to_string(value))
     return 0
@@ -219,7 +221,7 @@ def _build_parser() -> _Parser:
 
     p_wgl = sub.add_parser("wgl", help="universal weight-system value of a permutation")
     p_wgl.add_argument("--perm", required=True, help="permutation (one-line or cycles)")
-    p_wgl.add_argument("--cap", type=int, default=10, help="largest admitted point count")
+    p_wgl.add_argument("--cap", type=int, default=DEFAULT_CAP, help="largest admitted point count")
     p_wgl.set_defaults(handler=_cmd_wgl)
 
     p_faces = sub.add_parser("faces", help="cycle and face counts of a permutation")
@@ -228,8 +230,9 @@ def _build_parser() -> _Parser:
 
     p_feps = sub.add_parser("feps", help="two-parameter family F(N, eps)")
     p_feps.add_argument("--perm", required=True)
-    p_feps.add_argument("--direct", action="store_true", help="subset-sum route")
-    p_feps.add_argument(
+    route = p_feps.add_mutually_exclusive_group()
+    route.add_argument("--direct", action="store_true", help="subset-sum route")
+    route.add_argument(
         "--in-v", dest="in_v", action="store_true", help="(v, N) form, chord diagrams only"
     )
     p_feps.set_defaults(handler=_cmd_feps)

@@ -45,10 +45,24 @@ of a contraction that frees no index class or one: 1 and N in wgl).  A
 binding names its ring's variables, and the evaluator computes in that
 ring's packed form (:class:`wsys.algebra.PackedRing`, one int per
 monomial); the fixed-point and rotation rules hold in every ring for the
-same reason.  A memo maps each one-line image it has seen (rotation
+same reason.  A memo maps each state it has seen (rotation
 representatives, loop states and inputs) to its packed value; the public
 functions convert the result to :class:`Poly` once, and ``interlace_perm``
 reads its univariate value straight into a :class:`RatFunc`.
+
+A state is a one-line image stored as a ``str`` with one code point per
+point (code point v is the value v), which covers all MAX_POINTS points;
+its hash is computed once.  Each step is a few C-level string calls: a
+contraction is two slices, one ``str.replace`` and one ``str.translate``
+(v -> v - (v > l)); a swap exchanges two slots and translates by the
+transposition (l, l+1); a strip slices a block off and translates by -k;
+a rotation slices and translates by (y - 1 - x) mod m + 1.  The
+translate tables are cut from one alphabet string and cached per l, k or
+m.  On the way out of the strip/swap loop, a swap state's two
+contraction terms are folded into its successor's value in one dict copy
+(:func:`wsys.algebra.packed_fold`); a contraction factor that is a unit
+monomial (N) enters as an exponent shift, any other factor multiplies,
+and a zero factor's branch is never evaluated.
 """
 
 from __future__ import annotations
@@ -56,9 +70,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import comb
-from typing import Callable, MutableMapping, NamedTuple
+from operator import eq
+from typing import Callable, MutableMapping, NamedTuple, Sequence
 
-from .algebra import Packed, PackedRing, Poly, RatFunc, casimir, packed_add, packed_mul
+from .algebra import Packed, PackedRing, Poly, RatFunc, casimir, packed_fold, packed_mul
 from .errors import DomainError, InternalError
 from .graphs import subset_counts, subsets
 from .invariants import refined_skew_char_graph, subset_poly
@@ -78,14 +93,28 @@ class _Binding(NamedTuple):
     name: str
     ring: PackedRing
     strip: Callable[[int], Packed]  # image of C_k
-    contract: tuple[Packed | None, Packed]  # factor when no class / one class is freed; None = 1
+    contract: tuple[tuple[int, Packed | None] | None, ...]  # per freed class count, see _contract_rule
+
+
+def _contract_rule(ring: PackedRing, factor: Poly) -> tuple[int, Packed | None] | None:
+    """How a contraction factor enters the sum: None for a zero factor (the
+    branch is never evaluated), (shift, None) for a unit monomial (an
+    exponent shift), else (0, packed factor) to multiply by."""
+    if not factor:
+        return None
+    packed = ring.pack(factor)
+    if len(packed) == 1:
+        ((mono, coef),) = packed.items()
+        if coef == 1:
+            return mono, None
+    return 0, packed
 
 
 def _binding(
     name: str,
     names: tuple[str, ...],
     strip: Callable[[int], Poly],
-    contract: tuple[Poly | None, Poly],
+    contract: tuple[Poly, Poly],
 ) -> _Binding:
     """A binding over the ring of ``names``, given by Poly images."""
     ring = PackedRing(names)
@@ -93,11 +122,52 @@ def _binding(
         name,
         ring,
         cache(lambda k: ring.pack(strip(k))),
-        tuple(None if f is None else ring.pack(f) for f in contract),
+        tuple(_contract_rule(ring, f) for f in contract),
     )
 
 
-def _scan(img: tuple[int, ...]):
+# A state is a one-line image as a str, one code point per point: code
+# point v stands for the value v.  _ALPHABET[v] is the character of v,
+# and every translate table below is cut from it; the tables depend on l
+# or m only, never on an input.
+_ALPHABET = "".join(map(chr, range(MAX_POINTS + 2)))
+_POINTS = _ALPHABET[1:]  # _POINTS[x - 1] is the value of position x in the identity
+
+
+def _state(img: tuple[int, ...]) -> str:
+    return "".join(map(chr, img))
+
+
+def _image(state: str) -> tuple[int, ...]:
+    return tuple(map(ord, state))
+
+
+@cache
+def _lower_table(l: int) -> str:
+    """Translate table v -> v - (v > l)."""
+    return _ALPHABET[: l + 1] + _ALPHABET[l:]
+
+
+@cache
+def _swap_table(l: int) -> str:
+    """Translate table exchanging the values l and l+1."""
+    return _ALPHABET[:l] + _ALPHABET[l + 1] + _ALPHABET[l] + _ALPHABET[l + 2 :]
+
+
+@cache
+def _strip_table(v: int) -> str:
+    """Translate table w -> w - v for w >= v."""
+    return _ALPHABET[:v] + _ALPHABET
+
+
+@cache
+def _rotation_tables(m: int) -> str:
+    """1..m twice: its slice [m - 1 - x : 2m - x] is the translate table
+    y -> (y - 1 - x) mod m + 1 on 1..m."""
+    return _POINTS[:m] * 2
+
+
+def _scan(state: str):
     """Walk the cycle through 1 while it sits in standard ascending position.
 
     Returns ("strip", k) when the cycle closes as the standard k-cycle on
@@ -105,33 +175,25 @@ def _scan(img: tuple[int, ...]):
     (t is then > position+1, and must be bubbled left).
     """
     x = 1
-    while True:
-        y = img[x - 1]
-        if y == x + 1:
-            x += 1
-        elif y == 1:
-            return ("strip", x)
-        else:
-            return ("dev", y)
+    while state[x - 1] == _ALPHABET[x + 1]:
+        x += 1
+    y = ord(state[x - 1])
+    return ("strip", x) if y == 1 else ("dev", y)
 
 
-def _conj_swap(img: tuple[int, ...], l: int) -> tuple[int, ...]:
+def _conj_swap(state: str, l: int) -> str:
     """Conjugate by the transposition (l, l+1): swap the slots l and l+1,
     then swap the values l and l+1."""
-    out = list(img)
-    out[l - 1], out[l] = out[l], out[l - 1]
-    i, j = out.index(l), out.index(l + 1)
-    out[i], out[j] = l + 1, l
-    return tuple(out)
+    return (state[: l - 1] + state[l] + state[l - 1] + state[l + 1 :]).translate(_swap_table(l))
 
 
-def _contract(img: tuple[int, ...], l: int, variant: int) -> tuple[int, tuple[int, ...]]:
+def _contract(state: str, l: int, variant: int) -> tuple[int, str]:
     """One contraction of the recurrence at positions l, l+1.
 
     Variant 1 merges the factors into (first = class of l, second = class
     of alpha(l+1)) and identifies the classes of alpha(l) and l+1; variant
     2 merges into (first = class of l+1, second = class of alpha(l)) and
-    identifies the classes of alpha(l+1) and l.  Returns (npower, image)
+    identifies the classes of alpha(l+1) and l.  Returns (npower, state)
     where npower is 1 exactly when the identification was trivial and an
     index class got freed (a factor of N).
 
@@ -142,61 +204,64 @@ def _contract(img: tuple[int, ...], l: int, variant: int) -> tuple[int, tuple[in
     factor.  Every other class q is carried by the factor at position
     q - (q > l), which is the relabelling of each factor's second class.
     """
-    c, d = img[l - 1], img[l]
-    if variant == 1:
-        snd, gone, keep = d, l + 1, c
-    else:
-        snd, gone, keep = c, l, d
-    seconds = img[: l - 1] + (snd,) + img[l + 1 :]
+    if variant == 1:  # the merged factor's second class is alpha(l+1)
+        gone, keep = _ALPHABET[l + 1], state[l - 1]
+        seconds = state[: l - 1] + state[l:]
+    else:  # ... or alpha(l)
+        gone, keep = _ALPHABET[l], state[l]
+        seconds = state[:l] + state[l + 1 :]
     trivial = keep == gone
     if trivial and gone in seconds:
         raise InternalError("freed class may not occur in any factor")
-    keep_at = keep - (keep > l)
-    out = tuple([keep_at if s == gone else s - (s > l) for s in seconds])
+    out = seconds.replace(gone, keep).translate(_lower_table(l))
     if len(set(out)) != len(out):
         raise InternalError("contracted image is not a permutation")
     return int(trivial), out
 
 
-def _drop_fixed(img: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """(f, image): img with its f fixed points removed and the other points
-    renumbered in order."""
-    below: list[int] = []  # fixed points at or before each position
+def _drop_fixed(state: str) -> tuple[int, str]:
+    """(f, state): the state with its f fixed points removed and the other
+    points renumbered in order."""
+    if not any(map(eq, state, _POINTS)):
+        return 0, state
+    table: dict[int, int | None] = {}  # fixed point -> deleted, other value -> renumbered
     f = 0
-    for x, y in enumerate(img, 1):
-        f += x == y
-        below.append(f)
-    if not f:
-        return 0, img
-    return f, tuple([y - below[y - 1] for x, y in enumerate(img, 1) if x != y])
+    for x, y in enumerate(state, 1):
+        if ord(y) == x:
+            f += 1
+            table[x] = None
+        else:
+            table[x] = x - f
+    return f, state.translate(table)
 
 
-def _least_rotation(img: tuple[int, ...]) -> tuple[int, ...]:
-    """The least of the m rotations of a fixed-point-free image (conjugates
+def _least_rotation(state: str) -> str:
+    """The least of the m rotations of a fixed-point-free state (conjugates
     by powers of the long cycle): the smallest first entry, ties broken
     lexicographically.  The k-th power maps position x to x + k and value y
     to y + k (mod m), so the rotation that starts at 0-based position x
-    has first entry 1 + ((img[x] - 1 - x) mod m); only the rotations tied
-    for the smallest are built."""
-    m = len(img)
-    firsts = [(y - 1 - x) % m for x, y in enumerate(img)]
+    has first entry 1 + ((y - 1 - x) mod m) for y = its value at x; only
+    the rotations tied for the smallest are built."""
+    m = len(state)
+    firsts = [(y - x) % m for x, y in enumerate(map(ord, state), 1)]
     least = min(firsts)
+    tables = _rotation_tables(m)
     return min(
-        tuple([(y - 1 - x) % m + 1 for y in img[x:] + img[:x]])
+        (state[x:] + state[:x]).translate(tables[m - 1 - x : 2 * m - x])
         for x, first in enumerate(firsts)
         if first == least
     )
 
 
-def _wgl_tuple(img: tuple[int, ...], b: _Binding, memo: MutableMapping) -> Packed:
-    """The value of img in b's ring.  Fixed points are factored out as C1
-    first, and an image the memo misses is replaced by its least rotation;
-    then leading standard blocks are stripped and the out-of-place element
-    bubbled left in one loop; only the contractions (one point fewer each)
-    recurse."""
-    if (val := memo.get(img)) is not None:
+def _wgl_state(state: str, b: _Binding, memo: MutableMapping) -> Packed:
+    """The value of a state in b's ring.  Fixed points are factored out as
+    C1 first, and a state the memo misses is replaced by its least
+    rotation; then leading standard blocks are stripped and the
+    out-of-place element bubbled left in one loop; only the contractions
+    (one point fewer each) recurse."""
+    if (val := memo.get(state)) is not None:
         return val
-    fixed, cur = _drop_fixed(img)
+    fixed, cur = _drop_fixed(state)
     if (val := memo.get(cur)) is None:
         cur = _least_rotation(cur)
         val = _reduce(cur, b, memo)
@@ -204,41 +269,42 @@ def _wgl_tuple(img: tuple[int, ...], b: _Binding, memo: MutableMapping) -> Packe
         c1 = b.strip(1)
         for _ in range(fixed):
             val = packed_mul(c1, val)
-    if cur != img:
-        memo[img] = val
+    if cur != state:
+        memo[state] = val
     return val
 
 
-def _reduce(cur: tuple[int, ...], b: _Binding, memo: MutableMapping) -> Packed:
-    """The value of a fixed-point-free image by strips, swaps and
-    contractions, memoizing every state of the loop."""
-    pending: list[tuple[tuple[int, ...], bool, Packed]] = []  # (image, strip?, factor or term)
+def _reduce(cur: str, b: _Binding, memo: MutableMapping) -> Packed:
+    """The value of a fixed-point-free state by strips, swaps and
+    contractions, memoizing every state of the loop.  On the way out each
+    swap state's contraction terms are folded into the value of its
+    successor in one copy."""
+    pending: list[tuple[str, Packed | None, Sequence]] = []  # (state, strip factor, contraction terms)
     while (val := memo.get(cur)) is None:
         kind, v = _scan(cur)
         if kind == "strip":
-            pending.append((cur, True, b.strip(v)))
-            cur = tuple(w - v for w in cur[v:])
+            pending.append((cur, b.strip(v), ()))
+            cur = cur[v:].translate(_strip_table(v))
             continue
         l = v - 1
         terms = []
-        for variant in (1, 2):
+        for variant, sign in ((1, 1), (2, -1)):
             freed, merged = _contract(cur, l, variant)
-            factor = b.contract[freed]
-            if factor is None:
-                terms.append(_wgl_tuple(merged, b, memo))
-            else:  # a zero factor skips the branch
-                terms.append(factor and packed_mul(factor, _wgl_tuple(merged, b, memo)))
-        pending.append((cur, False, packed_add(terms[0], terms[1], -1)))
+            if (rule := b.contract[freed]) is not None:  # a zero factor skips the branch
+                shift, factor = rule
+                term = _wgl_state(merged, b, memo)
+                terms.append((sign, shift, term if factor is None else packed_mul(factor, term)))
+        pending.append((cur, None, terms))
         cur = _conj_swap(cur, l)
-    for cimg, strip, x in reversed(pending):
-        val = packed_mul(x, val) if strip else packed_add(val, x)
-        memo[cimg] = val
+    for state, strip, terms in reversed(pending):
+        val = packed_fold(val, terms) if strip is None else packed_mul(strip, val)
+        memo[state] = val
     return val
 
 
-# One memo per binding name: one-line image tuple -> packed value in that
-# binding's ring.  Reads are concurrent-safe under the GIL.
-_MEMOS: dict[str, dict[tuple[int, ...], Packed]] = {}
+# One memo per binding name: state (one-line image as a str) -> packed
+# value in that binding's ring.  Reads are concurrent-safe under the GIL.
+_MEMOS: dict[str, dict[str, Packed]] = {}
 
 
 def _packed_value(p: Perm, cap: int, b: _Binding, memo: MutableMapping | None = None) -> Packed:
@@ -246,8 +312,8 @@ def _packed_value(p: Perm, cap: int, b: _Binding, memo: MutableMapping | None = 
     if p.m > limit:
         raise DomainError(f"permutation has {p.m} points, exceeding the {what} {limit}")
     table = _MEMOS.setdefault(b.name, {}) if memo is None else memo
-    table.setdefault((), {0: 1})
-    return _wgl_tuple(p.img, b, table)
+    table.setdefault("", {0: 1})
+    return _wgl_state(_state(p.img), b, table)
 
 
 def _evaluate(p: Perm, cap: int, b: _Binding, memo: MutableMapping | None = None) -> Poly:
@@ -266,19 +332,20 @@ def _evaluate(p: Perm, cap: int, b: _Binding, memo: MutableMapping | None = None
 def _wgl_binding() -> _Binding:
     """The wgl binding, built on first use: its ring names MAX_POINTS Casimirs."""
     casimirs = tuple(casimir(k) for k in range(1, MAX_POINTS + 1))
-    return _binding("wgl", ("N", *casimirs), lambda k: Poly.var(casimir(k)), (None, _N))
+    return _binding("wgl", ("N", *casimirs), lambda k: Poly.var(casimir(k)), (Poly.one(), _N))
 
 
 def wgl(
     p: Perm,
     cap: int = DEFAULT_CAP,
-    memo: MutableMapping[tuple[int, ...], Packed] | None = None,
+    memo: MutableMapping[str, Packed] | None = None,
 ) -> Poly:
     """Value of the universal gl-weight system, a polynomial in N, C1, C2, ...
     Pass a private ``memo`` dict to isolate the computation (cold timing);
-    it maps one-line images to the engine's packed value: each input, the
-    least rotation of each fixed-point-free image reduced, and the states
-    of its strip/swap loop."""
+    it maps states to the engine's packed value: each input, the least
+    rotation of each fixed-point-free state reduced, and the states of its
+    strip/swap loop.  A state is a one-line image as a ``str`` with one
+    code point per point: ``"".join(map(chr, p.img))``."""
     return _evaluate(p, cap, _wgl_binding(), memo)
 
 
@@ -290,9 +357,10 @@ def rule_terms(p: Perm, l: int) -> tuple[Perm, int, Perm, int, Perm]:
     """
     if not 1 <= l < p.m:
         raise DomainError(f"rule position {l} out of range 1..{p.m - 1}")
-    n1, m1 = _contract(p.img, l, 1)
-    n2, m2 = _contract(p.img, l, 2)
-    return Perm(_conj_swap(p.img, l)), n1, Perm(m1), n2, Perm(m2)
+    state = _state(p.img)
+    n1, m1 = _contract(state, l, 1)
+    n2, m2 = _contract(state, l, 2)
+    return Perm(_image(_conj_swap(state, l))), n1, Perm(_image(m1)), n2, Perm(_image(m2))
 
 
 def rule_apply(p: Perm, l: int) -> WglState:
@@ -304,11 +372,12 @@ def rule_apply(p: Perm, l: int) -> WglState:
 def state_value(
     state: WglState,
     cap: int = DEFAULT_CAP,
-    memo: MutableMapping[tuple[int, ...], Packed] | None = None,
+    memo: MutableMapping[str, Packed] | None = None,
 ) -> Poly:
     """Evaluate a formal linear combination under wgl.  ``memo`` is passed
     to :func:`wgl` for every term, so it holds the engine's packed values,
-    keyed by one-line images, not ``Poly`` values."""
+    keyed by states (one-line images as ``str``, see :func:`wgl`), not
+    ``Poly`` values."""
     total = Poly.zero()
     for coef, perm in state:
         total = total + coef * wgl(perm, cap=cap, memo=memo)
@@ -336,14 +405,14 @@ def _interlace_casimir(k: int) -> Poly:
     return sum((comb(k, i) * _Z2 ** (i - 1) * _ONE_MINUS_Z**i for i in range(1, k + 1)), _Z2)
 
 
-_FEPS = _binding("feps", ("N", "eps"), feps_casimir_binding, (None, _N))
-_STANDARD = _binding("standard", ("N",), lambda k: Poly.var("N", k - 1), (None, _N))
-_CYCLES = _binding("cycles", ("N",), lambda k: _N, (None, _N))
+_FEPS = _binding("feps", ("N", "eps"), feps_casimir_binding, (Poly.one(), _N))
+_STANDARD = _binding("standard", ("N",), lambda k: Poly.var("N", k - 1), (Poly.one(), _N))
+_CYCLES = _binding("cycles", ("N",), lambda k: _N, (Poly.one(), _N))
 _GL11 = _binding(
     "gl11",
     ("u",),
     lambda k: Poly({(("u", k - 1),) if k > 1 else (): Fraction(k, 2 ** (k - 1))}),
-    (None, Poly.zero()),
+    (Poly.one(), Poly.zero()),
 )
 # The interlace family homogenized by (1-z)^m: every contraction drops one
 # point, so it takes one factor (1-z) besides its N; a removed fixed point

@@ -133,11 +133,19 @@ def suite_names() -> list[str]:
     return list(SUITES)
 
 
+# The bounds that count something; each must be >= 0 (the seed may be anything).
+_COUNT_BOUNDS = ("max_m", "max_chords", "max_vertices", "samples", "order")
+
+
 def run_suite(name: str, **bounds) -> VerifySuiteReport:
-    """Run one suite by name; irrelevant or unset (None) bounds are ignored."""
+    """Run one suite by name; irrelevant or unset (None) bounds are ignored.
+    A negative count bound is refused before any instance runs."""
     fn = SUITES.get(name)
     if fn is None:
         raise DomainError(f"unknown verification suite {name!r}")
+    for key in _COUNT_BOUNDS:
+        if (value := bounds.get(key)) is not None and value < 0:
+            raise DomainError(f"bound {key} must be >= 0, got {value}")
     params = signature(fn).parameters
     kwargs = {k: v for k, v in bounds.items() if v is not None and k in params}
     notes: list[str] = []

@@ -17,6 +17,7 @@ from wsys.algebra import (
     poly_coeffs_z,
     poly_subst,
     packed_add,
+    packed_fold,
     packed_mul,
     poly_to_string,
     ratfunc_series,
@@ -57,6 +58,15 @@ def test_packed_ring_round_trip_and_arithmetic():
     assert ring.poly(packed_mul(pa, pb)) == a * b
     assert ring.poly(packed_add(pa, pb)) == a + b
     assert ring.poly(packed_add(pa, pa, -1)) == Poly.zero()
+    # a fold adds signed terms, each times the monomial its shift packs,
+    # and leaves its first argument as it was
+    shift_n = ring.pack(N).popitem()[0]
+    copy = dict(pa)
+    folded = packed_fold(pa, [(1, 0, pb), (-1, shift_n, pa)])
+    assert ring.poly(folded) == a + b - N * a
+    assert pa == copy
+    assert ring.poly(packed_fold(pa, [(-1, 0, pa)])) == Poly.zero()
+    assert packed_fold(pa, []) == pa and packed_fold(pa, []) is not pa
     assert ring.poly(packed_mul(pa, ring.pack(Poly.zero()))) == Poly.zero()
     # the last variable has no slot above it, so its exponent is unbounded
     assert ring.poly(ring.pack(eps ** (3 << EXP_BITS))) == eps ** (3 << EXP_BITS)

@@ -133,6 +133,52 @@ def test_domain_error_exit_code(capsys):
     assert run(["feps", "--perm", "(1 2 3)", "--in-v"]) == 2
 
 
+def test_negative_verify_bounds_are_domain_errors(capsys):
+    # a negative count bound ends in one domain-error line, before any suite
+    # reports anything on stdout
+    for argv, key in (
+        (["verify", "tgl-soundness", "--max-m", "-1"], "max_m"),
+        (["verify", "dmat-axiom", "--max-vertices", "-3"], "max_vertices"),
+        (["verify", "tfe", "--max-m", "3", "--samples", "-2"], "samples"),
+        (["verify", "fourterm-diagrams", "--max-chords", "-1"], "max_chords"),
+        (["verify", "positivity-experiment", "--order", "-4"], "order"),
+    ):
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"domain error: bound {key} must be >= 0"), err
+
+
+def test_flags_that_do_not_apply_are_refused(capsys):
+    # feps has one route per call: --direct and --in-v together do not parse
+    assert run(["feps", "--perm", "(1 3)(2 4)", "--direct", "--in-v"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("parse error: "), err
+    # the weight-system route of skewchar has no refined form
+    assert run(["skewchar", "--perm", "2,1", "--refined"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["domain error: --refined applies to graph or set-system input only"]
+
+
+def test_wgl_cap_defaults_to_the_engine_cap(capsys, monkeypatch):
+    import wsys.cli
+    from wsys.glws import DEFAULT_CAP
+
+    over = ",".join(str(i) for i in range(1, DEFAULT_CAP + 2))
+    assert run(["wgl", "--perm", over]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"domain error: permutation has {DEFAULT_CAP + 1} points, exceeding the cap {DEFAULT_CAP}"]
+    at_cap = ",".join(str(i) for i in range(1, DEFAULT_CAP + 1))
+    assert run(["wgl", "--perm", at_cap]) == 0
+    assert out_of(capsys) == [f"C1^{DEFAULT_CAP}"]
+    # the parser reads the engine's constant when it is built, not a copy
+    monkeypatch.setattr(wsys.cli, "DEFAULT_CAP", 4)
+    assert run(["wgl", "--perm", "2,3,4,5,1"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["domain error: permutation has 5 points, exceeding the cap 4"]
+
+
 def test_subset_budgets(capsys):
     # exponential subset enumerations refuse more than 20 vertices or points
     diagram21 = "".join(f"({i} {i + 21})" for i in range(1, 22))

@@ -92,25 +92,27 @@ def test_wgl_multiplicative_under_concatenation():
                     assert wgl(concat(a, b)) == wgl(a) * wgl(b)
 
 
-def _plain_wgl(img, memo):
+def _plain_wgl(state, memo):
     """wgl by the bare recurrence: strips, swaps and contractions from
-    glws, with no rotation step and no fixed-point rule, in Poly."""
-    if not img:
+    glws on its str states, with no rotation step and no fixed-point rule,
+    in Poly."""
+    if not state:
         return Poly.one()
-    if img not in memo:
-        kind, v = glws._scan(img)
+    if state not in memo:
+        kind, v = glws._scan(state)
         if kind == "strip":
-            memo[img] = Poly.var(casimir(v)) * _plain_wgl(tuple(w - v for w in img[v:]), memo)
+            rest = glws._state(tuple(ord(w) - v for w in state[v:]))
+            memo[state] = Poly.var(casimir(v)) * _plain_wgl(rest, memo)
         else:
             l = v - 1
-            n1, merge1 = glws._contract(img, l, 1)
-            n2, merge2 = glws._contract(img, l, 2)
-            memo[img] = (
-                _plain_wgl(glws._conj_swap(img, l), memo)
+            n1, merge1 = glws._contract(state, l, 1)
+            n2, merge2 = glws._contract(state, l, 2)
+            memo[state] = (
+                _plain_wgl(glws._conj_swap(state, l), memo)
                 + N**n1 * _plain_wgl(merge1, memo)
                 - N**n2 * _plain_wgl(merge2, memo)
             )
-    return memo[img]
+    return memo[state]
 
 
 def test_wgl_cyclic_shift_invariance():
@@ -119,7 +121,7 @@ def test_wgl_cyclic_shift_invariance():
     plain: dict = {}
     for m in range(0, 7):
         for p in all_perms(m):
-            want = _plain_wgl(p.img, plain)
+            want = _plain_wgl(glws._state(p.img), plain)
             q = p
             for _ in range(max(m, 1)):
                 assert wgl(q) == want, (p.img, q.img)
@@ -135,7 +137,8 @@ def test_least_rotation_is_the_least_cyclic_shift():
             rotations = [p]
             for _ in range(m - 1):
                 rotations.append(cyclic_shift(rotations[-1]))
-            assert glws._least_rotation(p.img) == min(q.img for q in rotations), p.img
+            least = glws._least_rotation(glws._state(p.img))
+            assert glws._image(least) == min(q.img for q in rotations), p.img
             count += 1
     assert count == 1 + 2 + 9 + 44 + 265 + 1854  # the derangements with 2..7 points
 
@@ -232,7 +235,58 @@ def test_contraction_matches_index_class_calculus():
             for l in range(1, m):
                 for variant in (1, 2):
                     want = _contract_by_slots(p.img, l, variant)
-                    assert glws._contract(p.img, l, variant) == want, (p.img, l, variant)
+                    freed, merged = glws._contract(glws._state(p.img), l, variant)
+                    assert (freed, glws._image(merged)) == want, (p.img, l, variant)
+
+
+def test_states_span_the_whole_point_budget():
+    # a state has one code point per point, so the standard cycle on
+    # MAX_POINTS points is one strip of C_MAX_POINTS
+    assert wgl(standard_cycle(MAX_POINTS), cap=MAX_POINTS) == Poly.var(casimir(MAX_POINTS))
+    assert MAX_POINTS == 1000
+
+
+def test_contraction_checks_survive_optimize_flag():
+    # both consistency checks of a contraction raise InternalError under
+    # python -O on a planted state that is not a permutation: value 2
+    # twice with alpha(1) = 2 (a freed class that still occurs), and value
+    # 1 twice (a contraction that is not a permutation)
+    code = (
+        "import sys\n"
+        "from wsys import glws\n"
+        "from wsys.errors import InternalError\n"
+        "for img, l in (((2, 1, 2), 1), ((1, 1, 3), 2)):\n"
+        "    try:\n"
+        "        glws._contract(glws._state(img), l, 1)\n"
+        "    except InternalError as exc:\n"
+        "        print(exc, sys.flags.optimize, sep='|')\n"
+    )
+    src = os.path.dirname(os.path.dirname(wsys.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "freed class may not occur in any factor|1",
+        "contracted image is not a permutation|1",
+    ]
+
+
+def test_zero_factor_branches_are_never_evaluated():
+    # gl11 binds N to 0, so a contraction that frees an index class has a
+    # zero factor and its branch is skipped: gl11 visits a proper subset of
+    # the states that wgl visits from the same input
+    assert glws._GL11.contract[1] is None
+    fewer = 0
+    for p in all_perms(6):
+        by_wgl: dict = {}
+        by_gl11: dict = {}
+        glws._packed_value(p, 6, glws._wgl_binding(), by_wgl)
+        glws._packed_value(p, 6, glws._GL11, by_gl11)
+        assert by_gl11.keys() <= by_wgl.keys(), p.img
+        fewer += len(by_gl11) < len(by_wgl)
+    assert fewer == 518  # of the 720 inputs; 0 if a zero-factor branch were evaluated
 
 
 def test_binding_rings_hold_every_admitted_exponent():

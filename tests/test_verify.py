@@ -71,6 +71,27 @@ def test_bounds_are_filtered_by_relevance():
     assert r3.instances == r4.instances
 
 
+def test_negative_bounds_are_refused_before_any_instance(monkeypatch):
+    ran = []
+
+    def suite(max_m: int = 3):
+        ran.append(max_m)
+        yield True, "instance"
+
+    monkeypatch.setitem(SUITES, "tsr", suite)
+    for key in ("max_m", "max_chords", "max_vertices", "samples", "order"):
+        with pytest.raises(DomainError, match=f"{key} must be >= 0, got -1"):
+            run_suite("tsr", **{key: -1})
+        with pytest.raises(DomainError, match=key):
+            run_suites(["tsr"], **{key: -2})
+        with pytest.raises(DomainError, match=key):
+            run_suites(None, **{key: -3})
+    assert ran == []
+    # zero is a bound like any other, and the seed may be negative
+    assert run_suite("tsr", max_m=0, samples=0, order=0, seed=-5).instances == 1
+    assert ran == [0]
+
+
 def test_run_suites_subset_and_order():
     reports = run_suites(["tsr", "tgl-soundness"], max_m=4)
     # registry order, not request order
