@@ -58,15 +58,6 @@ def test_packed_ring_round_trip_and_arithmetic():
     assert ring.poly(packed_mul(pa, pb)) == a * b
     assert ring.poly(packed_add(pa, pb)) == a + b
     assert ring.poly(packed_add(pa, pa, -1)) == Poly.zero()
-    # a fold adds signed terms, each times the monomial its shift packs,
-    # and leaves its first argument as it was
-    shift_n = ring.pack(N).popitem()[0]
-    copy = dict(pa)
-    folded = packed_fold(pa, [(1, 0, pb), (-1, shift_n, pa)])
-    assert ring.poly(folded) == a + b - N * a
-    assert pa == copy
-    assert ring.poly(packed_fold(pa, [(-1, 0, pa)])) == Poly.zero()
-    assert packed_fold(pa, []) == pa and packed_fold(pa, []) is not pa
     assert ring.poly(packed_mul(pa, ring.pack(Poly.zero()))) == Poly.zero()
     # the last variable has no slot above it, so its exponent is unbounded
     assert ring.poly(ring.pack(eps ** (3 << EXP_BITS))) == eps ** (3 << EXP_BITS)
@@ -80,6 +71,22 @@ def test_packed_ring_round_trip_and_arithmetic():
     assert zring.coeff_list({}) == [0]
     with pytest.raises(DomainError):
         ring.coeff_list(pa)
+
+
+def test_packed_fold_adds_shifted_signed_terms_in_one_copy():
+    # a fold adds signed terms, each times the monomial its shift packs,
+    # and leaves its first argument as it was
+    ring = PackedRing(("N", "C1", "C2", "eps"))
+    a = 3 * N**2 * C2 - C1 * eps**5 + Fraction(1, 2)
+    b = N * C1 - 2 * C2**3 * eps + 7
+    pa, pb = ring.pack(a), ring.pack(b)
+    shift_n = ring.pack(N).popitem()[0]
+    copy = dict(pa)
+    folded = packed_fold(pa, [(1, 0, pb), (-1, shift_n, pa)])
+    assert ring.poly(folded) == a + b - N * a
+    assert pa == copy
+    assert ring.poly(packed_fold(pa, [(-1, 0, pa)])) == Poly.zero()
+    assert packed_fold(pa, []) == pa and packed_fold(pa, []) is not pa
 
 
 def test_packed_decode_refuses_a_set_guard_bit():
