@@ -45,6 +45,9 @@ Monomial = tuple[tuple[str, int], ...]
 Coeflike = Union[int, Fraction]
 Polylike = Union["Poly", int, Fraction]
 
+#: Highest order RatFunc.series expands to, refused before any allocation.
+MAX_SERIES_ORDER = 1000
+
 _FIXED_VARS = {
     "N": (0, 0),
     "eps": (2, 0),
@@ -322,12 +325,7 @@ SLOT_BITS = EXP_BITS + 1
 _SLOT_MASK = (1 << SLOT_BITS) - 1
 
 
-def packed_add(a: Packed, b: Packed, sign: int = 1) -> Packed:
-    """a + sign * b for sign = 1 or -1."""
-    return packed_fold(a, [(sign, 0, b)])
-
-
-def packed_fold(a: Packed, terms: list[tuple[int, int, Packed]]) -> Packed:
+def packed_fold(a: Packed, terms: Iterable[tuple[int, int, Packed]]) -> Packed:
     """a + sum of sign * x^shift * b over the (sign, shift, b) of terms,
     sign 1 or -1 and x^shift the monomial whose packed form is shift, in
     one copy of a."""
@@ -503,8 +501,8 @@ class RatFunc:
         """Taylor coefficients of z^0 .. z^order at z = 0.  Dividing by
         (1-z) takes prefix sums, so the series is dpow running prefix sums
         of the numerator's coefficients, in int for an integer numerator."""
-        if order < 0:
-            raise DomainError(f"negative series order {order}")
+        if not 0 <= order <= MAX_SERIES_ORDER:
+            raise DomainError(f"series order must be in 0..{MAX_SERIES_ORDER}, got {order}")
         coeffs = poly_coeffs_z(self.num)[: order + 1]
         coeffs += [0] * (order + 1 - len(coeffs))
         for _ in range(self.dpow):

@@ -16,7 +16,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .algebra import poly_to_string
+from .algebra import MAX_SERIES_ORDER, poly_to_string
 from .dmat import (
     dmat_format,
     dmat_from_chord_diagram,
@@ -179,8 +179,8 @@ def _cmd_pivot(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    if args.order < 0:
-        raise DomainError(f"series order must be >= 0, got {args.order}")
+    if not 0 <= args.order <= MAX_SERIES_ORDER:
+        raise DomainError(f"series order must be in 0..{MAX_SERIES_ORDER}, got {args.order}")
     rf = interlace_perm(perm_parse(args.perm))
     print(str(rf))
     print(_series_text(rf.series(args.order)))

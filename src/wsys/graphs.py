@@ -3,11 +3,10 @@
 Vertices are labeled 1..n.  Adjacency is stored as one integer bitmask per
 vertex (bit j-1 of ``rows[i-1]`` is set iff i ~ j), which makes Gaussian
 elimination over GF(2) a few word operations per row.  All operations are
-pure: they return new graphs.  The structural ones (vertex deletion,
-induced subgraphs, the pivot, the 4-term images) compute the result's rows
-directly from the input's rows and construct one :class:`Graph` each.
-Every vertex argument is checked against 1..n and refused with
-:class:`~wsys.errors.DomainError`.
+pure: they return new graphs.  The structural ones (induced subgraphs, the
+pivot, the 4-term images) compute the result's rows directly from the
+input's rows and construct one :class:`Graph` each.  Every vertex argument
+is checked against 1..n and refused with :class:`~wsys.errors.DomainError`.
 
 Every loop over the 2^n subsets of vertices, points, chords or ground
 elements runs on :func:`subset_masks`, which refuses more than
@@ -22,7 +21,8 @@ one-element flip of level k not seen before, O(n) operations per level;
 and the (|U|, corank) histogram counts each level against the bitset of
 each subset size.  The graph keeps one table (``Graph.subset_table``) and
 reads ``nondegenerate``, ``coranks`` and ``corank_counts`` off it; the
-per-n bitsets live in the explicit cache :data:`SUBSET_BITSETS`.
+per-n bitsets live in the explicit cache :data:`SUBSET_BITSETS`, a dict
+that builds ``SUBSET_BITSETS[n]`` on first use.
 :func:`gf2_rank` and :func:`induced_corank` stay as the independent
 per-subset route.
 
@@ -95,42 +95,33 @@ def subset_counts(stats: Sequence[int]) -> Mapping[tuple[int, int], int]:
     return MappingProxyType({(key % w, key // w): count for key, count in keys.items()})
 
 
-class SubsetBitsets:
+class SubsetBitsets(dict[int, tuple[tuple[int, ...], tuple[int, ...]]]):
     """Per-n bitsets over the 2^n subset masks, bit U standing for the mask
-    U: ``holding[i]`` is the set of masks holding element i and ``sized[s]``
-    the set of masks of size s.  An explicit cache: each n is built once,
-    through :func:`subset_masks` and its budget, and kept until clear()."""
+    U: ``self[n]`` is (holding, sized), ``holding[i]`` the set of masks
+    holding element i and ``sized[s]`` the set of masks of size s.  Each n
+    is built once, through :func:`subset_masks` and its budget."""
 
-    def __init__(self) -> None:
-        self._by_n: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-
-    def __call__(self, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        found = self._by_n.get(n)
-        if found is None:
-            width = len(subset_masks(n))
-            holding = []
-            for i in range(n):
-                step = 1 << i
-                pattern, span = ((1 << step) - 1) << step, 2 * step
-                while span < width:  # repeat the block of 2^i out, 2^i in
-                    pattern |= pattern << span
-                    span *= 2
-                holding.append(pattern)
-            sized = [1]
-            for i in range(n):  # element i joins: a mask of size s - 1 gains it
-                sized = [low | high << (1 << i) for low, high in zip(sized + [0], [0] + sized)]
-            found = self._by_n[n] = (tuple(holding), tuple(sized))
-        return found
-
-    def clear(self) -> None:
-        self._by_n.clear()
+    def __missing__(self, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        width = len(subset_masks(n))
+        holding = []
+        for i in range(n):
+            step = 1 << i
+            pattern, span = ((1 << step) - 1) << step, 2 * step
+            while span < width:  # repeat the block of 2^i out, 2^i in
+                pattern |= pattern << span
+                span *= 2
+            holding.append(pattern)
+        sized = [1]
+        for i in range(n):  # element i joins: a mask of size s - 1 gains it
+            sized = [low | high << (1 << i) for low, high in zip(sized + [0], [0] + sized)]
+        return self.setdefault(n, (tuple(holding), tuple(sized)))
 
     def stats(self) -> dict[str, object]:
         """The values of n held, the number of bitsets and their bytes by
         sys.getsizeof."""
-        bitsets = [b for holding, sized in self._by_n.values() for b in holding + sized]
+        bitsets = [b for holding, sized in self.values() for b in holding + sized]
         return {
-            "n": sorted(self._by_n),
+            "n": sorted(self),
             "bitsets": len(bitsets),
             "bytes": sum(map(sys.getsizeof, bitsets)),
         }
@@ -151,7 +142,7 @@ def _pfaffian_bits(rows: Sequence[int]) -> int:
     masks above v that hold w and whose pf(U - v - w) is 1 are one shift of
     the values found so far, so the pass costs one shift per edge.
     """
-    holding, _ = SUBSET_BITSETS(len(rows))
+    holding, _ = SUBSET_BITSETS[len(rows)]
     found = 1  # the empty set; all masks found so far lie above v
     for v in reversed(range(len(rows))):
         odd = 0
@@ -165,7 +156,7 @@ def _corank_levels(n: int, sources: int) -> tuple[int, ...]:
     """Bitsets of the masks at hypercube distance 0, 1, 2, ... from the
     source bitset, until every mask is reached.  A level's i-flip moves the
     masks holding i down by 2^i and the others up by 2^i."""
-    holding, _ = SUBSET_BITSETS(n)
+    holding, _ = SUBSET_BITSETS[n]
     flips = [(held, 1 << i) for i, held in enumerate(holding)]
     levels, seen = [sources], sources
     while True:
@@ -194,11 +185,13 @@ class SubsetTable:
 
     @classmethod
     def of_masks(cls, n: int, masks: Iterable[int]) -> "SubsetTable":
-        """Distances of the subsets of n elements from the given masks."""
+        """Distances of the subsets of n elements from one or more masks."""
         flags = bytearray(len(subset_masks(n)))
         for mask in masks:
             flags[mask] = 1
-        return cls(n, _corank_levels(n, int(flags[::-1].translate(_DIGITS), 2)))
+        if not (sources := int(flags[::-1].translate(_DIGITS), 2)):
+            raise DomainError(f"no source masks among the subsets of {n} elements")
+        return cls(n, _corank_levels(n, sources))
 
     def _digits(self, level: int, k: int) -> bytes:
         """One byte per mask, highest mask first: k for the masks in the
@@ -227,7 +220,7 @@ class SubsetTable:
         """Histogram {(|U|, statistic): count} as a read-only mapping, as
         :func:`subset_counts` gives it.  Levels that do not account for
         exactly 2^n masks raise InternalError."""
-        _, sized = SUBSET_BITSETS(self.n)
+        _, sized = SUBSET_BITSETS[self.n]
         counts = {}
         for k, level in enumerate(self.levels):
             for s, size_set in enumerate(sized):
@@ -241,14 +234,6 @@ class SubsetTable:
 
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
 _LEVEL_BYTES = [bytes.maketrans(b"01", bytes((0, k))) for k in range(MAX_GROUND + 1)]
-
-
-def hypercube_distances(n: int, sources: Iterable[int]) -> tuple[int, ...]:
-    """Hamming distance of every n-bit mask from the nearest source mask,
-    indexed by mask (all -1 without sources), read off the levels of
-    :class:`SubsetTable`."""
-    table = SubsetTable.of_masks(n, sources)
-    return table.distances if table.levels[0] else (-1,) * len(subset_masks(n))
 
 
 def _check_vertices(g: Graph, vertices: Iterable[int]) -> None:
@@ -410,10 +395,6 @@ def gf2_corank(rows: Sequence[int], n: int) -> int:
     return n - gf2_rank(rows)
 
 
-def adjacency_matrix(g: Graph) -> list[int]:
-    return list(g.rows)
-
-
 def induced_corank(g: Graph, vertices: Iterable[int]) -> int:
     """Corank of the adjacency matrix restricted to a vertex subset,
     eliminating directly on the masked rows (no subgraph object)."""
@@ -458,11 +439,6 @@ def _pivot_rows(rows: list[int], i: int, j: int) -> None:
             low = cls & -cls
             rows[low.bit_length() - 1] ^= flip
             cls ^= low
-
-
-def delete_vertex(g: Graph, v: int) -> Graph:
-    _check_vertices(g, (v,))
-    return Graph._raw(g.n - 1, _delete_row(g.rows, v - 1))
 
 
 def graph_pivot(g: Graph, a: int, b: int) -> Graph:

@@ -16,14 +16,15 @@ Both run on bitmasks with fewer than 3^n products for n ground elements.
 They are identities of the algebra, so they hold for every f,
 multiplicative or not.  The values are packed once into the
 :class:`wsys.algebra.PackedRing` of their variables, the convolutions run
-there, and the result converts to :class:`Poly` once.
+there, one :func:`~wsys.algebra.packed_fold` per subset, and the result
+converts to :class:`Poly` once.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterator, Sequence, TypeVar
 
-from .algebra import EXP_BITS, Packed, PackedRing, Poly, packed_add, packed_mul, var_key
+from .algebra import EXP_BITS, Packed, PackedRing, Poly, packed_fold, packed_mul, var_key
 from .errors import DomainError, InternalError
 from .glws import feps, spec_standard
 from .graphs import Graph, induced_subgraph, subsets
@@ -56,25 +57,23 @@ def _restricted_values(
     return ring, [ring.pack(v) for v in values]
 
 
-def _pointed_sum(p: list[Packed], g: list[Packed], s: int) -> Packed:
-    """Sum of p(T) * g(S - T) over the T strictly inside S that hold min S."""
+def _pointed_terms(p: list[Packed], g: list[Packed], s: int, sign: int) -> Iterator[tuple[int, int, Packed]]:
+    """Fold terms sign * p(T) * g(S - T) over the T strictly inside S holding min S."""
     low = s & -s
     rest = s ^ low
-    total: Packed = {}
     r = rest
     while r:
         r = (r - 1) & rest
         t = low | r
         if p[t]:
-            total = packed_add(total, packed_mul(p[t], g[s ^ t]))
-    return total
+            yield sign, 0, packed_mul(p[t], g[s ^ t])
 
 
 def _connected_parts(values: list[Packed]) -> list[Packed]:
     """The primitive projection p of every subset, by the log recursion."""
     p: list[Packed] = [{}]
     for s in range(1, len(values)):
-        p.append(packed_add(values[s], _pointed_sum(p, values, s), -1))
+        p.append(packed_fold(values[s], _pointed_terms(p, values, s, -1)))
     return p
 
 
@@ -101,7 +100,7 @@ def reconstruct_from_primitives(
     p = _connected_parts(values)
     g: list[Packed] = [{0: 1}]
     for s in range(1, len(p)):
-        g.append(packed_add(p[s], _pointed_sum(p, g, s)))
+        g.append(packed_fold(p[s], _pointed_terms(p, g, s, 1)))
     return ring.poly(g[-1])
 
 

@@ -104,18 +104,12 @@ _X_PLUS_ONE = (1 << _SLOT) + 1
 RecursionKey = tuple[int, tuple[int, ...]]
 
 
-class RecursionMemo:
+class RecursionMemo(dict[RecursionKey, int]):
     """Packed L of every graph the vertex recursion has met, keyed by
     (n, rows): one int per graph.  An explicit cache, kept until clear()."""
 
-    def __init__(self) -> None:
-        self._values: dict[RecursionKey, int] = {}
-
-    def clear(self) -> None:
-        self._values.clear()
-
     def stats(self) -> dict[str, int]:
-        return {"entries": len(self._values)}
+        return {"entries": len(self)}
 
 
 #: The memo of interlace_graph_recursive when the caller passes none.
@@ -180,7 +174,7 @@ def interlace_graph_recursive(
     :data:`RECURSION_MEMO`) holds packed values (L at x = 2^(MAX_GROUND + 1))."""
     if g.n > MAX_GROUND:
         raise DomainError(f"{g.n} elements exceed the subset budget of {MAX_GROUND}")
-    memo = RECURSION_MEMO._values if memo is None else memo
+    memo = RECURSION_MEMO if memo is None else memo
     rule = None if edge_policy is first_edge else edge_policy
     value = _interlace_packed(g.n, g.rows, memo, rule)
     mask = (1 << _SLOT) - 1

@@ -376,14 +376,6 @@ def chord_4t_graphs(
     )
 
 
-def chord_index(b: Perm, point: int) -> int:
-    """1-based index (in smaller-endpoint order) of the chord containing point."""
-    for k, (p, q) in enumerate(chords(b), start=1):
-        if point in (p, q):
-            return k
-    raise DomainError(f"point {point} out of range 1..{b.m}")
-
-
 # -- enumeration -----------------------------------------------------------------
 
 

@@ -24,7 +24,7 @@ from inspect import signature
 from random import Random
 from typing import Callable, Generator, Iterator
 
-from .algebra import Poly, poly_subst
+from .algebra import MAX_SERIES_ORDER, Poly, poly_subst
 from .dmat import (
     check_symmetric_exchange,
     dmat_delete,
@@ -133,19 +133,28 @@ def suite_names() -> list[str]:
     return list(SUITES)
 
 
-# The bounds that count something; each must be >= 0 (the seed may be anything).
-_COUNT_BOUNDS = ("max_m", "max_chords", "max_vertices", "samples", "order")
+#: Budgets of max_m, max_chords and max_vertices: 9! = 362 880 permutations,
+#: 13!! = 135 135 chord diagrams, 2^15 graphs on 6 vertices.
+MAX_VERIFY_M, MAX_VERIFY_CHORDS, MAX_VERIFY_VERTICES = 9, 7, 6
+
+# Count bounds (not the seed): each >= 0 and at most its budget; samples has none.
+_COUNT_BOUNDS = {
+    "max_m": MAX_VERIFY_M, "max_chords": MAX_VERIFY_CHORDS, "max_vertices": MAX_VERIFY_VERTICES,
+    "samples": None, "order": MAX_SERIES_ORDER,
+}
 
 
 def run_suite(name: str, **bounds) -> VerifySuiteReport:
     """Run one suite by name; irrelevant or unset (None) bounds are ignored.
-    A negative count bound is refused before any instance runs."""
+    A count bound below 0 or past its budget is refused before any instance runs."""
     fn = SUITES.get(name)
     if fn is None:
         raise DomainError(f"unknown verification suite {name!r}")
-    for key in _COUNT_BOUNDS:
+    for key, budget in _COUNT_BOUNDS.items():
         if (value := bounds.get(key)) is not None and value < 0:
             raise DomainError(f"bound {key} must be >= 0, got {value}")
+        if value is not None and budget is not None and value > budget:
+            raise DomainError(f"bound {key} = {value} exceeds the budget of {budget}")
     params = signature(fn).parameters
     kwargs = {k: v for k, v in bounds.items() if v is not None and k in params}
     notes: list[str] = []

@@ -150,6 +150,25 @@ def test_negative_verify_bounds_are_domain_errors(capsys):
         assert len(err) == 1 and err[0].startswith(f"domain error: bound {key} must be >= 0"), err
 
 
+def test_verify_bounds_and_series_orders_past_their_budget_are_domain_errors(capsys):
+    # refused in one domain-error line before any instance runs or any
+    # coefficient list is allocated: --max-m 20 would enumerate 20! permutations
+    for argv, line in (
+        (["verify", "tgl-soundness", "--max-m", "20"], "bound max_m = 20 exceeds the budget of 9"),
+        (["verify", "dmat-axiom", "--max-vertices", "7"], "bound max_vertices = 7 exceeds the budget of 6"),
+        (["verify", "trsc", "--max-chords", "8"], "bound max_chords = 8 exceeds the budget of 7"),
+        (["verify", "positivity-experiment", "--order", "1001"], "bound order = 1001 exceeds the budget of 1000"),
+        (["series", "--perm", "(1 2)", "--order", str(10**15)], f"series order must be in 0..1000, got {10**15}"),
+        (["series", "--perm", "(1 2)", "--order", "-1"], "series order must be in 0..1000, got -1"),
+    ):
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.strip().splitlines() == [f"domain error: {line}"], argv
+    assert run(["series", "--perm", "(1 2)", "--order", "1000"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_flags_that_do_not_apply_are_refused(capsys):
     # feps has one route per call: --direct and --in-v together do not parse
     assert run(["feps", "--perm", "(1 3)(2 4)", "--direct", "--in-v"]) == 1

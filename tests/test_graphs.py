@@ -23,11 +23,10 @@ from wsys.graphs import (
     Graph,
     SubsetTable,
     _bits,
-    adjacency_matrix,
+    _delete_row,
     all_graphs,
     complete_graph,
     cycle_graph,
-    delete_vertex,
     diamond_graph,
     four_term_images,
     gf2_corank,
@@ -35,7 +34,6 @@ from wsys.graphs import (
     graph_format,
     graph_parse,
     graph_pivot,
-    hypercube_distances,
     induced_corank,
     induced_subgraph,
     is_nondegenerate,
@@ -116,7 +114,7 @@ def test_adjacency_corank_known_graphs():
     # a single vertex is degenerate (zero 1x1 matrix)
     assert induced_corank(complete_graph(3), [2]) == 1
     assert induced_corank(complete_graph(3), []) == 0
-    assert adjacency_matrix(complete_graph(2)) == [0b10, 0b01]
+    assert list(complete_graph(2).rows) == [0b10, 0b01]
     # all induced coranks at once, against the one-subset routes
     for n in range(6):
         for g in all_graphs(n):
@@ -173,14 +171,20 @@ def test_subset_tables_up_to_the_budget():
 
 
 def test_hypercube_distances_from_the_levels():
-    assert hypercube_distances(3, []) == (-1,) * 8
-    assert hypercube_distances(0, [0]) == (0,)
-    assert hypercube_distances(3, [0b011]) == (2, 1, 1, 0, 3, 2, 2, 1)
+    assert SubsetTable.of_masks(0, [0]).distances == (0,)
+    assert SubsetTable.of_masks(3, [0b011]).distances == (2, 1, 1, 0, 3, 2, 2, 1)
     rng = Random(88)
     for n in range(1, 9):
         sources = {rng.randrange(1 << n) for _ in range(rng.randint(1, 5))}
         expected = tuple(min((mask ^ f).bit_count() for f in sources) for mask in range(1 << n))
-        assert hypercube_distances(n, sources) == expected, (n, sources)
+        assert SubsetTable.of_masks(n, sources).distances == expected, (n, sources)
+
+
+def test_subset_table_refuses_an_empty_source_family():
+    # with no source the levels would be (0,): every distance would read 0
+    for n in (0, 3):
+        with pytest.raises(DomainError, match=f"^no source masks among the subsets of {n} elements$"):
+            SubsetTable.of_masks(n, [])
 
 
 def test_subset_tables_refuse_past_the_budget_before_building():
@@ -199,7 +203,7 @@ def test_subset_tables_refuse_past_the_budget_before_building():
 
 def test_subset_bitsets_cache_clears_and_refills():
     SUBSET_BITSETS.clear()
-    assert SUBSET_BITSETS(3) == ((0b10101010, 0b11001100, 0b11110000), (0b1, 0b00010110, 0b01101000, 0b10000000))
+    assert SUBSET_BITSETS[3] == ((0b10101010, 0b11001100, 0b11110000), (0b1, 0b00010110, 0b01101000, 0b10000000))
     g = path_graph(4)
     before = g.coranks
     SUBSET_BITSETS.clear()
@@ -209,7 +213,7 @@ def test_subset_bitsets_cache_clears_and_refills():
 def test_subset_bitsets_stats():
     SUBSET_BITSETS.clear()
     assert SUBSET_BITSETS.stats() == {"n": [], "bitsets": 0, "bytes": 0}
-    held = [SUBSET_BITSETS(3), SUBSET_BITSETS(2)]
+    held = [SUBSET_BITSETS[3], SUBSET_BITSETS[2]]
     bitsets = [b for holding, sized in held for b in holding + sized]
     assert len(bitsets) == (3 + 4) + (2 + 3)
     assert SUBSET_BITSETS.stats() == {"n": [2, 3], "bitsets": 12, "bytes": sum(map(sys.getsizeof, bitsets))}
@@ -254,7 +258,7 @@ def test_induced_subgraph_and_delete():
     g = complete_graph(3)
     h = induced_subgraph(g, [1, 3])
     assert h == complete_graph(2)
-    assert delete_vertex(g, 2) == complete_graph(2)
+    assert _delete_row(g.rows, 1) == complete_graph(2).rows
     with pytest.raises(DomainError):
         induced_subgraph(g, [1, 4])
 
@@ -351,7 +355,7 @@ def seeded_graphs(seed, count):
 
 def check_against_references(g, subsets):
     for v in range(1, g.n + 1):
-        assert delete_vertex(g, v) == ref_delete_vertex(g, v)
+        assert Graph._raw(g.n - 1, _delete_row(g.rows, v - 1)) == ref_delete_vertex(g, v)
     for a in range(1, g.n + 1):
         for b in range(1, g.n + 1):
             if a == b:
@@ -394,7 +398,6 @@ L3 = graph_parse("n=3; edges=1-3")
         pytest.param(lambda: four_term_images(L3, 0, 1), id="four_term_images(0,1)"),
         pytest.param(lambda: graph_4t_check(skew_char, L3, 0, 1), id="graph_4t_check(0,1)"),
         pytest.param(lambda: graph_pivot(L3, 0, 1), id="graph_pivot(0,1)"),
-        pytest.param(lambda: delete_vertex(L3, 4), id="delete_vertex(4)"),
         pytest.param(lambda: induced_subgraph(L3, [0, 1]), id="induced_subgraph(0,1)"),
         pytest.param(lambda: induced_corank(L3, [4]), id="induced_corank(4)"),
     ],
@@ -468,7 +471,7 @@ def test_derived_graphs_pass_the_validating_constructor():
             for mask in range(1 << n):
                 validated(induced_subgraph(g, [v + 1 for v in range(n) if mask >> v & 1]))
             for v in range(1, n + 1):
-                validated(delete_vertex(g, v))
+                validated(Graph._raw(n - 1, _delete_row(g.rows, v - 1)))
             for a, b in combinations(range(1, n + 1), 2):
                 validated(g.toggle_edge(a, b))
                 for x, y in ((a, b), (b, a)):
@@ -493,3 +496,13 @@ def test_no_subset_loop_outside_the_enumerator():
                 found.add((path.stem, max(owners, key=lambda f: f.lineno).name if owners else None))
     assert ("graphs", "subset_masks") in found
     assert found <= allowed, sorted(found - allowed)
+
+
+def test_no_assert_in_the_package():
+    # python -O strips assert statements, so a consistency check written as
+    # one would stop running; every check raises an error class instead
+    found = []
+    for path in sorted(Path(wsys.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found += [(path.stem, node.lineno) for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []

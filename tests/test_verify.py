@@ -1,10 +1,16 @@
 """The verification-suite registry and report plumbing."""
 
+from inspect import signature
+
 import pytest
 
+from wsys.algebra import MAX_SERIES_ORDER
 from wsys.errors import DomainError, InternalError
 from wsys.verify import (
     EXPERIMENTS,
+    MAX_VERIFY_CHORDS,
+    MAX_VERIFY_M,
+    MAX_VERIFY_VERTICES,
     SUITES,
     VerifySuiteReport,
     run_suite,
@@ -90,6 +96,41 @@ def test_negative_bounds_are_refused_before_any_instance(monkeypatch):
     # zero is a bound like any other, and the seed may be negative
     assert run_suite("tsr", max_m=0, samples=0, order=0, seed=-5).instances == 1
     assert ran == [0]
+
+
+BUDGETS = {
+    "max_m": MAX_VERIFY_M,
+    "max_chords": MAX_VERIFY_CHORDS,
+    "max_vertices": MAX_VERIFY_VERTICES,
+    "order": MAX_SERIES_ORDER,
+}
+
+
+def test_bounds_past_their_budget_are_refused_before_any_instance(monkeypatch):
+    assert BUDGETS == {"max_m": 9, "max_chords": 7, "max_vertices": 6, "order": 1000}
+    # every suite's default lies inside its budget
+    for name, fn in SUITES.items():
+        for key, param in signature(fn).parameters.items():
+            if key in BUDGETS:
+                assert param.default <= BUDGETS[key], (name, key)
+    ran = []
+
+    def suite(max_m: int = 3):
+        ran.append(max_m)
+        yield True, "instance"
+
+    monkeypatch.setitem(SUITES, "tsr", suite)
+    for key, budget in BUDGETS.items():
+        with pytest.raises(DomainError, match=f"^bound {key} = {budget + 1} exceeds the budget of {budget}$"):
+            run_suite("tsr", **{key: budget + 1})
+        with pytest.raises(DomainError, match=key):
+            run_suites(["tsr"], **{key: 10**12})
+        with pytest.raises(DomainError, match=key):
+            run_suites(None, **{key: budget + 1})
+    assert ran == []
+    # a budget is a bound like any other; samples has none
+    assert run_suite("tsr", **BUDGETS, samples=10**9).instances == 1
+    assert ran == [MAX_VERIFY_M]
 
 
 def test_run_suites_subset_and_order():
