@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -46,6 +47,20 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str):
         raise ParseError(message)
+
+
+def _int_flag(text: str) -> int:
+    """The value of an integer option: an optional "-" and ASCII digits, as
+    the text parsers read numbers (``int`` alone also takes "١٠", "1_0"
+    and " 5 ").  A negative value is returned for the domain checks to
+    refuse; anything else, or a run too long for ``int``, is a parse error
+    that quotes the text shortened."""
+    if re.fullmatch(r"-?[0-9]+", text) is not None:
+        try:
+            return int(text)
+        except ValueError:  # more digits than int converts
+            pass
+    raise argparse.ArgumentTypeError(f"expected an integer, got {shorten(text)!r}")
 
 
 # Each number is read with bounded_uint against the size of the object it
@@ -221,7 +236,7 @@ def _build_parser() -> _Parser:
 
     p_wgl = sub.add_parser("wgl", help="universal weight-system value of a permutation")
     p_wgl.add_argument("--perm", required=True, help="permutation (one-line or cycles)")
-    p_wgl.add_argument("--cap", type=int, default=DEFAULT_CAP, help="largest admitted point count")
+    p_wgl.add_argument("--cap", type=_int_flag, default=DEFAULT_CAP, help="largest admitted point count")
     p_wgl.set_defaults(handler=_cmd_wgl)
 
     p_faces = sub.add_parser("faces", help="cycle and face counts of a permutation")
@@ -274,17 +289,17 @@ def _build_parser() -> _Parser:
 
     p_ser = sub.add_parser("series", help="series expansion of the interlace function")
     p_ser.add_argument("--perm", required=True)
-    p_ser.add_argument("--order", type=int, default=7, help="highest power of z")
+    p_ser.add_argument("--order", type=_int_flag, default=7, help="highest power of z")
     p_ser.set_defaults(handler=_cmd_series)
 
     p_ver = sub.add_parser("verify", help="run verification suites")
     p_ver.add_argument("suites", nargs="*", help="suite names (default: all)")
-    p_ver.add_argument("--max-m", type=int, default=None)
-    p_ver.add_argument("--max-chords", type=int, default=None)
-    p_ver.add_argument("--max-vertices", type=int, default=None)
-    p_ver.add_argument("--samples", type=int, default=None)
-    p_ver.add_argument("--seed", type=int, default=None)
-    p_ver.add_argument("--order", type=int, default=None)
+    p_ver.add_argument("--max-m", type=_int_flag, default=None)
+    p_ver.add_argument("--max-chords", type=_int_flag, default=None)
+    p_ver.add_argument("--max-vertices", type=_int_flag, default=None)
+    p_ver.add_argument("--samples", type=_int_flag, default=None)
+    p_ver.add_argument("--seed", type=_int_flag, default=None)
+    p_ver.add_argument("--order", type=_int_flag, default=None)
     p_ver.add_argument("--json", action="store_true", help="machine-readable reports")
     p_ver.set_defaults(handler=_cmd_verify)
 

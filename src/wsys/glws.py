@@ -52,23 +52,31 @@ reads its univariate value straight into a :class:`RatFunc`.
 
 A state is a one-line image stored as a ``str`` with one code point per
 point (code point v is the value v), which covers all MAX_POINTS points;
-its hash is computed once.  Each step is a few C-level string calls: a
-contraction is two slices, one ``str.replace`` and one ``str.translate``
-(v -> v - (v > l)); a swap exchanges two slots and translates by the
-transposition (l, l+1); a strip slices a block off and translates by -k;
-a rotation slices and translates by (y - 1 - x) mod m + 1.  The
-translate tables are cut from one alphabet string and cached per l, k or
-m.  On the way out of the strip/swap loop, a swap state's two
-contraction terms are folded into its successor's value in one dict copy
-(:func:`wsys.algebra.packed_fold`); a contraction factor that is a unit
-monomial (N) enters as an exponent shift, any other factor multiplies,
-and a zero factor's branch is never evaluated.
+its hash is computed once.  Each step is a few C-level string calls.
+:func:`_step` cuts a state once into left, alpha(l), alpha(l+1), right:
+each contraction joins left, one middle entry and right, then makes one
+``str.replace`` and one ``str.translate`` (v -> v - (v > l)), and the
+swap joins the pieces with the middle two exchanged and translates by
+the transposition (l, l+1).  A strip slices a block off and translates
+by -k.  Fixed points go from the highest down, each one slice and one
+translate, and factor out as one power of C1.  A rotation slices and
+translates by (y - 1 - x) mod m + 1; the rotations that start with 2 are
+found by comparing the state with 2, 3, ..., m, 1 in C, and only a state
+with none lists its displacements.  The translate tables are cut from
+one alphabet string and cached per l, k or m.  The loop reads the memo
+for each contraction result before it calls the evaluator, so a hit
+costs no call.  On the way out of the strip/swap loop, a swap state's
+two contraction terms are folded into its successor's value in one dict
+copy (:func:`wsys.algebra.packed_fold`); a contraction factor that is a
+unit monomial (N) enters as an exponent shift, any other factor
+multiplies, and a zero factor's branch is never evaluated.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import compress, count
 from math import comb
 from operator import eq
 from typing import Callable, MutableMapping, NamedTuple, Sequence
@@ -93,6 +101,7 @@ class _Binding(NamedTuple):
     name: str
     ring: PackedRing
     strip: Callable[[int], Packed]  # image of C_k
+    fixed: Callable[[int], Packed]  # image of C1^f, for f fixed points
     contract: tuple[tuple[int, Packed | None] | None, ...]  # per freed class count, see _contract_rule
 
 
@@ -122,6 +131,7 @@ def _binding(
         name,
         ring,
         cache(lambda k: ring.pack(strip(k))),
+        cache(lambda f: ring.pack(strip(1) ** f)),
         tuple(_contract_rule(ring, f) for f in contract),
     )
 
@@ -167,72 +177,76 @@ def _rotation_tables(m: int) -> str:
     return _POINTS[:m] * 2
 
 
-def _scan(state: str):
+def _scan(state: str) -> int:
     """Walk the cycle through 1 while it sits in standard ascending position.
 
-    Returns ("strip", k) when the cycle closes as the standard k-cycle on
-    points 1..k, or ("dev", t) where t = the image that breaks the ascent
-    (t is then > position+1, and must be bubbled left).
+    Returns -k when the cycle closes as the standard k-cycle on points
+    1..k (a strip), else the image t that breaks the ascent (t is then >
+    position+1, and must be bubbled left).
     """
     x = 1
     while state[x - 1] == _ALPHABET[x + 1]:
         x += 1
     y = ord(state[x - 1])
-    return ("strip", x) if y == 1 else ("dev", y)
+    return -x if y == 1 else y
 
 
-def _conj_swap(state: str, l: int) -> str:
-    """Conjugate by the transposition (l, l+1): swap the slots l and l+1,
-    then swap the values l and l+1."""
-    return (state[: l - 1] + state[l] + state[l - 1] + state[l + 1 :]).translate(_swap_table(l))
+def _step(state: str, l: int) -> tuple[str, bool, str, bool, str]:
+    """One recurrence step at positions l, l+1: (swap, freed1, merged1,
+    freed2, merged2), with value(state) = value(swap) + f(freed1) *
+    value(merged1) - f(freed2) * value(merged2) for the contraction factor
+    f (1 or N in wgl).
 
-
-def _contract(state: str, l: int, variant: int) -> tuple[int, str]:
-    """One contraction of the recurrence at positions l, l+1.
-
-    Variant 1 merges the factors into (first = class of l, second = class
-    of alpha(l+1)) and identifies the classes of alpha(l) and l+1; variant
-    2 merges into (first = class of l+1, second = class of alpha(l)) and
-    identifies the classes of alpha(l+1) and l.  Returns (npower, state)
-    where npower is 1 exactly when the identification was trivial and an
-    index class got freed (a factor of N).
+    The swap is the conjugate by the transposition (l, l+1): the slots l
+    and l+1 exchanged, then the values l and l+1.  Variant 1 merges the
+    two factors into (first = class of l, second = class of alpha(l+1))
+    and identifies the classes of alpha(l) and l+1; variant 2 merges into
+    (first = class of l+1, second = class of alpha(l)) and identifies the
+    classes of alpha(l+1) and l.  freed is True exactly when the
+    identification was trivial and an index class got freed (a factor of
+    N).
 
     In closed form: the merged factor sits at position l and carries class
-    l (variant 1) or l+1 (variant 2).  The other of the two, ``gone``,
-    carries no factor any more, so identifying it with ``keep`` renames it
-    keep; when the two coincide the class is freed instead and occurs in no
+    l (variant 1) or l+1 (variant 2).  The other of the two, hi = l+1 or
+    lo = l, carries no factor any more, so identifying it with alpha(l)
+    (variant 1) or alpha(l+1) (variant 2) renames it, one ``str.replace``;
+    when the two coincide the class is freed instead and occurs in no
     factor.  Every other class q is carried by the factor at position
-    q - (q > l), which is the relabelling of each factor's second class.
+    q - (q > l), which is the relabelling of each factor's second class,
+    one ``str.translate``.
     """
-    if variant == 1:  # the merged factor's second class is alpha(l+1)
-        gone, keep = _ALPHABET[l + 1], state[l - 1]
-        seconds = state[: l - 1] + state[l:]
-    else:  # ... or alpha(l)
-        gone, keep = _ALPHABET[l], state[l]
-        seconds = state[:l] + state[l + 1 :]
-    trivial = keep == gone
-    if trivial and gone in seconds:
+    left, a, b, right = state[: l - 1], state[l - 1], state[l], state[l + 1 :]
+    lo, hi = _ALPHABET[l], _ALPHABET[l + 1]
+    seconds1, seconds2 = left + b + right, left + a + right
+    freed1, freed2 = a == hi, b == lo
+    if (freed1 and hi in seconds1) or (freed2 and lo in seconds2):
         raise InternalError("freed class may not occur in any factor")
-    out = seconds.replace(gone, keep).translate(_lower_table(l))
-    if len(set(out)) != len(out):
+    lower = _lower_table(l)
+    merged1 = seconds1.replace(hi, a).translate(lower)
+    merged2 = seconds2.replace(lo, b).translate(lower)
+    n = len(state) - 1  # the points of either contraction
+    if len(set(merged1)) != n or len(set(merged2)) != n:
         raise InternalError("contracted image is not a permutation")
-    return int(trivial), out
+    swap = (left + b + a + right).translate(_swap_table(l))
+    return swap, freed1, merged1, freed2, merged2
 
 
 def _drop_fixed(state: str) -> tuple[int, str]:
     """(f, state): the state with its f fixed points removed and the other
-    points renumbered in order."""
+    points renumbered in order.  The fixed points go from the highest down,
+    so each removal is one slice and v -> v - (v > x) on what is left."""
     if not any(map(eq, state, _POINTS)):
         return 0, state
-    table: dict[int, int | None] = {}  # fixed point -> deleted, other value -> renumbered
-    f = 0
-    for x, y in enumerate(state, 1):
-        if ord(y) == x:
-            f += 1
-            table[x] = None
-        else:
-            table[x] = x - f
-    return f, state.translate(table)
+    fixed = [*compress(count(1), map(eq, state, _POINTS))]
+    for x in reversed(fixed):
+        state = (state[: x - 1] + state[x:]).translate(_lower_table(x))
+    return len(fixed), state
+
+
+@cache
+def _successors(m: int) -> str:
+    """2, 3, ..., m, 1: the image of the long cycle on 1..m."""
+    return _POINTS[1:m] + _POINTS[0]
 
 
 def _least_rotation(state: str) -> str:
@@ -240,35 +254,37 @@ def _least_rotation(state: str) -> str:
     by powers of the long cycle): the smallest first entry, ties broken
     lexicographically.  The k-th power maps position x to x + k and value y
     to y + k (mod m), so the rotation that starts at 0-based position x
-    has first entry 1 + ((y - 1 - x) mod m) for y = its value at x; only
-    the rotations tied for the smallest are built."""
+    has first entry 1 + ((y - 1 - x) mod m) for y = its value at x.  That
+    is never 1 (no fixed points), and it is 2 exactly where y is the
+    successor of x + 1 on the circle, which one comparison with 2, 3, ...,
+    m, 1 finds; only a state with no such y lists its displacements.  Only
+    the rotations tied for the smallest are built, and the one that starts
+    at 0 is the state itself."""
     m = len(state)
-    firsts = [(y - x) % m for x, y in enumerate(map(ord, state), 1)]
-    least = min(firsts)
+    starts = [*compress(range(m), map(eq, state, _successors(m)))]
+    if not starts:
+        firsts = [(y - x) % m for x, y in enumerate(map(ord, state), 1)]
+        least = min(firsts)
+        starts = [x for x, first in enumerate(firsts) if first == least]
     tables = _rotation_tables(m)
-    return min(
-        (state[x:] + state[:x]).translate(tables[m - 1 - x : 2 * m - x])
-        for x, first in enumerate(firsts)
-        if first == least
-    )
+    if len(starts) > 1:
+        return min((state[x:] + state[:x]).translate(tables[m - 1 - x : 2 * m - x]) if x else state for x in starts)
+    (x,) = starts
+    return (state[x:] + state[:x]).translate(tables[m - 1 - x : 2 * m - x]) if x else state
 
 
 def _wgl_state(state: str, b: _Binding, memo: MutableMapping) -> Packed:
-    """The value of a state in b's ring.  Fixed points are factored out as
-    C1 first, and a state the memo misses is replaced by its least
-    rotation; then leading standard blocks are stripped and the
-    out-of-place element bubbled left in one loop; only the contractions
-    (one point fewer each) recurse."""
-    if (val := memo.get(state)) is not None:
-        return val
+    """The value in b's ring of a state the memo misses.  Fixed points are
+    factored out as one power of C1 first, and what is left, if the memo
+    misses it too, is replaced by its least rotation; then leading
+    standard blocks are stripped and the out-of-place element bubbled left
+    in one loop; only the contractions (one point fewer each) recurse."""
     fixed, cur = _drop_fixed(state)
-    if (val := memo.get(cur)) is None:
+    if not fixed or (val := memo.get(cur)) is None:
         cur = _least_rotation(cur)
         val = _reduce(cur, b, memo)
     if fixed:
-        c1 = b.strip(1)
-        for _ in range(fixed):
-            val = packed_mul(c1, val)
+        val = packed_mul(b.fixed(fixed), val)
     if cur != state:
         memo[state] = val
     return val
@@ -280,22 +296,24 @@ def _reduce(cur: str, b: _Binding, memo: MutableMapping) -> Packed:
     swap state's contraction terms are folded into the value of its
     successor in one copy."""
     pending: list[tuple[str, Packed | None, Sequence]] = []  # (state, strip factor, contraction terms)
+    contract = b.contract  # per freed: (shift, factor or None), or None for a zero factor
     while (val := memo.get(cur)) is None:
-        kind, v = _scan(cur)
-        if kind == "strip":
-            pending.append((cur, b.strip(v), ()))
-            cur = cur[v:].translate(_strip_table(v))
+        if (v := _scan(cur)) < 0:
+            pending.append((cur, b.strip(-v), ()))
+            cur = cur[-v:].translate(_strip_table(-v))
             continue
-        l = v - 1
+        swap, freed1, merged1, freed2, merged2 = _step(cur, v - 1)
         terms = []
-        for variant, sign in ((1, 1), (2, -1)):
-            freed, merged = _contract(cur, l, variant)
-            if (rule := b.contract[freed]) is not None:  # a zero factor skips the branch
-                shift, factor = rule
-                term = _wgl_state(merged, b, memo)
-                terms.append((sign, shift, term if factor is None else packed_mul(factor, term)))
+        if (rule := contract[freed1]) is not None:  # a zero factor skips the branch
+            if (term := memo.get(merged1)) is None:
+                term = _wgl_state(merged1, b, memo)
+            terms.append((1, rule[0], term if rule[1] is None else packed_mul(rule[1], term)))
+        if (rule := contract[freed2]) is not None:
+            if (term := memo.get(merged2)) is None:
+                term = _wgl_state(merged2, b, memo)
+            terms.append((-1, rule[0], term if rule[1] is None else packed_mul(rule[1], term)))
         pending.append((cur, None, terms))
-        cur = _conj_swap(cur, l)
+        cur = swap
     for state, strip, terms in reversed(pending):
         val = packed_fold(val, terms) if strip is None else packed_mul(strip, val)
         memo[state] = val
@@ -308,12 +326,15 @@ _MEMOS: dict[str, dict[str, Packed]] = {}
 
 
 def _packed_value(p: Perm, cap: int, b: _Binding, memo: MutableMapping | None = None) -> Packed:
+    if cap < 0:
+        raise DomainError(f"cap must be >= 0, got {cap}")
     what, limit = ("cap", cap) if cap <= MAX_POINTS else ("budget", MAX_POINTS)
     if p.m > limit:
         raise DomainError(f"permutation has {p.m} points, exceeding the {what} {limit}")
     table = _MEMOS.setdefault(b.name, {}) if memo is None else memo
     table.setdefault("", {0: 1})
-    return _wgl_state(_state(p.img), b, table)
+    state = _state(p.img)
+    return val if (val := table.get(state)) is not None else _wgl_state(state, b, table)
 
 
 def _evaluate(p: Perm, cap: int, b: _Binding, memo: MutableMapping | None = None) -> Poly:
@@ -357,10 +378,8 @@ def rule_terms(p: Perm, l: int) -> tuple[Perm, int, Perm, int, Perm]:
     """
     if not 1 <= l < p.m:
         raise DomainError(f"rule position {l} out of range 1..{p.m - 1}")
-    state = _state(p.img)
-    n1, m1 = _contract(state, l, 1)
-    n2, m2 = _contract(state, l, 2)
-    return Perm(_image(_conj_swap(state, l))), n1, Perm(_image(m1)), n2, Perm(_image(m2))
+    swap, n1, m1, n2, m2 = _step(_state(p.img), l)
+    return Perm(_image(swap)), int(n1), Perm(_image(m1)), int(n2), Perm(_image(m2))
 
 
 def rule_apply(p: Perm, l: int) -> WglState:

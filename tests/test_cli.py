@@ -169,6 +169,42 @@ def test_verify_bounds_and_series_orders_past_their_budget_are_domain_errors(cap
     assert capsys.readouterr().err == ""
 
 
+def test_negative_cap_is_a_domain_error(capsys):
+    assert run(["wgl", "--perm", "2,1", "--cap", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == ["domain error: cap must be >= 0, got -1"]
+
+
+def test_integer_options_are_ascii_digits(capsys):
+    # every integer option reads an optional "-" and ASCII digits, as the
+    # text parsers do; int() alone would take Arabic-Indic digits,
+    # underscores and surrounding blanks.  A run too long for int() is the
+    # same one short parse-error line, quoting the value shortened
+    huge = "9" * 5000
+    for flags in (["wgl", "--perm", "2,1", "--cap"], ["series", "--perm", "(1 2)", "--order"]) + tuple(
+        ["verify", "tgl-soundness", option]
+        for option in ("--max-m", "--max-chords", "--max-vertices", "--samples", "--seed", "--order")
+    ):
+        for value, shown in (
+            ("١٠", "'١٠'"), ("1_0", "'1_0'"), (" 5 ", "' 5 '"), ("5\n", "'5\\n'"), ("+5", "'+5'"),
+            ("-", "'-'"), ("5-", "'5-'"), ("0x1", "'0x1'"), ("²", "'²'"),
+            (huge, "'9999999999...9999999999 (5000 characters)'"),
+        ):
+            assert run([*flags, value]) == 1, (flags, value)
+            captured = capsys.readouterr()
+            assert captured.out == "", (flags, value)
+            err = captured.err.strip().splitlines()
+            assert len(err) == 1 and err[0].startswith("parse error: argument "), (flags, value, err)
+            assert err[0].endswith(f": expected an integer, got {shown}"), (flags, value, err)
+    # negative values still reach the domain checks, and leading zeros read
+    # as the number
+    assert run(["series", "--perm", "(1 2)", "--order", "-0001"]) == 2
+    assert capsys.readouterr().err.strip() == "domain error: series order must be in 0..1000, got -1"
+    assert run(["wgl", "--perm", "2,1", "--cap", "007"]) == 0
+    assert out_of(capsys) == ["C2"]
+
+
 def test_flags_that_do_not_apply_are_refused(capsys):
     # feps has one route per call: --direct and --in-v together do not parse
     assert run(["feps", "--perm", "(1 3)(2 4)", "--direct", "--in-v"]) == 1

@@ -138,7 +138,7 @@ def test_dmat_delete():
     assert d2.ground == 2
     assert d2.admissible_sorted() == [0b00, 0b11]
     co = DMat(1, frozenset({0b1}))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="cannot delete the coloop 1"):
         dmat_delete(co, 1)  # deleting a coloop empties the system
     # against the definition on sets: keep the sets avoiding e, renumber
     # the elements above e one lower

@@ -93,22 +93,19 @@ def test_wgl_multiplicative_under_concatenation():
 
 
 def _plain_wgl(state, memo):
-    """wgl by the bare recurrence: strips, swaps and contractions from
-    glws on its str states, with no rotation step and no fixed-point rule,
-    in Poly."""
+    """wgl by the bare recurrence: strips and steps from glws on its str
+    states, with no rotation step and no fixed-point rule, in Poly."""
     if not state:
         return Poly.one()
     if state not in memo:
-        kind, v = glws._scan(state)
-        if kind == "strip":
-            rest = glws._state(tuple(ord(w) - v for w in state[v:]))
-            memo[state] = Poly.var(casimir(v)) * _plain_wgl(rest, memo)
+        v = glws._scan(state)
+        if v < 0:
+            rest = glws._state(tuple(ord(w) + v for w in state[-v:]))
+            memo[state] = Poly.var(casimir(-v)) * _plain_wgl(rest, memo)
         else:
-            l = v - 1
-            n1, merge1 = glws._contract(state, l, 1)
-            n2, merge2 = glws._contract(state, l, 2)
+            swap, n1, merge1, n2, merge2 = glws._step(state, v - 1)
             memo[state] = (
-                _plain_wgl(glws._conj_swap(state, l), memo)
+                _plain_wgl(swap, memo)
                 + N**n1 * _plain_wgl(merge1, memo)
                 - N**n2 * _plain_wgl(merge2, memo)
             )
@@ -141,6 +138,52 @@ def test_least_rotation_is_the_least_cyclic_shift():
             assert glws._image(least) == min(q.img for q in rotations), p.img
             count += 1
     assert count == 1 + 2 + 9 + 44 + 265 + 1854  # the derangements with 2..7 points
+
+
+def _rotations(state):
+    """Every conjugate of a state by a power of the long cycle, built from
+    Perm rather than from the engine's tables."""
+    p = Perm(glws._image(state))
+    out = [p]
+    for _ in range(p.m - 1):
+        out.append(cyclic_shift(out[-1]))
+    return [glws._state(q.img) for q in out]
+
+
+def test_least_rotation_past_the_exhaustive_range():
+    # seeded derangements at m = 8..12, half of them with no value that is
+    # its position's successor on the circle, so that no rotation starts
+    # with 2 and the displacement list decides
+    rng = Random(21)
+    with_two = without_two = 0
+    while with_two < 150 or without_two < 150:
+        m = rng.randint(8, 12)
+        img = list(range(1, m + 1))
+        rng.shuffle(img)
+        if any(y == x for x, y in enumerate(img, 1)):
+            continue
+        starts_with_two = any(y == x % m + 1 for x, y in enumerate(img, 1))
+        if (with_two if starts_with_two else without_two) >= 150:
+            continue
+        state = glws._state(tuple(img))
+        assert glws._least_rotation(state) == min(_rotations(state)), img
+        with_two += starts_with_two
+        without_two += not starts_with_two
+
+
+def test_drop_fixed_matches_a_reference_deletion():
+    # every permutation through m = 6: the fixed points deleted, the rest
+    # renumbered by rank
+    several = 0
+    for m in range(7):
+        for p in all_perms(m):
+            kept = [y for x, y in enumerate(p.img, 1) if y != x]
+            rank = {y: r for r, y in enumerate(sorted(kept), 1)}
+            want = (m - len(kept), tuple(rank[y] for y in kept))
+            f, rest = glws._drop_fixed(glws._state(p.img))
+            assert (f, glws._image(rest)) == want, p.img
+            several += f >= 2
+    assert several == 1 + 1 + 7 + 31 + 191  # m! minus the derangements and the one-fixed-point ones, m = 2..6
 
 
 def test_wgl_is_invariant_under_reflection_of_the_inverse():
@@ -230,13 +273,19 @@ def _contract_by_slots(img, l, variant):
 
 
 def test_contraction_matches_index_class_calculus():
+    # both contractions against the slot calculus, and the swap against the
+    # conjugation by (l, l+1) written out on the image
     for m in range(2, 7):
         for p in all_perms(m):
             for l in range(1, m):
-                for variant in (1, 2):
-                    want = _contract_by_slots(p.img, l, variant)
-                    freed, merged = glws._contract(glws._state(p.img), l, variant)
-                    assert (freed, glws._image(merged)) == want, (p.img, l, variant)
+                def t(x):  # the transposition (l, l+1)
+                    return {l: l + 1, l + 1: l}.get(x, x)
+
+                conj = tuple(t(p(t(x))) for x in range(1, m + 1))
+                swap, freed1, merged1, freed2, merged2 = glws._step(glws._state(p.img), l)
+                assert glws._image(swap) == conj, (p.img, l)
+                assert (int(freed1), glws._image(merged1)) == _contract_by_slots(p.img, l, 1), (p.img, l)
+                assert (int(freed2), glws._image(merged2)) == _contract_by_slots(p.img, l, 2), (p.img, l)
 
 
 def test_states_span_the_whole_point_budget():
@@ -247,7 +296,7 @@ def test_states_span_the_whole_point_budget():
 
 
 def test_contraction_checks_survive_optimize_flag():
-    # both consistency checks of a contraction raise InternalError under
+    # both consistency checks of a step raise InternalError under
     # python -O on a planted state that is not a permutation: value 2
     # twice with alpha(1) = 2 (a freed class that still occurs), and value
     # 1 twice (a contraction that is not a permutation)
@@ -257,7 +306,7 @@ def test_contraction_checks_survive_optimize_flag():
         "from wsys.errors import InternalError\n"
         "for img, l in (((2, 1, 2), 1), ((1, 1, 3), 2)):\n"
         "    try:\n"
-        "        glws._contract(glws._state(img), l, 1)\n"
+        "        glws._step(glws._state(img), l)\n"
         "    except InternalError as exc:\n"
         "        print(exc, sys.flags.optimize, sep='|')\n"
     )
@@ -349,6 +398,16 @@ def test_wgl_cap():
     with pytest.raises(DomainError):
         wgl(standard_cycle(4), cap=3)
     assert wgl(standard_cycle(4), cap=4) == Poly.var("C4")
+
+
+def test_negative_cap_is_refused_before_the_point_count():
+    # cap -1 is a bad cap, not a permutation too large for it: even the
+    # empty permutation is refused, by every entry point of the engine
+    for f in (wgl, feps, gl11_skewchar, interlace_perm):
+        for p in (EMPTY, perm_parse("2,1")):
+            with pytest.raises(DomainError, match=r"^cap must be >= 0, got -1$"):
+                f(p, cap=-1)
+    assert wgl(EMPTY, cap=0) == Poly.one()
 
 
 def test_wgl_memo_isolation():
