@@ -35,7 +35,7 @@ from functools import cache
 from itertools import accumulate
 from typing import Iterable, Mapping, Union
 
-from .errors import DomainError, InternalError, is_uint
+from .errors import DomainError, InternalError, is_uint, shorten_int
 
 # A monomial is a tuple of (variable, exponent) pairs, sorted by the fixed
 # variable order, with all exponents positive.  The empty tuple is the
@@ -502,7 +502,7 @@ class RatFunc:
         (1-z) takes prefix sums, so the series is dpow running prefix sums
         of the numerator's coefficients, in int for an integer numerator."""
         if not 0 <= order <= MAX_SERIES_ORDER:
-            raise DomainError(f"series order must be in 0..{MAX_SERIES_ORDER}, got {order}")
+            raise DomainError(f"series order must be in 0..{MAX_SERIES_ORDER}, got {shorten_int(order)}")
         coeffs = poly_coeffs_z(self.num)[: order + 1]
         coeffs += [0] * (order + 1 - len(coeffs))
         for _ in range(self.dpow):

@@ -27,7 +27,7 @@ from .dmat import (
     partial_dual,
     set_to_mask,
 )
-from .errors import DomainError, InternalError, ParseError, bounded_uint, is_uint, shorten
+from .errors import DomainError, InternalError, ParseError, bounded_uint, is_uint, shorten, shorten_int
 from .glws import DEFAULT_CAP, feps, feps_direct, feps_in_v, gl11_skewchar, interlace_perm, wgl
 from .graphs import graph_format, graph_parse, graph_pivot
 from .invariants import (
@@ -195,7 +195,7 @@ def _cmd_pivot(args) -> int:
 
 def _cmd_series(args) -> int:
     if not 0 <= args.order <= MAX_SERIES_ORDER:
-        raise DomainError(f"series order must be in 0..{MAX_SERIES_ORDER}, got {args.order}")
+        raise DomainError(f"series order must be in 0..{MAX_SERIES_ORDER}, got {shorten_int(args.order)}")
     rf = interlace_perm(perm_parse(args.perm))
     print(str(rf))
     print(_series_text(rf.series(args.order)))

@@ -45,6 +45,14 @@ def shorten(text: str, unit: str = "characters", keep: int = 10) -> str:
     return f"{text[:keep]}...{text[-keep:]} ({len(text)} {unit})"
 
 
+def shorten_int(n: int) -> str:
+    """n in decimal, whole up to 20 digits (every 64-bit integer), else
+    shortened: ``-99999...99999 (4000 digits)``.  A message that quotes a
+    number the input chose stays one short line."""
+    text = shorten(str(abs(n)), "digits", 5)
+    return f"-{text}" if n < 0 else text
+
+
 class _LongRun(int):
     """limit + 1 standing for a digit run longer than the limit's.  It
     prints as the run, shortened past 12 digits, so that a message about it

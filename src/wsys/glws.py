@@ -48,7 +48,12 @@ monomial); the fixed-point and rotation rules hold in every ring for the
 same reason.  A memo maps each state it has seen (rotation
 representatives, loop states and inputs) to its packed value; the public
 functions convert the result to :class:`Poly` once, and ``interlace_perm``
-reads its univariate value straight into a :class:`RatFunc`.
+reads its univariate value straight into a :class:`RatFunc`.  Every
+public function enters the engine through :func:`packed_state_value`
+(cap checks, memo read, and the binding's own consistency check, such as
+the standard value N^(f-1)); the Hopf projection calls it directly, with
+states it cuts itself, for the specializations that
+:func:`specialization_binding` names.
 
 A state is a one-line image stored as a ``str`` with one code point per
 point (code point v is the value v), which covers all MAX_POINTS points;
@@ -82,7 +87,7 @@ from operator import eq
 from typing import Callable, MutableMapping, NamedTuple, Sequence
 
 from .algebra import Packed, PackedRing, Poly, RatFunc, casimir, packed_fold, packed_mul
-from .errors import DomainError, InternalError
+from .errors import DomainError, InternalError, shorten_int
 from .graphs import subset_counts, subsets
 from .invariants import refined_skew_char_graph, subset_poly
 from .perm import MAX_POINTS, Perm, cycle_count, face_count, intersection_graph, is_chord_diagram, subperm
@@ -103,6 +108,7 @@ class _Binding(NamedTuple):
     strip: Callable[[int], Packed]  # image of C_k
     fixed: Callable[[int], Packed]  # image of C1^f, for f fixed points
     contract: tuple[tuple[int, Packed | None] | None, ...]  # per freed class count, see _contract_rule
+    check: Callable[[str, Packed], None] | None  # raises InternalError on a wrong value of a state
 
 
 def _contract_rule(ring: PackedRing, factor: Poly) -> tuple[int, Packed | None] | None:
@@ -124,6 +130,7 @@ def _binding(
     names: tuple[str, ...],
     strip: Callable[[int], Poly],
     contract: tuple[Poly, Poly],
+    check: Callable[[str, Packed], None] | None = None,
 ) -> _Binding:
     """A binding over the ring of ``names``, given by Poly images."""
     ring = PackedRing(names)
@@ -133,6 +140,7 @@ def _binding(
         cache(lambda k: ring.pack(strip(k))),
         cache(lambda f: ring.pack(strip(1) ** f)),
         tuple(_contract_rule(ring, f) for f in contract),
+        check,
     )
 
 
@@ -243,6 +251,24 @@ def _drop_fixed(state: str) -> tuple[int, str]:
     return len(fixed), state
 
 
+def _faces(state: str) -> int:
+    """f of a state, as :func:`wsys.perm.face_count`: the cycles of
+    i -> sigma(alpha^-1(i)), counted on its inverse i -> alpha(i - 1)
+    (alpha(0) = alpha(m)), which is the state rotated right by one slot;
+    1 for the empty state."""
+    if not state:
+        return 1
+    walk = state[-1] + state[:-1]
+    unseen = set(walk)
+    faces = 0
+    while unseen:
+        faces += 1
+        x = unseen.pop()
+        while (x := walk[ord(x) - 1]) in unseen:
+            unseen.remove(x)
+    return faces
+
+
 @cache
 def _successors(m: int) -> str:
     """2, 3, ..., m, 1: the image of the long cycle on 1..m."""
@@ -325,16 +351,28 @@ def _reduce(cur: str, b: _Binding, memo: MutableMapping) -> Packed:
 _MEMOS: dict[str, dict[str, Packed]] = {}
 
 
-def _packed_value(p: Perm, cap: int, b: _Binding, memo: MutableMapping | None = None) -> Packed:
+def packed_state_value(state: str, cap: int, b: _Binding, memo: MutableMapping | None = None) -> Packed:
+    """The value in b's packed ring of a state (a one-line image as a str,
+    see :func:`wgl`): the one path into the engine.  It refuses a negative
+    cap and more points than the cap or MAX_POINTS, reads the memo (b's own
+    unless ``memo`` is given) and evaluates only on a miss, then runs b's
+    consistency check on the value, if b has one."""
     if cap < 0:
-        raise DomainError(f"cap must be >= 0, got {cap}")
+        raise DomainError(f"cap must be >= 0, got {shorten_int(cap)}")
     what, limit = ("cap", cap) if cap <= MAX_POINTS else ("budget", MAX_POINTS)
-    if p.m > limit:
-        raise DomainError(f"permutation has {p.m} points, exceeding the {what} {limit}")
+    if len(state) > limit:
+        raise DomainError(f"permutation has {len(state)} points, exceeding the {what} {limit}")
     table = _MEMOS.setdefault(b.name, {}) if memo is None else memo
     table.setdefault("", {0: 1})
-    state = _state(p.img)
-    return val if (val := table.get(state)) is not None else _wgl_state(state, b, table)
+    if (val := table.get(state)) is None:
+        val = _wgl_state(state, b, table)
+    if b.check is not None:
+        b.check(state, val)
+    return val
+
+
+def _packed_value(p: Perm, cap: int, b: _Binding, memo: MutableMapping | None = None) -> Packed:
+    return packed_state_value(_state(p.img), cap, b, memo)
 
 
 def _evaluate(p: Perm, cap: int, b: _Binding, memo: MutableMapping | None = None) -> Poly:
@@ -425,7 +463,17 @@ def _interlace_casimir(k: int) -> Poly:
 
 
 _FEPS = _binding("feps", ("N", "eps"), feps_casimir_binding, (Poly.one(), _N))
-_STANDARD = _binding("standard", ("N",), lambda k: Poly.var("N", k - 1), (Poly.one(), _N))
+
+
+def _check_standard(state: str, val: Packed) -> None:
+    """The standard value of every state is N^(f - 1)."""
+    if val != {_faces(state) - 1: 1}:
+        raise InternalError(
+            f"standard specialization of {_image(state)} is not N^(f-1): {_STANDARD.ring.poly(val)}"
+        )
+
+
+_STANDARD = _binding("standard", ("N",), lambda k: Poly.var("N", k - 1), (Poly.one(), _N), _check_standard)
 _CYCLES = _binding("cycles", ("N",), lambda k: _N, (Poly.one(), _N))
 _GL11 = _binding(
     "gl11",
@@ -456,11 +504,8 @@ def feps_direct(p: Perm) -> Poly:
 
 def spec_standard(p: Perm, cap: int = DEFAULT_CAP) -> Poly:
     """Standard-representation specialization C_k -> N^(k-1); always the
-    monomial N^(f(p) - 1)."""
-    result = _evaluate(p, cap, _STANDARD)
-    if result != Poly.var("N", face_count(p) - 1):
-        raise InternalError(f"standard specialization of {p.img} is not N^(f-1): {result}")
-    return result
+    monomial N^(f(p) - 1), which the binding checks on every value."""
+    return _evaluate(p, cap, _STANDARD)
 
 
 def casimir_to_N(p: Perm, cap: int = DEFAULT_CAP) -> Poly:
@@ -499,3 +544,15 @@ def interlace_perm(p: Perm, cap: int = DEFAULT_CAP) -> RatFunc:
     family at N = z^2 - 1, eps = 1/(1-z).  A polynomial (dpow = 0) on
     chord diagrams."""
     return RatFunc.from_coeffs(_INTERLACE.ring.coeff_list(_packed_value(p, cap, _INTERLACE)), p.m)
+
+
+# The public specializations that a caller may evaluate state by state
+# (the Hopf projection does), by function object: any other callable, a
+# wrapper of one of these included, is not one of them.
+_SPECIALIZATIONS = ((feps, _FEPS), (spec_standard, _STANDARD))
+
+
+def specialization_binding(f: Callable) -> _Binding | None:
+    """The binding of f if f is one of the engine's own specializations
+    above (for :func:`packed_state_value`), else None."""
+    return next((b for g, b in _SPECIALIZATIONS if g is f), None)

@@ -18,15 +18,25 @@ multiplicative or not.  The values are packed once into the
 :class:`wsys.algebra.PackedRing` of their variables, the convolutions run
 there, one :func:`~wsys.algebra.packed_fold` per subset, and the result
 converts to :class:`Poly` once.
+
+Given one of the engine's own specializations (``feps``,
+``spec_standard``; :func:`wsys.glws.specialization_binding` tells them
+by function object), :func:`primitive_eval_diagram` skips the Poly
+values altogether: each chord subdiagram is a state cut from the
+diagram's one-line image, its packed value is read straight from the
+specialization's memo (:func:`wsys.glws.packed_state_value`), and the
+convolutions run in that binding's ring.  Any other callable, a wrapper
+of those included, takes the generic route through :func:`primitive_eval`.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable, Iterator, Sequence, TypeVar
 
 from .algebra import EXP_BITS, Packed, PackedRing, Poly, packed_fold, packed_mul, var_key
 from .errors import DomainError, InternalError
-from .glws import feps, spec_standard
+from .glws import DEFAULT_CAP, feps, packed_state_value, spec_standard, specialization_binding
 from .graphs import Graph, induced_subgraph, subsets
 from .perm import Perm, chord_subdiagram, chords
 
@@ -51,10 +61,38 @@ def _restricted_values(
     values = [f(restrict(obj, members)) if mask else Poly.one() for mask, members in subsets(ground)]
     names = sorted({var for v in values for var in v.variables()}, key=var_key)
     top = max((e for v in values for mono in v.terms for var, e in mono if var != names[-1]), default=0)
-    if len(ground) * top >> EXP_BITS:
-        raise DomainError(f"exponent {top} on {len(ground)} ground elements exceeds the packed slots")
+    _check_slots(top, len(ground))
     ring = PackedRing(tuple(names))
     return ring, [ring.pack(v) for v in values]
+
+
+def _check_slots(top: int, n: int) -> None:
+    """Refuse values whose largest bounded exponent top could overflow a
+    slot in the convolutions over n ground elements."""
+    if n * top >> EXP_BITS:
+        raise DomainError(f"exponent {top} on {n} ground elements exceeds the packed slots")
+
+
+def _subdiagram_values(b: Perm, binding) -> list[Packed]:
+    """The packed value under an engine specialization's binding of every
+    chord subdiagram of b, by mask as in :func:`_restricted_values`, each
+    read straight from the binding's memo.  A subdiagram is its state cut
+    from b's one-line image: the chosen chords' points in order, each value
+    renumbered to its rank among them (a chord diagram maps chosen points
+    to chosen points)."""
+    img, ground = b.img, chords(b)
+    values: list[Packed] = []
+    for mask, members in subsets(ground):
+        if not mask:
+            values.append({0: 1})
+            continue
+        points = sorted(chain.from_iterable(members))
+        rank = {x: chr(i) for i, x in enumerate(points, 1)}  # point -> code point of its new number
+        values.append(packed_state_value("".join([rank[img[x - 1]] for x in points]), DEFAULT_CAP, binding))
+    # an engine value on m points has every exponent at most m; the last
+    # variable of a ring has no bound to keep
+    _check_slots(b.m if len(binding.ring.names) > 1 else 0, len(ground))
+    return values
 
 
 def _pointed_terms(p: list[Packed], g: list[Packed], s: int, sign: int) -> Iterator[tuple[int, int, Packed]]:
@@ -125,7 +163,14 @@ def primitive_eval_graph(f: Callable[[Graph], Poly], g: Graph) -> Poly:
 
 
 def primitive_eval_diagram(f: Callable[[Perm], Poly], b: Perm) -> Poly:
-    return primitive_eval(f, b, chords(b), chord_subdiagram)
+    """(f o pi)(b) over the chords of b.  For one of the engine's own
+    specializations the restricted values are read packed from its memo
+    and the result is decoded once; any other f is called on each
+    subdiagram (:func:`primitive_eval`)."""
+    binding = specialization_binding(f)
+    if binding is None:
+        return primitive_eval(f, b, chords(b), chord_subdiagram)
+    return binding.ring.poly(_connected_parts(_subdiagram_values(b, binding))[-1])
 
 
 def eps_independence_check(b: Perm) -> tuple[bool, Poly]:

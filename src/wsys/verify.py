@@ -34,7 +34,7 @@ from .dmat import (
     is_loop,
     partial_dual,
 )
-from .errors import DomainError, InternalError
+from .errors import DomainError, InternalError, shorten_int
 from .glws import feps, feps_direct, gl11_skewchar, interlace_perm, rule_apply, state_value, wgl
 from .graphs import (
     Graph,
@@ -152,9 +152,9 @@ def run_suite(name: str, **bounds) -> VerifySuiteReport:
         raise DomainError(f"unknown verification suite {name!r}")
     for key, budget in _COUNT_BOUNDS.items():
         if (value := bounds.get(key)) is not None and value < 0:
-            raise DomainError(f"bound {key} must be >= 0, got {value}")
+            raise DomainError(f"bound {key} must be >= 0, got {shorten_int(value)}")
         if value is not None and budget is not None and value > budget:
-            raise DomainError(f"bound {key} = {value} exceeds the budget of {budget}")
+            raise DomainError(f"bound {key} = {shorten_int(value)} exceeds the budget of {budget}")
     params = signature(fn).parameters
     kwargs = {k: v for k, v in bounds.items() if v is not None and k in params}
     notes: list[str] = []

@@ -239,6 +239,8 @@ def test_series_order_budget():
     for order in (-1, MAX_SERIES_ORDER + 1, 10**18):
         with pytest.raises(DomainError, match=f"^series order must be in 0..1000, got {order}$"):
             r.series(order)
+    with pytest.raises(DomainError, match=r"^series order must be in 0..1000, got 99999\.\.\.99999 \(4000 digits\)$"):
+        r.series(int("9" * 4000))
 
 
 def _series_by_binomials(r: RatFunc, order: int) -> list[Fraction]:

@@ -1,0 +1,62 @@
+"""The summary of tools/bench_pairs.py on fixed numbers."""
+
+import importlib.util
+import os
+
+import pytest
+
+_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools", "bench_pairs.py")
+_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+END_TO_END = [
+    {"name": "call_p90_ms", "unit": "ms", "better": "lower", "bound": 0.25},
+    {"name": "rate", "unit": "1/s", "better": "higher", "bound": 0.25},
+]
+
+
+def _runs(p90: list[float], rate: list[float], failed: int = 0) -> list[dict]:
+    return [
+        {
+            "correct": True,
+            "attempted": 100,
+            "failed": failed,
+            "metrics": {"call_p90_ms": {"value": a, "unit": "ms"}, "rate": {"value": b, "unit": "1/s"}},
+        }
+        for a, b in zip(p90, rate)
+    ]
+
+
+def test_summary_of_ten_pairs():
+    runs = {
+        "parent": _runs([0.30, 0.32, 0.31, 0.35, 0.29, 0.33, 0.30, 0.34, 0.31, 0.36], [5] * 10, failed=1),
+        "change": _runs([0.20, 0.21, 0.19, 0.22, 0.29, 0.20, 0.21, 0.23, 0.20, 0.22], [5, 6, 6, 4, 6, 6, 6, 6, 6, 6]),
+    }
+    summary = bench_pairs.summarize(runs, END_TO_END)
+    assert summary["pairs"] == 10 and summary["correct"]
+    assert summary["failed"] == {"parent": 10, "change": 0}  # one failed operation per parent run
+    p90 = summary["metrics"]["call_p90_ms"]
+    # inclusive quartiles of the sorted parent values 0.29 .. 0.36
+    assert p90["parent"]["median"] == pytest.approx(0.315)
+    assert (p90["parent"]["q1"], p90["parent"]["q3"]) == (pytest.approx(0.3025), pytest.approx(0.3375))
+    assert p90["parent"]["values"][:2] == [0.30, 0.32]
+    assert p90["change"]["median"] == pytest.approx(0.21)
+    assert p90["parent_iqr"] == pytest.approx(0.035)
+    # the change is lower in 9 pairs; pair 5 is a tie, which counts for neither
+    assert p90["change_wins"] == 9 and p90["gain"]
+    # higher is better for rate: 8 wins of 10 make no gain
+    rate = summary["metrics"]["rate"]
+    assert rate["change_wins"] == 8 and not rate["gain"]
+    assert rate["change"]["median"] == 6 and rate["parent_iqr"] == 0
+
+
+def test_a_lead_inside_the_parents_spread_is_no_gain():
+    runs = {
+        "parent": _runs([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0], [1] * 10),
+        "change": _runs([0.9, 1.9, 2.9, 3.9, 4.9, 5.9, 6.9, 7.9, 8.9, 9.9], [1] * 10),
+    }
+    p90 = bench_pairs.summarize(runs, END_TO_END)["metrics"]["call_p90_ms"]
+    assert p90["change_wins"] == 10
+    assert p90["parent_iqr"] == pytest.approx(4.5)
+    assert not p90["gain"]

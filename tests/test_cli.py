@@ -176,6 +176,27 @@ def test_negative_cap_is_a_domain_error(capsys):
     assert captured.err.strip().splitlines() == ["domain error: cap must be >= 0, got -1"]
 
 
+def test_huge_integer_options_are_quoted_shortened(capsys):
+    # an integer int() converts but a domain check refuses is quoted with
+    # its digits shortened: one short line, exit 2
+    nines = "9" * 4000
+    for argv, line in (
+        (["series", "--perm", "(1 2)", "--order", nines], "series order must be in 0..1000, got 99999...99999 (4000 digits)"),
+        (["series", "--perm", "(1 2)", "--order", "-" + nines], "series order must be in 0..1000, got -99999...99999 (4000 digits)"),
+        (["verify", "tsr", "--max-m", nines], "bound max_m = 99999...99999 (4000 digits) exceeds the budget of 9"),
+        (["verify", "tsr", "--max-m", "-" + nines], "bound max_m must be >= 0, got -99999...99999 (4000 digits)"),
+        (["wgl", "--perm", "2,1", "--cap", "-" + nines], "cap must be >= 0, got -99999...99999 (4000 digits)"),
+    ):
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.splitlines() == [f"domain error: {line}"], argv
+        assert len(captured.err.encode()) < 200, argv
+    # a cap past the point budget is legal: the budget applies
+    assert run(["wgl", "--perm", "2,1", "--cap", nines]) == 0
+    assert out_of(capsys) == ["C2"]
+
+
 def test_integer_options_are_ascii_digits(capsys):
     # every integer option reads an optional "-" and ASCII digits, as the
     # text parsers do; int() alone would take Arabic-Indic digits,

@@ -492,24 +492,29 @@ def test_specializations_equal_substitution_into_wgl():
 
 
 def test_consistency_check_survives_optimize_flag():
-    # under python -O an assert would be stripped; the check must still raise
+    # a wrong value planted in the standard memo raises InternalError from
+    # spec_standard and from the Hopf projection's packed route, normally
+    # and under python -O, where an assert would be stripped
     code = (
         "import sys\n"
-        "from wsys import glws, perm_parse\n"
+        "from wsys import glws, hopf, perm_parse\n"
         "from wsys.errors import InternalError\n"
-        "glws.face_count = lambda p: 99\n"
-        "try:\n"
-        "    glws.spec_standard(perm_parse('(1 2 3)'))\n"
-        "except InternalError:\n"
-        "    print('InternalError', sys.flags.optimize)\n"
+        "b = perm_parse('(1 3)(2 4)')\n"
+        "for run in (glws.spec_standard, lambda b: hopf.primitive_eval_diagram(glws.spec_standard, b)):\n"
+        "    glws._MEMOS['standard'] = {glws._state(b.img): {5: 1}}\n"
+        "    try:\n"
+        "        run(b)\n"
+        "    except InternalError as exc:\n"
+        "        print(exc, sys.flags.optimize, sep='|')\n"
     )
     src = os.path.dirname(os.path.dirname(wsys.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["InternalError", "1"]
+    for flags, optimize in (([], 0), (["-O"], 1)):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [f"standard specialization of (3, 4, 1, 2) is not N^(f-1): N^5|{optimize}"] * 2
 
 
 def test_feps_golden_values():
@@ -532,6 +537,7 @@ def test_spec_standard_counts_faces():
     for m in range(0, 6):
         for p in all_perms(m):
             assert spec_standard(p) == N ** (face_count(p) - 1)
+            assert glws._faces(glws._state(p.img)) == face_count(p)
 
 
 def test_casimir_to_N_counts_cycles():

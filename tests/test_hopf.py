@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from wsys import hopf
 from wsys.algebra import Poly
 from wsys.errors import DomainError
-from wsys.glws import feps, spec_standard
+from wsys.glws import feps, spec_standard, specialization_binding
 from wsys.graphs import Graph, all_graphs, complete_graph
 from wsys.hopf import (
     eps_independence_check,
@@ -209,6 +210,46 @@ def test_packed_convolution_matches_poly_convolution():
         for g in all_graphs(n):
             for f in (skew_char, refined_skew_char_graph):
                 assert _agrees_with_poly_convolution(f, g, range(1, n + 1), restrict_graph), (g, f)
+
+
+def test_engine_specializations_take_the_packed_route(monkeypatch):
+    # feps and spec_standard read their restricted values packed from the
+    # engine's memo, cut from the parent's image with no subdiagram Perm;
+    # a wrapper of either is any other callable and takes the Poly route.
+    # Both routes give equal values and text on every diagram through 5
+    # chords, and the same refusals at 6 chords (the cap of 10 points) and
+    # at 21 (the subset budget)
+    six = next(all_chord_diagrams(6))
+    twenty_one = Perm(tuple(range(22, 43)) + tuple(range(1, 22)))
+    for f in (feps, spec_standard):
+        wrapped = lambda p, f=f: f(p)  # noqa: E731
+        assert specialization_binding(f) is not None and specialization_binding(wrapped) is None
+        for n in range(6):
+            for b in all_chord_diagrams(n):
+                with monkeypatch.context() as m:
+                    m.setattr(hopf, "chord_subdiagram", None)
+                    packed = primitive_eval_diagram(f, b)
+                generic = primitive_eval_diagram(wrapped, b)
+                assert (packed, str(packed)) == (generic, str(generic)), (b.img, f)
+        for b, message in (
+            (six, "permutation has 12 points, exceeding the cap 10"),
+            (twenty_one, "21 elements exceed the subset budget of 20"),
+        ):
+            for route in (f, wrapped):
+                with pytest.raises(DomainError, match=f"^{message}$"):
+                    primitive_eval_diagram(route, b)
+
+
+def test_packed_route_keeps_the_exponent_budget(monkeypatch):
+    # the bound of the packed route is the point count: an engine value on
+    # m points has no exponent above m.  Slots of 4 bits hold no convolution
+    # over 3 chords of exponents up to 6 (3 * 6 >= 2^4); a univariate ring
+    # has no bounded slot
+    monkeypatch.setattr(hopf, "EXP_BITS", 4)
+    triangle = perm_parse("(1 4)(2 5)(3 6)")
+    with pytest.raises(DomainError, match="^exponent 6 on 3 ground elements exceeds the packed slots$"):
+        primitive_eval_diagram(feps, triangle)
+    assert primitive_eval_diagram(spec_standard, triangle) == 2 * N**3 - 2 * N
 
 
 def test_packed_convolution_exponent_budget():
