@@ -81,7 +81,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import compress, count
+from itertools import compress
 from math import comb
 from operator import eq
 from typing import Callable, MutableMapping, NamedTuple, Sequence
@@ -89,7 +89,7 @@ from typing import Callable, MutableMapping, NamedTuple, Sequence
 from .algebra import Packed, PackedRing, Poly, RatFunc, casimir, packed_fold, packed_mul
 from .errors import DomainError, InternalError, shorten_int
 from .graphs import subset_counts, subsets
-from .invariants import refined_skew_char_graph, subset_poly
+from .invariants import MonomialParts, refined_skew_char_graph, subset_poly
 from .perm import MAX_POINTS, Perm, cycle_count, face_count, intersection_graph, is_chord_diagram, subperm
 
 DEFAULT_CAP = 10
@@ -241,14 +241,18 @@ def _step(state: str, l: int) -> tuple[str, bool, str, bool, str]:
 
 def _drop_fixed(state: str) -> tuple[int, str]:
     """(f, state): the state with its f fixed points removed and the other
-    points renumbered in order.  The fixed points go from the highest down,
-    so each removal is one slice and v -> v - (v > x) on what is left."""
+    points renumbered in order, by one translate."""
     if not any(map(eq, state, _POINTS)):
         return 0, state
-    fixed = [*compress(count(1), map(eq, state, _POINTS))]
-    for x in reversed(fixed):
-        state = (state[: x - 1] + state[x:]).translate(_lower_table(x))
-    return len(fixed), state
+    table: dict[int, int | None] = {}  # fixed point -> deleted, other value -> renumbered
+    f = 0
+    for x, y in enumerate(state, 1):
+        if ord(y) == x:
+            f += 1
+            table[x] = None
+        else:
+            table[x] = x - f
+    return f, state.translate(table)
 
 
 def _faces(state: str) -> int:
@@ -493,13 +497,16 @@ def feps(p: Perm, cap: int = DEFAULT_CAP) -> Poly:
     return _evaluate(p, cap, _FEPS)
 
 
+_N_PARTS, _EPS_PARTS = MonomialParts("N"), MonomialParts("eps")
+
+
 def feps_direct(p: Perm) -> Poly:
     """The same family computed as a sum over all point subsets:
     sum_U N^(c(p) - c(p|U) + f(p|U) - 1) * eps^(m - |U|)."""
     m, c_full = p.m, cycle_count(p)
     subs = (subperm(p, points) for _, points in subsets(range(1, m + 1)))
     stats = [c_full - cycle_count(sub) + face_count(sub) - 1 for sub in subs]
-    return subset_poly(subset_counts(stats), lambda s, c: (("N", c), ("eps", m - s)))
+    return subset_poly(subset_counts(stats), lambda s, c: _N_PARTS[c] + _EPS_PARTS[m - s])
 
 
 def spec_standard(p: Perm, cap: int = DEFAULT_CAP) -> Poly:

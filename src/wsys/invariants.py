@@ -12,18 +12,21 @@ subset table kept on its graph (``Graph.corank_counts``) or system
 makes of it share one table and one histogram; no sum decodes the 2^n
 statistics one by one.
 A sum adds each monomial's count into a plain dict and adopts it with
-``Poly._raw``: histogram counts are positive ints and the monomials come
-in the fixed variable order, so nothing is left to validate.
-The vertex recursion of the interlace polynomial runs on adjacency rows
-and on packed integers (L at x = 2^21) and decodes to a Poly once per
-call.  Its default edge rule reads the row tuple directly; a policy the
-caller passes gets a Graph per node and has its edge checked.  Packed
-values are kept in the explicit cache :data:`RECURSION_MEMO`.
+``Poly._raw``: a monomial is a concatenation of cached parts
+(:class:`MonomialParts`, () at exponent 0) in the fixed variable order
+and histogram counts are positive ints, so nothing is left to validate.
+The vertex recursion of the interlace polynomial works on packed
+integers (L at x = 2^21) and decodes to a Poly once per call.  Its
+default route keeps each graph as one flat int, row r at bit 20r (a
+stride of MAX_GROUND): the edge is the lowest set bit, and deleting a
+vertex or pivoting is a fixed number of int operations.  A policy the
+caller passes runs on adjacency rows instead, gets a Graph per node and
+has its edge checked.  Both key their packed values by (n, flat) in the
+explicit cache :data:`RECURSION_MEMO`.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Callable, Mapping, MutableMapping
 
 from .algebra import Monomial, Poly
@@ -44,50 +47,68 @@ from .graphs import (
 GraphInvariant = Callable[[Graph], Poly]
 
 
+class MonomialParts(dict[int, Monomial]):
+    """var^e as a part of a monomial, by exponent: ((var, e),), or () at
+    e = 0, each made once.  Concatenating the parts of the variables in
+    the fixed variable order gives a monomial with no zero exponent."""
+
+    def __init__(self, var: str) -> None:
+        super().__init__()
+        self.var = var
+
+    def __missing__(self, e: int) -> Monomial:
+        part = self[e] = ((self.var, e),) if e else ()
+        return part
+
+
+_U, _W, _X, _Y = map(MonomialParts, "uwxy")
+
+
 def subset_poly(
     counts: Mapping[tuple[int, int], int], mono: Callable[[int, int], Monomial | None]
 ) -> Poly:
     """Sum over subsets U of the monomial mono(|U|, stat(U)), read from the
     histogram {(|U|, stat): count} of a subset table or of
     :func:`~wsys.graphs.subset_counts` (the statistic is a corank or a
-    distance).  The monomial is a tuple of (variable, exponent) pairs in
-    the fixed variable order; factors with exponent 0 are dropped, and
-    None leaves U out.  The result is adopted without validation, which
-    holds because every count of a histogram is a positive int.
+    distance).  The monomial is a concatenation of :class:`MonomialParts`
+    in the fixed variable order, and None leaves U out.  The result is
+    adopted without validation, which holds because every count of a
+    histogram is a positive int.
     """
     terms: dict[Monomial, int] = {}
-    nonzero = itemgetter(1)
     for (size, stat), count in counts.items():
         key = mono(size, stat)
         if key is not None:
-            key = tuple(filter(nonzero, key))
             terms[key] = terms.get(key, 0) + count
     return Poly._raw(terms)
 
 
 def skew_char(g: Graph) -> Poly:
     """Q(u) = sum over mod-2 nondegenerate vertex subsets of u^(n - |U|)."""
-    return subset_poly(g.corank_counts, lambda s, c: None if c else (("u", g.n - s),))
+    n = g.n
+    return subset_poly(g.corank_counts, lambda s, c: None if c else _U[n - s])
 
 
 def refined_skew_char_graph(g: Graph) -> Poly:
     """Qbar(u, w) = sum over all vertex subsets of u^(n-|U|) w^(corank A_U)."""
-    return subset_poly(g.corank_counts, lambda s, c: (("u", g.n - s), ("w", c)))
+    n = g.n
+    return subset_poly(g.corank_counts, lambda s, c: _U[n - s] + _W[c])
 
 
 def refined_skew_char_dmat(d: DMat) -> Poly:
     """Qbar(u, w) with the distance to the admissible family as exponent."""
-    return subset_poly(d.distance_counts, lambda s, c: (("u", d.ground - s), ("w", c)))
+    n = d.ground
+    return subset_poly(d.distance_counts, lambda s, c: _U[n - s] + _W[c])
 
 
 def interlace_dmat(d: DMat) -> Poly:
     """L(x) = sum over all subsets of x^(distance)."""
-    return subset_poly(d.distance_counts, lambda s, c: (("x", c),))
+    return subset_poly(d.distance_counts, lambda s, c: _X[c])
 
 
 def two_var_interlace(d: DMat) -> Poly:
     """Lbar(x, y) = sum over all subsets of x^|U| y^(distance)."""
-    return subset_poly(d.distance_counts, lambda s, c: (("x", s), ("y", c)))
+    return subset_poly(d.distance_counts, lambda s, c: _X[s] + _Y[c])
 
 
 # -- recursive interlace -------------------------------------------------------
@@ -101,12 +122,45 @@ def two_var_interlace(d: DMat) -> Poly:
 _SLOT = MAX_GROUND + 1
 _X_PLUS_ONE = (1 << _SLOT) + 1
 
-RecursionKey = tuple[int, tuple[int, ...]]
+# The default route keeps a graph as one flat int: row r (the neighbours
+# of vertex r + 1) sits at bits _STRIDE*r ... _STRIDE*r + _STRIDE - 1.
+# Every row fits its field, since n <= MAX_GROUND, so a node of the
+# recursion is a fixed number of int operations on the whole graph.
+_STRIDE = MAX_GROUND
+_ROW = (1 << _STRIDE) - 1
+
+
+def _spread_table(first: int) -> list[int]:
+    """Entry k puts bit j of the 10-bit k at bit _STRIDE*(first + j),
+    built by doubling."""
+    table = [0]
+    for r in range(first, first + 10):
+        bit = 1 << _STRIDE * r
+        table += [v | bit for v in table]
+    return table
+
+
+# spread(cls), bit r of a vertex set at bit _STRIDE*r, is one lookup per
+# 10-bit half; spread(cls) * p repeats p < 2^_STRIDE in every row of cls,
+# and the product carries nowhere
+_SPREAD_LOW, _SPREAD_HIGH = _spread_table(0), _spread_table(10)
+_EVERY_ROW = _SPREAD_LOW[-1] | _SPREAD_HIGH[-1]
+# deleting column i: the bits below i stay, the bits above i move down one
+# (field bit _STRIDE - 1 stays clear of the next row's bit 0 shifted in)
+_COLS_BELOW = tuple(((1 << i) - 1) * _EVERY_ROW for i in range(MAX_GROUND))
+_COLS_ABOVE = tuple((_ROW >> 1 & -1 << i) * _EVERY_ROW for i in range(MAX_GROUND))
+# cutting row i: the rows below i stay, the rows above i move down one field
+_ROWS_BELOW = tuple((1 << _STRIDE * i) - 1 for i in range(MAX_GROUND))
+_ROWS_ABOVE = tuple(-1 << _STRIDE * i for i in range(MAX_GROUND))
+
+RecursionKey = tuple[int, int]
 
 
 class RecursionMemo(dict[RecursionKey, int]):
     """Packed L of every graph the vertex recursion has met, keyed by
-    (n, rows): one int per graph.  An explicit cache, kept until clear()."""
+    (n, flat), where flat holds row r of the adjacency rows at bit
+    MAX_GROUND * r: one int per graph.  An explicit cache, kept until
+    clear()."""
 
     def stats(self) -> dict[str, int]:
         return {"entries": len(self)}
@@ -126,38 +180,69 @@ def first_edge(g: Graph) -> tuple[int, int] | None:
     return None
 
 
-def _interlace_packed(
-    n: int,
-    rows: tuple[int, ...],
-    memo: MutableMapping[RecursionKey, int],
-    edge_policy: Callable[[Graph], tuple[int, int] | None] | None,
-) -> int:
-    """Packed L of the graph with these rows, by the vertex recursion.
-    With edge_policy None the edge is first_edge's, read off the rows."""
-    key = (n, rows)
+def _flat(rows: tuple[int, ...]) -> int:
+    """The rows as one flat int, row r at bit _STRIDE*r."""
+    flat = 0
+    for r, row in enumerate(rows):
+        flat |= row << _STRIDE * r
+    return flat
+
+
+def _delete_flat(flat: int, i: int) -> int:
+    """The flat graph without vertex i + 1: column i dropped from every
+    row, then row i cut out."""
+    flat = flat & _COLS_BELOW[i] | flat >> 1 & _COLS_ABOVE[i]
+    return flat & _ROWS_BELOW[i] | flat >> _STRIDE & _ROWS_ABOVE[i]
+
+
+def _interlace_flat(n: int, flat: int, memo: MutableMapping[RecursionKey, int]) -> int:
+    """Packed L of the flat graph by the vertex recursion on first_edge's
+    edge: the lowest set bit lies in the lowest row with a neighbour, at
+    that vertex's lowest neighbour."""
+    key = (n, flat)
     value = memo.get(key)
     if value is not None:
         return value
-    a = b = -1  # no edge
-    if edge_policy is None:
-        for i, row in enumerate(rows):
-            if row:  # the lowest vertex with a neighbour; all lie above it
-                a, b = i, (row & -row).bit_length() - 1
-                break
+    if flat:
+        a, b = divmod((flat & -flat).bit_length() - 1, _STRIDE)
+        near_a = (flat >> _STRIDE * a & _ROW) ^ 1 << b
+        near_b = (flat >> _STRIDE * b & _ROW) ^ 1 << a
+        both, union = near_a & near_b, near_a | near_b
+        pivoted = flat
+        for cls in (both, near_a ^ both, near_b ^ both):
+            pivoted ^= (_SPREAD_LOW[cls & 1023] | _SPREAD_HIGH[cls >> 10]) * (union ^ cls)
+        value = _interlace_flat(n - 1, _delete_flat(flat, a), memo)
+        value += _interlace_flat(n - 1, _delete_flat(pivoted, b), memo)
     else:
-        edge = edge_policy(Graph._raw(n, rows))
-        if edge is not None:
-            a, b = edge
-            if not (0 < a <= n and 0 < b <= n and rows[a - 1] >> (b - 1) & 1):
-                raise DomainError(f"pivot requires edge {a}-{b}")
-            a, b = a - 1, b - 1
-    if a < 0:
+        value = _X_PLUS_ONE**n
+    memo[key] = value
+    return value
+
+
+def _interlace_rows(
+    n: int,
+    rows: tuple[int, ...],
+    memo: MutableMapping[RecursionKey, int],
+    edge_policy: Callable[[Graph], tuple[int, int] | None],
+) -> int:
+    """Packed L of the graph with these rows by the vertex recursion on the
+    policy's edge, kept on rows as the reference for the flat route and
+    keyed as it is."""
+    key = (n, _flat(rows))
+    value = memo.get(key)
+    if value is not None:
+        return value
+    edge = edge_policy(Graph._raw(n, rows))
+    if edge is None:
         value = _X_PLUS_ONE**n
     else:
+        a, b = edge
+        if not (0 < a <= n and 0 < b <= n and rows[a - 1] >> (b - 1) & 1):
+            raise DomainError(f"pivot requires edge {a}-{b}")
         pivoted = list(rows)
-        _pivot_rows(pivoted, a, b)
-        value = _interlace_packed(n - 1, _delete_row(rows, a), memo, edge_policy)
-        value += _interlace_packed(n - 1, _delete_row(pivoted, b), memo, edge_policy)
+        _pivot_rows(pivoted, a - 1, b - 1)
+        value = _interlace_rows(n - 1, _delete_row(rows, a - 1), memo, edge_policy)
+        value += _interlace_rows(n - 1, _delete_row(pivoted, b - 1), memo, edge_policy)
     memo[key] = value
     return value
 
@@ -169,14 +254,16 @@ def interlace_graph_recursive(
 ) -> Poly:
     """L(x) by the vertex recursion L(G) = L(G - a) + L(G^{ab} - b), with
     (x+1)^n on edgeless graphs.  The result does not depend on which edge
-    the policy picks; the default, :func:`first_edge`, is applied to the
-    rows without building a Graph per node.  The memo (by default
+    the policy picks; the default, :func:`first_edge`, is read off the
+    flat graph without building a Graph per node.  The memo (by default
     :data:`RECURSION_MEMO`) holds packed values (L at x = 2^(MAX_GROUND + 1))."""
     if g.n > MAX_GROUND:
         raise DomainError(f"{g.n} elements exceed the subset budget of {MAX_GROUND}")
     memo = RECURSION_MEMO if memo is None else memo
-    rule = None if edge_policy is first_edge else edge_policy
-    value = _interlace_packed(g.n, g.rows, memo, rule)
+    if edge_policy is first_edge:
+        value = _interlace_flat(g.n, _flat(g.rows), memo)
+    else:
+        value = _interlace_rows(g.n, g.rows, memo, edge_policy)
     mask = (1 << _SLOT) - 1
     coeffs = [value >> _SLOT * k & mask for k in range(g.n + 1)]
     if value >> _SLOT * (g.n + 1) or sum(coeffs) != 1 << g.n:

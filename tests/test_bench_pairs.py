@@ -60,3 +60,48 @@ def test_a_lead_inside_the_parents_spread_is_no_gain():
     assert p90["change_wins"] == 10
     assert p90["parent_iqr"] == pytest.approx(4.5)
     assert not p90["gain"]
+
+
+PER_LAYER = [
+    {"name": "invariants.interlace_graph_recursive.self_s", "unit": "s", "better": "lower"},
+    {"name": "dmat.dmat_from_graph.self_s", "unit": "s", "better": "lower"},
+    {"name": "glws.wgl.states", "unit": "count", "better": "lower"},
+]
+
+
+def _traced(rec: list[float], dmat: list[float]) -> list[dict]:
+    return [
+        {
+            "correct": True,
+            "attempted": 102,
+            "failed": 0,
+            "metrics": {
+                "invariants.interlace_graph_recursive.self_s": {"value": a, "unit": "s"},
+                "dmat.dmat_from_graph.self_s": {"value": b, "unit": "s"},
+                "glws.wgl.states": {"value": 0, "unit": "count"},
+            },
+        }
+        for a, b in zip(rec, dmat)
+    ]
+
+
+def test_per_layer_summary_has_quartiles_and_no_verdict():
+    runs = {
+        "parent": _traced([0.020, 0.024, 0.022, 0.026], [0.004, 0.005, 0.004, 0.006]),
+        "change": _traced([0.012, 0.014, 0.011, 0.013], [0.005, 0.004, 0.004, 0.005]),
+    }
+    summary = bench_pairs.summarize_layers(runs, PER_LAYER)
+    assert summary["pairs"] == 4 and summary["correct"] and summary["failed"] == {"parent": 0, "change": 0}
+    rec = summary["metrics"]["invariants.interlace_graph_recursive.self_s"]
+    assert set(rec) == {"unit", "parent", "change"}  # no wins, no gain
+    assert rec["parent"]["values"] == [0.020, 0.024, 0.022, 0.026]
+    # inclusive quartiles of 0.020, 0.022, 0.024, 0.026 and of 0.011 .. 0.014
+    assert rec["parent"]["median"] == pytest.approx(0.023)
+    assert (rec["parent"]["q1"], rec["parent"]["q3"]) == (pytest.approx(0.0215), pytest.approx(0.0245))
+    assert rec["change"]["median"] == pytest.approx(0.0125)
+    assert summary["metrics"]["dmat.dmat_from_graph.self_s"]["change"]["median"] == pytest.approx(0.0045)
+    lines = bench_pairs.layer_lines(summary)
+    assert lines == [
+        "invariants.interlace_graph_recursive.self_s (s): parent 0.023 [0.0215, 0.0245] change 0.0125 [0.01175, 0.01325]",
+        "dmat.dmat_from_graph.self_s (s): parent 0.0045 [0.004, 0.00525] change 0.0045 [0.004, 0.005]",
+    ]  # glws.wgl.states is zero on both sides and left out

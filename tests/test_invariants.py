@@ -48,6 +48,10 @@ u, w, x, y = Poly.var("u"), Poly.var("w"), Poly.var("x"), Poly.var("y")
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
+def _seeded_graph(rng: Random, n: int, density: float) -> Graph:
+    return Graph.from_edges(n, [p for p in combinations(range(1, n + 1), 2) if rng.random() < density])
+
+
 def test_skew_char_small_graphs():
     # Q_G(u) = sum over nondegenerate induced subgraphs of u^(codimension)
     assert skew_char(Graph.empty(0)) == Poly.one()
@@ -104,6 +108,13 @@ def test_interlace_recursion_past_the_exhaustive_range():
             value = interlace_graph_recursive(g, memo={})
             assert value == interlace_dmat(dmat_from_graph(g)), g
             assert sum(value.terms.values()) == 1 << n
+    rng = Random(2023)
+    for n in range(17, 21):
+        for density in (0.2, 0.5, 0.8):
+            g = _seeded_graph(rng, n, density)
+            value = interlace_graph_recursive(g, memo={})
+            assert value == interlace_dmat(dmat_from_graph(g)), g
+            assert sum(value.terms.values()) == 1 << n
 
 
 def test_interlace_recursion_at_the_budget():
@@ -115,13 +126,14 @@ def test_interlace_recursion_at_the_budget():
 
 def test_interlace_recursion_slot_check_survives_optimize_flag():
     # a memo entry whose slot 0 overflowed into slot 1 reads as x, whose
-    # coefficients do not sum to 2^2; under python -O an assert would miss it
+    # coefficients do not sum to 2^2; under python -O an assert would miss it.
+    # K2 is keyed by its flat rows: row 0 = 0b10 at bit 0, row 1 = 0b01 at bit 20
     code = (
         "import sys\n"
         "from wsys.graphs import complete_graph\n"
         "from wsys.errors import InternalError\n"
         "from wsys.invariants import interlace_graph_recursive\n"
-        "memo = {(2, (2, 1)): 1 << 21}\n"
+        "memo = {(2, 2 | 1 << 20): 1 << 21}\n"
         "try:\n"
         "    interlace_graph_recursive(complete_graph(2), memo=memo)\n"
         "except InternalError:\n"
@@ -162,13 +174,18 @@ def test_interlace_recursion_edge_policy_independent():
     def row_rule(g):
         return next(((v, min(g.neighbors(v))) for v in range(1, g.n + 1) if g.neighbors(v)), None)
 
-    for n in range(0, 6):
-        for g in all_graphs(n):
-            assert first_edge(g) == row_rule(g), g
-            by_rows, by_policy = {}, {}
-            interlace_graph_recursive(g, memo=by_rows)
-            interlace_graph_recursive(g, memo=by_policy, edge_policy=lambda h: first_edge(h))
-            assert by_rows == by_policy, g
+    # past n = 5, seeded graphs up to the budget; at n = 20 vertex 20 has
+    # neighbours above vertex 10, which reach the top row of the flat int
+    # and the high half of its spread table
+    seeded_rng = Random(2320)
+    seeded = [_seeded_graph(seeded_rng, n, density) for n in range(6, 21) for density in (0.2, 0.5, 0.8)]
+    assert seeded[-2].n == 20 and seeded[-2].rows[19] >> 10
+    for g in [g for n in range(0, 6) for g in all_graphs(n)] + seeded:
+        assert first_edge(g) == row_rule(g), g
+        by_rows, by_policy = {}, {}
+        interlace_graph_recursive(g, memo=by_rows)
+        interlace_graph_recursive(g, memo=by_policy, edge_policy=lambda h: first_edge(h))
+        assert by_rows == by_policy, g
 
 
 def test_interlace_recursion_refuses_a_policy_edge_that_is_absent():
@@ -284,6 +301,12 @@ def test_partial_dual_preserves_interlace():
             d = dmat_from_graph(g)
             for mask in range(1 << n):
                 assert interlace_dmat(partial_dual(d, mask)) == interlace_dmat(d)
+    rng = Random(1516)
+    for n in (15, 16):
+        for density in (0.2, 0.5, 0.8):
+            d = dmat_from_graph(_seeded_graph(rng, n, density))
+            mask = rng.randrange(1, 1 << n)
+            assert interlace_dmat(partial_dual(d, mask)) == interlace_dmat(d), (d.ground, mask)
 
 
 def test_convolution_counit():

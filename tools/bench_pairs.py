@@ -15,6 +15,11 @@ neither), and whether that makes a gain: the change wins at least nine
 pairs in ten and its median is better than the parent's by more than the
 parent's interquartile range.  Quartiles are those of
 `statistics.quantiles(values, n=4, method="inclusive")`.
+
+With `--trace 1` each run is `bench/run.py --trace 1`, and the summary
+holds, per metric of the `per_layer` list of BENCHMARK.json, each side's
+values, median and quartiles only: a traced run measures where the time
+goes, so it gives no win count and no gain verdict.
 """
 
 from __future__ import annotations
@@ -29,8 +34,8 @@ import sys
 SIDES = ("parent", "change")
 
 
-def run_once(checkout: str, workload: str, seed: int, seconds: float | None) -> dict:
-    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"]
+def run_once(checkout: str, workload: str, seed: int, seconds: float | None, trace: int = 0) -> dict:
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--trace", str(trace)]
     if seconds is not None:
         cmd += ["--seconds", str(seconds)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
@@ -43,6 +48,16 @@ def _quartiles(values: list[float]) -> list[float]:
     return statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
 
 
+def _sides(runs: dict[str, list[dict]], name: str) -> dict[str, dict]:
+    """Each side's values of one metric in pair order, median and quartiles."""
+    out = {}
+    for side in SIDES:
+        values = [r["metrics"][name]["value"] for r in runs[side]]
+        q1, median, q3 = _quartiles(values)
+        out[side] = {"values": values, "median": median, "q1": q1, "q3": q3}
+    return out
+
+
 def summarize(runs: dict[str, list[dict]], end_to_end: list[dict]) -> dict:
     """Per end-to-end metric: each side's values in pair order, median and
     quartiles, the change's wins and whether they make a gain.  ``runs``
@@ -51,25 +66,45 @@ def summarize(runs: dict[str, list[dict]], end_to_end: list[dict]) -> dict:
     metrics = {}
     for spec in end_to_end:
         name, sign = spec["name"], 1 if spec["better"] == "lower" else -1
-        values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
-        quartiles = {side: _quartiles(values[side]) for side in SIDES}
-        wins = sum(sign * (p - c) > 0 for p, c in zip(values["parent"], values["change"]))
-        parent_iqr = quartiles["parent"][2] - quartiles["parent"][0]
-        lead = sign * (quartiles["parent"][1] - quartiles["change"][1])
+        sides = _sides(runs, name)
+        parent, change = sides["parent"], sides["change"]
+        wins = sum(sign * (p - c) > 0 for p, c in zip(parent["values"], change["values"]))
+        parent_iqr = parent["q3"] - parent["q1"]
+        lead = sign * (parent["median"] - change["median"])
         metrics[name] = {
             "unit": spec["unit"],
             "better": spec["better"],
-            **{side: {"values": values[side], "median": quartiles[side][1], "q1": quartiles[side][0],
-                      "q3": quartiles[side][2]} for side in SIDES},
+            **sides,
             "change_wins": wins,
             "parent_iqr": parent_iqr,
             "gain": 10 * wins >= 9 * pairs and lead > parent_iqr,
         }
+    return {**_totals(runs), "metrics": metrics}
+
+
+def summarize_layers(runs: dict[str, list[dict]], per_layer: list[dict]) -> dict:
+    """Per per-layer metric of traced runs: each side's values in pair
+    order, median and quartiles, with no win count or gain verdict."""
+    metrics = {spec["name"]: {"unit": spec["unit"], **_sides(runs, spec["name"])} for spec in per_layer}
+    return {**_totals(runs), "metrics": metrics}
+
+
+def layer_lines(summary: dict) -> list[str]:
+    """One line per per-layer metric that is not zero on both sides:
+    name, then each side's median [q1, q3]."""
+    lines = []
+    for name, m in summary["metrics"].items():
+        if m["parent"]["values"] + m["change"]["values"] != [0] * 2 * summary["pairs"]:
+            cells = (f"{side} {m[side]['median']:.4g} [{m[side]['q1']:.4g}, {m[side]['q3']:.4g}]" for side in SIDES)
+            lines.append(f"{name} ({m['unit']}): {' '.join(cells)}")
+    return lines
+
+
+def _totals(runs: dict[str, list[dict]]) -> dict:
     return {
-        "pairs": pairs,
+        "pairs": len(runs["parent"]),
         "correct": all(r["correct"] for side in SIDES for r in runs[side]),
         "failed": {side: sum(r["failed"] for r in runs[side]) for side in SIDES},
-        "metrics": metrics,
     }
 
 
@@ -81,23 +116,30 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=None, help="bench/run.py --seconds (default: its own)")
+    parser.add_argument("--trace", type=int, choices=[0, 1], default=0, help="1: per-layer metrics, no verdict")
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     checkouts = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     with open(os.path.join(checkouts["change"], "BENCHMARK.json")) as fh:
-        end_to_end = json.load(fh)["end_to_end"]
+        spec = json.load(fh)
 
     runs: dict[str, list[dict]] = {side: [] for side in SIDES}
     for i in range(args.pairs):
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-            runs[side].append(run_once(checkouts[side], args.workload, args.seed, args.seconds))
+            runs[side].append(run_once(checkouts[side], args.workload, args.seed, args.seconds, args.trace))
         for side in SIDES:
-            values = " ".join(f"{k}={m['value']:.4g}" for k, m in runs[side][-1]["metrics"].items())
+            values = " ".join(f"{k}={m['value']:.4g}" for k, m in runs[side][-1]["metrics"].items() if m["value"])
             print(f"bench_pairs: pair {i + 1}/{args.pairs} {side}: {values}", file=sys.stderr)
 
-    summary = summarize(runs, end_to_end)
-    print(json.dumps({"workload": args.workload, "seed": args.seed, "checkouts": checkouts, **summary}))
+    if args.trace:
+        summary = summarize_layers(runs, spec["per_layer"])
+        for line in layer_lines(summary):
+            print(f"bench_pairs: {line}", file=sys.stderr)
+    else:
+        summary = summarize(runs, spec["end_to_end"])
+    head = {"workload": args.workload, "seed": args.seed, "trace": args.trace, "checkouts": checkouts}
+    print(json.dumps({**head, **summary}))
     return 0
 
 
