@@ -255,24 +255,6 @@ def _drop_fixed(state: str) -> tuple[int, str]:
     return f, state.translate(table)
 
 
-def _faces(state: str) -> int:
-    """f of a state, as :func:`wsys.perm.face_count`: the cycles of
-    i -> sigma(alpha^-1(i)), counted on its inverse i -> alpha(i - 1)
-    (alpha(0) = alpha(m)), which is the state rotated right by one slot;
-    1 for the empty state."""
-    if not state:
-        return 1
-    walk = state[-1] + state[:-1]
-    unseen = set(walk)
-    faces = 0
-    while unseen:
-        faces += 1
-        x = unseen.pop()
-        while (x := walk[ord(x) - 1]) in unseen:
-            unseen.remove(x)
-    return faces
-
-
 @cache
 def _successors(m: int) -> str:
     """2, 3, ..., m, 1: the image of the long cycle on 1..m."""
@@ -471,7 +453,7 @@ _FEPS = _binding("feps", ("N", "eps"), feps_casimir_binding, (Poly.one(), _N))
 
 def _check_standard(state: str, val: Packed) -> None:
     """The standard value of every state is N^(f - 1)."""
-    if val != {_faces(state) - 1: 1}:
+    if val != {face_count(Perm(_image(state))) - 1: 1}:
         raise InternalError(
             f"standard specialization of {_image(state)} is not N^(f-1): {_STANDARD.ring.poly(val)}"
         )

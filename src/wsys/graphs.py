@@ -421,12 +421,6 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     return Graph._raw(len(vs), tuple(rows))
 
 
-def _delete_row(rows: Sequence[int], i: int) -> tuple[int, ...]:
-    """Rows without vertex i + 1: row i dropped, bit i dropped from the rest."""
-    low = (1 << i) - 1
-    return tuple([row & low | row >> 1 & ~low for row in rows[:i] + rows[i + 1 :]])
-
-
 def _pivot_rows(rows: list[int], i: int, j: int) -> None:
     """Pivot the rows in place on the edge between vertices i + 1 and j + 1
     (see :func:`graph_pivot`)."""

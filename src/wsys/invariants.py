@@ -16,13 +16,13 @@ A sum adds each monomial's count into a plain dict and adopts it with
 (:class:`MonomialParts`, () at exponent 0) in the fixed variable order
 and histogram counts are positive ints, so nothing is left to validate.
 The vertex recursion of the interlace polynomial works on packed
-integers (L at x = 2^21) and decodes to a Poly once per call.  Its
-default route keeps each graph as one flat int, row r at bit 20r (a
-stride of MAX_GROUND): the edge is the lowest set bit, and deleting a
-vertex or pivoting is a fixed number of int operations.  A policy the
-caller passes runs on adjacency rows instead, gets a Graph per node and
-has its edge checked.  Both key their packed values by (n, flat) in the
-explicit cache :data:`RECURSION_MEMO`.
+integers (L at x = 2^21) and decodes to a Poly once per call.  It keeps
+each graph as one flat int, row r at bit 20r (a stride of MAX_GROUND),
+and deleting a vertex or pivoting is a fixed number of int operations.
+By default the edge is the lowest set bit; a policy the caller passes
+only chooses the edge: it gets a Graph per node and has its edge
+checked.  Packed values are keyed by (n, flat) in the explicit cache
+:data:`RECURSION_MEMO`.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ from .errors import DomainError, InternalError
 from .graphs import (
     MAX_GROUND,
     Graph,
-    _delete_row,
-    _pivot_rows,
     four_term_images,
     graph_format,
     induced_corank,
@@ -122,8 +120,8 @@ def two_var_interlace(d: DMat) -> Poly:
 _SLOT = MAX_GROUND + 1
 _X_PLUS_ONE = (1 << _SLOT) + 1
 
-# The default route keeps a graph as one flat int: row r (the neighbours
-# of vertex r + 1) sits at bits _STRIDE*r ... _STRIDE*r + _STRIDE - 1.
+# The recursion keeps a graph as one flat int: row r (the neighbours of
+# vertex r + 1) sits at bits _STRIDE*r ... _STRIDE*r + _STRIDE - 1.
 # Every row fits its field, since n <= MAX_GROUND, so a node of the
 # recursion is a fixed number of int operations on the whole graph.
 _STRIDE = MAX_GROUND
@@ -195,54 +193,42 @@ def _delete_flat(flat: int, i: int) -> int:
     return flat & _ROWS_BELOW[i] | flat >> _STRIDE & _ROWS_ABOVE[i]
 
 
-def _interlace_flat(n: int, flat: int, memo: MutableMapping[RecursionKey, int]) -> int:
-    """Packed L of the flat graph by the vertex recursion on first_edge's
-    edge: the lowest set bit lies in the lowest row with a neighbour, at
-    that vertex's lowest neighbour."""
+def _interlace_flat(
+    n: int,
+    flat: int,
+    memo: MutableMapping[RecursionKey, int],
+    edge_policy: Callable[[Graph], tuple[int, int] | None] | None,
+) -> int:
+    """Packed L of the flat graph by the vertex recursion.  Without a
+    policy the edge is first_edge's: the lowest set bit lies in the lowest
+    row with a neighbour, at that vertex's lowest neighbour.  A policy gets
+    the Graph of every node, edgeless ones included, and its edge must be
+    one of the graph's."""
     key = (n, flat)
     value = memo.get(key)
     if value is not None:
         return value
-    if flat:
-        a, b = divmod((flat & -flat).bit_length() - 1, _STRIDE)
+    if edge_policy is None:
+        edge = divmod((flat & -flat).bit_length() - 1, _STRIDE) if flat else None
+    else:
+        edge = edge_policy(Graph._raw(n, tuple([flat >> _STRIDE * r & _ROW for r in range(n)])))
+        if edge is not None:
+            a, b = edge
+            if not (0 < a <= n and 0 < b <= n and flat >> _STRIDE * (a - 1) + b - 1 & 1):
+                raise DomainError(f"pivot requires edge {a}-{b}")
+            edge = a - 1, b - 1
+    if edge is None:
+        value = _X_PLUS_ONE**n
+    else:
+        a, b = edge
         near_a = (flat >> _STRIDE * a & _ROW) ^ 1 << b
         near_b = (flat >> _STRIDE * b & _ROW) ^ 1 << a
         both, union = near_a & near_b, near_a | near_b
         pivoted = flat
         for cls in (both, near_a ^ both, near_b ^ both):
             pivoted ^= (_SPREAD_LOW[cls & 1023] | _SPREAD_HIGH[cls >> 10]) * (union ^ cls)
-        value = _interlace_flat(n - 1, _delete_flat(flat, a), memo)
-        value += _interlace_flat(n - 1, _delete_flat(pivoted, b), memo)
-    else:
-        value = _X_PLUS_ONE**n
-    memo[key] = value
-    return value
-
-
-def _interlace_rows(
-    n: int,
-    rows: tuple[int, ...],
-    memo: MutableMapping[RecursionKey, int],
-    edge_policy: Callable[[Graph], tuple[int, int] | None],
-) -> int:
-    """Packed L of the graph with these rows by the vertex recursion on the
-    policy's edge, kept on rows as the reference for the flat route and
-    keyed as it is."""
-    key = (n, _flat(rows))
-    value = memo.get(key)
-    if value is not None:
-        return value
-    edge = edge_policy(Graph._raw(n, rows))
-    if edge is None:
-        value = _X_PLUS_ONE**n
-    else:
-        a, b = edge
-        if not (0 < a <= n and 0 < b <= n and rows[a - 1] >> (b - 1) & 1):
-            raise DomainError(f"pivot requires edge {a}-{b}")
-        pivoted = list(rows)
-        _pivot_rows(pivoted, a - 1, b - 1)
-        value = _interlace_rows(n - 1, _delete_row(rows, a - 1), memo, edge_policy)
-        value += _interlace_rows(n - 1, _delete_row(pivoted, b - 1), memo, edge_policy)
+        value = _interlace_flat(n - 1, _delete_flat(flat, a), memo, edge_policy)
+        value += _interlace_flat(n - 1, _delete_flat(pivoted, b), memo, edge_policy)
     memo[key] = value
     return value
 
@@ -253,17 +239,17 @@ def interlace_graph_recursive(
     edge_policy: Callable[[Graph], tuple[int, int] | None] = first_edge,
 ) -> Poly:
     """L(x) by the vertex recursion L(G) = L(G - a) + L(G^{ab} - b), with
-    (x+1)^n on edgeless graphs.  The result does not depend on which edge
-    the policy picks; the default, :func:`first_edge`, is read off the
-    flat graph without building a Graph per node.  The memo (by default
-    :data:`RECURSION_MEMO`) holds packed values (L at x = 2^(MAX_GROUND + 1))."""
+    (x+1)^n on edgeless graphs, on one flat int per graph.  The result does
+    not depend on which edge the policy picks; the default,
+    :func:`first_edge`, is read off the flat graph without building a Graph
+    per node.  Any other policy gets a Graph per node, edgeless ones
+    included, and must return one of its edges or None.  The memo (by
+    default :data:`RECURSION_MEMO`) holds packed values (L at
+    x = 2^(MAX_GROUND + 1)), keyed by (n, flat) whatever the policy."""
     if g.n > MAX_GROUND:
         raise DomainError(f"{g.n} elements exceed the subset budget of {MAX_GROUND}")
     memo = RECURSION_MEMO if memo is None else memo
-    if edge_policy is first_edge:
-        value = _interlace_flat(g.n, _flat(g.rows), memo)
-    else:
-        value = _interlace_rows(g.n, g.rows, memo, edge_policy)
+    value = _interlace_flat(g.n, _flat(g.rows), memo, None if edge_policy is first_edge else edge_policy)
     mask = (1 << _SLOT) - 1
     coeffs = [value >> _SLOT * k & mask for k in range(g.n + 1)]
     if value >> _SLOT * (g.n + 1) or sum(coeffs) != 1 << g.n:

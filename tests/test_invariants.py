@@ -168,6 +168,19 @@ def test_interlace_recursion_edge_policy_independent():
             a = interlace_graph_recursive(g, memo={}, edge_policy=random_edge)
             assert a == interlace_graph_recursive(g, memo={}), g
 
+    # the highest vertex with a neighbour, and its highest neighbour: the
+    # pivot runs on edges with a > b, and at n = 20 on the top row
+    def last_edge(g):
+        return next(((a, g.rows[a - 1].bit_length()) for a in range(g.n, 0, -1) if g.rows[a - 1]), None)
+
+    last_rng = Random(2420)
+    for n in range(11, 21):
+        for density in (0.2, 0.5, 0.8):
+            g = _seeded_graph(last_rng, n, density)
+            assert n < 20 or last_edge(g)[0] == 20
+            a = interlace_graph_recursive(g, memo={}, edge_policy=last_edge)
+            assert a == interlace_graph_recursive(g, memo={}) == interlace_dmat(dmat_from_graph(g)), g
+
     # the default route applies first_edge's rule to the rows (the lowest
     # vertex with a neighbour, and its lowest neighbour) instead of calling
     # it: both pick the same edge, so both routes fill the same memo

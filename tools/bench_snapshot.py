@@ -6,12 +6,13 @@ Run from the root of a wsys checkout (stdlib only):
     python3 tools/bench_snapshot.py --label 5 --checkout ../parent-copy
 
 Each run is `python3 bench/run.py --workload W --seed 1 --trace 0` in the
-checkout, RUNS times per workload; the runs cycle through the workloads so
-that drift of the machine spreads over all of them.  The snapshot records the checkout's git SHA
-(and whether tracked files differ from it), the Python version and `nproc`,
-and per workload and metric the median, min and
-max over the runs, with `correct` (every run), `attempted` and `failed`
-(summed over the runs).
+checkout, through `run_once` of tools/bench_pairs.py, RUNS times per
+workload; the runs cycle through the workloads so that drift of the
+machine spreads over all of them.  The snapshot records the checkout's
+git SHA (and whether tracked files differ from it), the Python version
+and `nproc`, and per workload and metric the median, min and max over
+the runs, with `correct` (every run), `attempted` and `failed` (summed
+over the runs).
 """
 
 from __future__ import annotations
@@ -24,17 +25,11 @@ import statistics
 import subprocess
 import sys
 
+from bench_pairs import run_once
+
 WORKLOADS = ("family", "recurrence", "subsets", "cli")
 SEED = 1
 RUNS = 3
-
-
-def run_once(checkout: str, workload: str) -> dict:
-    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(SEED), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
-    if proc.returncode != 0:
-        raise SystemExit(f"bench_snapshot: {workload} failed:\n{proc.stderr.strip()}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def summarize(runs: list[dict]) -> dict:
@@ -70,7 +65,7 @@ def main() -> int:
     runs: dict[str, list[dict]] = {w: [] for w in WORKLOADS}
     for i in range(RUNS):
         for workload in WORKLOADS:
-            runs[workload].append(run_once(checkout, workload))
+            runs[workload].append(run_once(checkout, workload, SEED, None))
             wall = runs[workload][-1]["metrics"]["wall_s"]["value"]
             print(f"bench_snapshot: run {i + 1}/{RUNS} {workload}: wall_s {wall:.3f}", file=sys.stderr)
 
