@@ -19,20 +19,31 @@ monomial and the canonical ordering of monomials in the printed form (see
 denominator is a power of ``1 - z`` (the only pole the interlace family
 ever produces); it is kept normalized so equality is structural.
 
-:class:`PackedRing` is a ring with a fixed tuple of variables, whose
-monomials are packed exponent vectors in one ``int``.  It is the working
-form of the recurrence engine in ``glws`` and of the subset convolutions
-of the Hopf projection in ``hopf``; both convert to :class:`Poly` once at
-the end, and ``glws.interlace_perm`` reads its univariate result straight
-into a :class:`RatFunc`.
+Two working forms serve the recurrence engine in ``glws`` and the subset
+convolutions of the Hopf projection in ``hopf``; both convert to
+:class:`Poly` once at the end.  Each has the same few operations as
+attributes (``one``, ``zero``, ``mul``, ``fold``), so one engine runs in
+either:
+
+* :class:`PackedRing`, a ring with a fixed tuple of variables: a value is
+  a dict whose monomials are packed exponent vectors in one ``int``.  It
+  holds the rings of many variables (``wgl``'s thousand Casimirs) and
+  rational coefficients (gl(1|1)).
+* :class:`KroneckerRing`, integer polynomials in one or two variables: a
+  value is one ``int``, the polynomial evaluated at 2^width (Kronecker
+  substitution).  Adding is an int add, a unit monomial a shift and a
+  product one int multiply; a decode reads every slot at once through
+  ``int.to_bytes`` and a ``memoryview`` cast.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate
+from itertools import accumulate, compress
+from operator import mul
 from typing import Iterable, Mapping, Union
 
 from .errors import DomainError, InternalError, is_uint, shorten_int
@@ -367,10 +378,11 @@ class PackedRing:
     tuple, so the Polys it returns share their monomials, as values the
     engine returned straight from its memo did."""
 
-    __slots__ = ("names", "_slot", "_monos")
+    __slots__ = ("names", "one", "zero", "mul", "fold", "_slot", "_monos")
 
     def __init__(self, names: tuple[str, ...]):
         self.names = names
+        self.one, self.zero, self.mul, self.fold = {0: 1}, {}, packed_mul, packed_fold
         self._slot = {name: i for i, name in enumerate(names)}
         self._monos: dict[int, Monomial] = {}
 
@@ -389,6 +401,15 @@ class PackedRing:
                 key += e << (slot * SLOT_BITS)
             out[key] = coef
         return out
+
+    def unit_shift(self, value: Packed) -> int | None:
+        """The packed monomial of a value that is one monomial with
+        coefficient 1 (a fold adds it to every monomial), else None."""
+        if len(value) == 1:
+            ((mono, coef),) = value.items()
+            if coef == 1:
+                return mono
+        return None
 
     def poly(self, value: Packed) -> Poly:
         """The Poly of a packed value; InternalError when a guard bit is set."""
@@ -426,6 +447,122 @@ class PackedRing:
                 mono.append((names[slot], e))
             slot += 1
         return tuple(mono)
+
+
+# -- Kronecker integers ---------------------------------------------------
+#
+# A polynomial with integer coefficients in one or two variables is held
+# as its value at x = 2^width, one int (D. Harvey, "Faster polynomial
+# multiplication via multipoint Kronecker substitution", J. Symbolic
+# Comput. 2009).  Evaluation at 2^width is a ring homomorphism Z[x] -> Z,
+# so sums and products of values are exact whatever their coefficients;
+# only a decoded value needs its coefficients to fit their slots, which
+# the owner of the ring proves from its own bounds.
+
+# struct codes of the native signed ints by bit width (the unsigned code is
+# the upper case), read in the native byte order
+_NATIVE_INTS = {8: "b", 16: "h", 32: "i", 64: "q"}
+_BYTEORDER = sys.byteorder
+
+
+def kronecker_width(bound: int) -> int:
+    """Slot bits for signed coefficients of magnitude at most bound: one
+    bit above bound's, rounded up to a native int width (8, 16, 32, 64),
+    or to a whole byte past 64 bits."""
+    bits = bound.bit_length() + 1
+    return next((w for w in _NATIVE_INTS if bits <= w), -(-bits // 8) * 8)
+
+
+def int_fold(a: int, terms: Iterable[tuple[int, int, int]]) -> int:
+    """a + sum of sign * b << shift over the (sign, shift, b) of terms: the
+    Kronecker form of :func:`packed_fold`, where a unit monomial is a
+    shift."""
+    for sign, shift, b in terms:
+        if shift:
+            b <<= shift
+        a = a + b if sign > 0 else a - b
+    return a
+
+
+class KroneckerRing:
+    """Integer polynomials in one or two variables, each held as one int:
+    the polynomial at x = 2^width.  A univariate monomial v^e sits at slot
+    e; in a bivariate ring (outer, inner), in the fixed variable order,
+    outer^i inner^j sits at slot i * stride + j, so every inner exponent
+    must stay below stride.  A value decodes exactly when each coefficient
+    fits its slot: below 2^width for unsigned digits, below 2^(width - 1)
+    in magnitude for signed ones.  Which bound holds is the owner's to
+    prove; every decode of the owner checks an identity that a carry
+    between slots breaks."""
+
+    __slots__ = ("names", "width", "stride", "one", "zero", "mul", "fold", "_code", "_monos", "_biases")
+    _monos: list[Monomial]  # the Monomial of each slot, made once
+
+    def __init__(self, names: tuple[str, ...], width: int, stride: int):
+        if not 1 <= len(names) <= 2 or width <= 0 or width % 8:
+            raise DomainError(f"no Kronecker ring over {names} with {width}-bit slots")
+        self.names, self.width, self.stride = names, width, stride
+        self.one, self.zero, self.mul, self.fold = 1, 0, mul, int_fold
+        self._code = _NATIVE_INTS.get(width)
+        self._monos = []
+        self._biases: dict[int, int] = {}
+
+    def slots(self, degree: int) -> int:
+        """The slots of a value whose every exponent is at most degree."""
+        return (self.stride + 1) * degree + 1 if len(self.names) == 2 else degree + 1
+
+    def pack(self, p: Poly) -> int:
+        """p as one int; its variables must be the ring's, its coefficients
+        integers and its inner exponents below the stride."""
+        value = 0
+        for mono, coef in p.terms.items():
+            exps = dict(mono)
+            if not isinstance(coef, int) or exps.keys() - set(self.names):
+                raise DomainError(f"{p} is not an integer polynomial in {self.names}")
+            *outer, inner = (exps.get(var, 0) for var in self.names)
+            if outer and inner >= self.stride:
+                raise DomainError(f"exponent {inner} of {self.names[1]} exceeds the stride {self.stride}")
+            value += coef << self.width * (sum(outer) * self.stride + inner)
+        return value
+
+    def unit_shift(self, value: int) -> int | None:
+        """The shift of a value that is one monomial with coefficient 1,
+        else None."""
+        return value.bit_length() - 1 if value > 0 and not value & value - 1 else None
+
+    def digits(self, value: int, slots: int, signed: bool) -> list[int]:
+        """The coefficients of a value that fits ``slots`` slots, up to its
+        top nonzero slot, read in C: ``to_bytes`` and a ``memoryview`` cast
+        (past 64 bits, one ``from_bytes`` per slot).  Signed digits add
+        2^(width - 1) to every slot and flip the same bit back, so each
+        slot reads as a native signed int.  InternalError when the value
+        does not fit the slots (or is negative, for unsigned digits)."""
+        width = self.width
+        if signed:
+            slots = min(slots, abs(value).bit_length() // width + 1)
+            bias = self._biases.get(slots)
+            if bias is None:
+                bias = self._biases[slots] = ((1 << width * slots) - 1) // ((1 << width) - 1) << width - 1
+            value = value + bias ^ bias
+        else:
+            slots = min(slots, (value.bit_length() + width - 1) // width)
+        size = width >> 3
+        try:
+            raw = value.to_bytes(size * slots, _BYTEORDER)
+        except OverflowError:
+            raise InternalError(f"a value does not fit {slots} slots of {width} bits") from None
+        if self._code is not None:
+            return memoryview(raw).cast(self._code if signed else self._code.upper()).tolist()
+        return [int.from_bytes(raw[i : i + size], _BYTEORDER, signed=signed) for i in range(0, len(raw), size)]
+
+    def from_digits(self, digits: list[int]) -> Poly:
+        """The Poly of a value's digits, its nonzero slots picked in C."""
+        monos = self._monos
+        if len(digits) > len(monos):
+            for slot in range(len(monos), len(digits)):
+                exps = divmod(slot, self.stride) if len(self.names) == 2 else (slot,)
+                monos.append(tuple((var, e) for var, e in zip(self.names, exps) if e))
+        return Poly._raw(dict(zip(compress(monos, digits), filter(None, digits))))
 
 
 # -- univariate helpers (in z) -------------------------------------------

@@ -42,18 +42,43 @@ Every specialization is a ring homomorphism out of Q[N, C1, C2, ...], so
 it commutes with the recurrence: one evaluator runs the recurrence in each
 target ring, given a binding (the image of a stripped C_k, and the factor
 of a contraction that frees no index class or one: 1 and N in wgl).  A
-binding names its ring's variables, and the evaluator computes in that
-ring's packed form (:class:`wsys.algebra.PackedRing`, one int per
-monomial); the fixed-point and rotation rules hold in every ring for the
-same reason.  A memo maps each state it has seen (rotation
-representatives, loop states and inputs) to its packed value; the public
-functions convert the result to :class:`Poly` once, and ``interlace_perm``
-reads its univariate value straight into a :class:`RatFunc`.  Every
-public function enters the engine through :func:`packed_state_value`
-(cap checks, memo read, and the binding's own consistency check, such as
-the standard value N^(f-1)); the Hopf projection calls it directly, with
+binding carries its ring's few operations (one, fold, mul) and the
+decode of a state's value to its public form; the fixed-point and
+rotation rules hold in every ring for the same reason.  Two forms of
+ring serve (:mod:`wsys.algebra`):
+
+* ``feps`` (N and eps), the homogenized interlace numerator (z), the
+  standard specialization and C_k -> N (both N) have integer
+  coefficients in one or two variables and hold each value as one int,
+  the polynomial at 2^W (:class:`~wsys.algebra.KroneckerRing`).  A sum
+  is an int add, a unit monomial (N) a shift, and every other factor (a
+  strip image, C1^f, the interlace contraction factors) one int
+  multiply.
+* ``wgl`` (N and a thousand Casimirs) and gl(1|1) (``Fraction`` images)
+  keep the dict form (:class:`~wsys.algebra.PackedRing`, one int per
+  monomial).
+
+The slot width W is proven, not sampled.  Evaluation at 2^W is a ring
+homomorphism Z[x] -> Z, so only a decoded value needs its coefficients
+to fit, and each specialization states the bound of the values it
+decodes (:class:`_Specialization`).  The bound grows with the point
+count, so a specialization has one binding per width class (at most
+DEFAULT_CAP points, then twice that, and so on up to MAX_POINTS), each
+with its own memo in :data:`ENGINE_MEMOS`.  An input is evaluated in the
+smallest class that holds its points, so an input with m <= DEFAULT_CAP
+never pays for a wider one.  A class whose widest value would take more
+than _INT_BITS bits keeps the dict ring.  Every decode of an int checks
+an identity that a carry between slots breaks and raises InternalError.
+
+A memo maps each state it has seen (rotation representatives, loop
+states and inputs) to its value in the binding's ring; the public
+functions decode the result once, and ``interlace_perm`` reads its
+coefficient list straight into a :class:`RatFunc`.  Every public
+function enters the engine through :func:`packed_state_value` (cap
+checks, memo read, and the binding's own consistency check, such as the
+standard value N^(f-1)); the Hopf projection calls it directly, with
 states it cuts itself, for the specializations that
-:func:`specialization_binding` names.
+:func:`specialization_binding` names, and convolves their ints.
 
 A state is a one-line image stored as a ``str`` with one code point per
 point (code point v is the value v), which covers all MAX_POINTS points;
@@ -71,24 +96,24 @@ with none lists its displacements.  The translate tables are cut from
 one alphabet string and cached per l, k or m.  The loop reads the memo
 for each contraction result before it calls the evaluator, so a hit
 costs no call.  On the way out of the strip/swap loop, a swap state's
-two contraction terms are folded into its successor's value in one dict
-copy (:func:`wsys.algebra.packed_fold`); a contraction factor that is a
-unit monomial (N) enters as an exponent shift, any other factor
-multiplies, and a zero factor's branch is never evaluated.
+two contraction terms are folded into its successor's value by the
+ring's fold (one dict copy, or int adds); a contraction factor that is a
+unit monomial (N) enters as a shift, any other factor multiplies, and a
+zero factor's branch is never evaluated.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import compress
 from math import comb
 from operator import eq
-from typing import Callable, MutableMapping, NamedTuple, Sequence
+from typing import Any, Callable, MutableMapping, NamedTuple, Sequence, Union
 
-from .algebra import Packed, PackedRing, Poly, RatFunc, casimir, packed_fold, packed_mul
+from .algebra import KroneckerRing, Packed, PackedRing, Poly, RatFunc, casimir, kronecker_width
 from .errors import DomainError, InternalError, shorten_int
-from .graphs import subset_counts, subsets
+from .graphs import MAX_GROUND, subset_counts, subsets
 from .invariants import MonomialParts, refined_skew_char_graph, subset_poly
 from .perm import MAX_POINTS, Perm, cycle_count, face_count, intersection_graph, is_chord_diagram, subperm
 
@@ -97,51 +122,155 @@ DEFAULT_CAP = 10
 # One linear combination of permutations, as (coefficient, permutation) pairs.
 WglState = list[tuple[Poly, Perm]]
 
+# A value in a binding's ring: a dict of a PackedRing or one int of a
+# KroneckerRing.
+Value = Union[Packed, int]
+Ring = Union[PackedRing, KroneckerRing]
+
 _N = Poly.var("N")
 
 
 class _Binding(NamedTuple):
-    """Where the recurrence's factors go in one target ring, packed."""
+    """Where the recurrence's factors go in one target ring, in one width
+    class, with the ring's operations bound once."""
 
     name: str
-    ring: PackedRing
-    strip: Callable[[int], Packed]  # image of C_k
-    fixed: Callable[[int], Packed]  # image of C1^f, for f fixed points
-    contract: tuple[tuple[int, Packed | None] | None, ...]  # per freed class count, see _contract_rule
-    check: Callable[[str, Packed], None] | None  # raises InternalError on a wrong value of a state
+    points: int  # the width class: the most points of a state the binding holds
+    ring: Ring
+    one: Value
+    mul: Callable[[Value, Value], Value]
+    fold: Callable[[Value, Sequence[tuple[int, int, Value]]], Value]  # a + sum of sign * x^shift * b
+    strip: Callable[[int], Value]  # image of C_k
+    fixed: Callable[[int], Value]  # image of C1^f, for f fixed points
+    contract: tuple[tuple[int, Value | None] | None, ...]  # per freed class count, see _contract_rule
+    decode: Callable[[Value, int], Any]  # the public form of a state's value on m points, checked
+    l1: Callable[[int], int] | None  # the proven L1 bound of a value on m points, for an int ring
+    check: Callable[["_Binding", str, Value], None] | None  # raises InternalError on a wrong value of a state
 
 
-def _contract_rule(ring: PackedRing, factor: Poly) -> tuple[int, Packed | None] | None:
+def _contract_rule(ring: Ring, factor: Poly) -> tuple[int, Value | None] | None:
     """How a contraction factor enters the sum: None for a zero factor (the
-    branch is never evaluated), (shift, None) for a unit monomial (an
-    exponent shift), else (0, packed factor) to multiply by."""
+    branch is never evaluated), (shift, None) for a unit monomial (a
+    shift), else (0, factor in the ring) to multiply by."""
     if not factor:
         return None
-    packed = ring.pack(factor)
-    if len(packed) == 1:
-        ((mono, coef),) = packed.items()
-        if coef == 1:
-            return mono, None
-    return 0, packed
+    value = ring.pack(factor)
+    shift = ring.unit_shift(value)
+    return (0, value) if shift is None else (shift, None)
 
 
-def _binding(
-    name: str,
-    names: tuple[str, ...],
-    strip: Callable[[int], Poly],
-    contract: tuple[Poly, Poly],
-    check: Callable[[str, Packed], None] | None = None,
-) -> _Binding:
-    """A binding over the ring of ``names``, given by Poly images."""
-    ring = PackedRing(names)
-    return _Binding(
-        name,
-        ring,
-        cache(lambda k: ring.pack(strip(k))),
-        cache(lambda f: ring.pack(strip(1) ** f)),
-        tuple(_contract_rule(ring, f) for f in contract),
-        check,
-    )
+def _width_class(m: int) -> int:
+    """The smallest width class that holds m points: DEFAULT_CAP, doubled
+    until it does, and at most MAX_POINTS."""
+    points = DEFAULT_CAP
+    while points < m:
+        points *= 2
+    return min(points, MAX_POINTS)
+
+
+@cache
+def projection_bound(l1: Callable[[int], int], chords: int) -> int:
+    """A bound on the L1 norm, so on every coefficient, of the Hopf
+    projection p(S) over a set S of s = chords chords, when the value of
+    every chord diagram on m points has L1 norm at most l1(m).  The log
+    recursion p(S) = f(S) - sum p(T) f(S - T), over the T strictly inside
+    S that hold min S (C(s-1, t-1) of them at size t), and the L1 norm's
+    being submultiplicative give r(s) = l1(2s) + sum_{t<s} C(s-1, t-1)
+    r(t) l1(2(s-t)).  For feps (l1 = 2^m) at 5 chords this is 153 600."""
+    r = [0]
+    for s in range(1, chords + 1):
+        r.append(l1(2 * s) + sum(comb(s - 1, t - 1) * r[t] * l1(2 * (s - t)) for t in range(1, s)))
+    return r[chords]
+
+
+# A width class is held as ints while its widest value (every slot of a
+# value on `points` points) takes at most this many bits, 128 KiB; past
+# that most slots stay empty for the sparse values that inputs so large
+# can reach (C1^m and C_m), and the class keeps the dict ring.
+_INT_BITS = 1 << 20
+
+
+class _Specialization(dict[int, _Binding]):
+    """One specialization of wgl, with one binding per width class, each
+    built on first use, and indexed by point count: spec[m] is the binding
+    of the class that holds m points.  ``names`` are the ring's variables, ``strip`` the
+    image of C_k and ``contract`` the factors of a contraction that frees
+    no index class and one.
+
+    Without ``l1`` the ring is the dict ring and there is one class of
+    MAX_POINTS points.  With it the values have integer coefficients, and
+    l1(m) bounds the L1 norm (so every coefficient) of the value of any
+    state on m points; ``degree`` * m bounds each exponent, so the slot of
+    a monomial stays within stride = degree * points + 1 per variable.  A
+    ``projected`` specialization is also read by the Hopf projection, so
+    its width covers the projection over the chords of any diagram of the
+    class (:func:`projection_bound`, at most MAX_GROUND chords, the subset
+    budget).  ``decode`` reads an int value on m points to its public form
+    and checks it; a dict class decodes by ``coeffs`` (a coefficient list)
+    or as a Poly."""
+
+    def __init__(
+        self,
+        name: str,
+        names: tuple[str, ...],
+        strip: Callable[[int], Poly],
+        contract: tuple[Poly, Poly],
+        *,
+        l1: Callable[[int], int] | None = None,
+        degree: int = 1,
+        projected: bool = False,
+        decode: Callable[[KroneckerRing, int, int], Any] | None = None,
+        coeffs: bool = False,
+        check: Callable[[_Binding, str, Value], None] | None = None,
+    ) -> None:
+        self.name, self.names, self.strip, self.contract = name, names, strip, contract
+        self.l1, self.degree, self.projected, self.decode, self.coeffs = l1, degree, projected, decode, coeffs
+        self.check = check
+        self._classes: dict[int, _Binding] = {}  # by width class
+        super().__init__()
+
+    def __missing__(self, m: int) -> _Binding:
+        points = MAX_POINTS if self.l1 is None else _width_class(m)
+        b = self._classes.get(points)
+        if b is None:
+            b = self._classes[points] = self._binding(points)
+        self[m] = b
+        return b
+
+    def _ring(self, points: int) -> Ring:
+        """The ring of a width class: ints when its widest value fits
+        _INT_BITS, else the dict ring."""
+        if self.l1 is not None:
+            bound = self.l1(points)
+            if self.projected:
+                bound = max(bound, projection_bound(self.l1, min(points // 2, MAX_GROUND)))
+            width, stride = kronecker_width(bound), self.degree * points + 1
+            if width * stride ** len(self.names) <= _INT_BITS:
+                return KroneckerRing(self.names, width, stride)
+        return PackedRing(self.names)
+
+    def _binding(self, points: int) -> _Binding:
+        ring, strip, l1 = self._ring(points), self.strip, None
+        if isinstance(ring, KroneckerRing):
+            decode, l1 = partial(self.decode, ring), self.l1
+        elif self.coeffs:
+            decode = lambda value, m: ring.coeff_list(value)  # noqa: E731
+        else:
+            decode = lambda value, m: ring.poly(value)  # noqa: E731
+        return _Binding(
+            self.name,
+            points,
+            ring,
+            ring.one,
+            ring.mul,
+            ring.fold,
+            cache(lambda k: ring.pack(strip(k))),
+            cache(lambda f: ring.pack(strip(1) ** f)),
+            tuple(_contract_rule(ring, f) for f in self.contract),
+            decode,
+            l1,
+            self.check,
+        )
 
 
 # A state is a one-line image as a str, one code point per point: code
@@ -285,7 +414,7 @@ def _least_rotation(state: str) -> str:
     return (state[x:] + state[:x]).translate(tables[m - 1 - x : 2 * m - x]) if x else state
 
 
-def _wgl_state(state: str, b: _Binding, memo: MutableMapping) -> Packed:
+def _wgl_state(state: str, b: _Binding, memo: MutableMapping) -> Value:
     """The value in b's ring of a state the memo misses.  Fixed points are
     factored out as one power of C1 first, and what is left, if the memo
     misses it too, is replaced by its least rotation; then leading
@@ -296,22 +425,23 @@ def _wgl_state(state: str, b: _Binding, memo: MutableMapping) -> Packed:
         cur = _least_rotation(cur)
         val = _reduce(cur, b, memo)
     if fixed:
-        val = packed_mul(b.fixed(fixed), val)
+        val = b.mul(b.fixed(fixed), val)
     if cur != state:
         memo[state] = val
     return val
 
 
-def _reduce(cur: str, b: _Binding, memo: MutableMapping) -> Packed:
+def _reduce(cur: str, b: _Binding, memo: MutableMapping) -> Value:
     """The value of a fixed-point-free state by strips, swaps and
     contractions, memoizing every state of the loop.  On the way out each
     swap state's contraction terms are folded into the value of its
-    successor in one copy."""
-    pending: list[tuple[str, Packed | None, Sequence]] = []  # (state, strip factor, contraction terms)
-    contract = b.contract  # per freed: (shift, factor or None), or None for a zero factor
+    successor in one fold."""
+    pending: list[tuple[str, Value | None, Sequence]] = []  # (state, strip factor, contraction terms)
+    # per freed: (shift, factor or None), or None for a zero factor
+    contract, strip, mul, fold = b.contract, b.strip, b.mul, b.fold
     while (val := memo.get(cur)) is None:
         if (v := _scan(cur)) < 0:
-            pending.append((cur, b.strip(-v), ()))
+            pending.append((cur, strip(-v), ()))
             cur = cur[-v:].translate(_strip_table(-v))
             continue
         swap, freed1, merged1, freed2, merged2 = _step(cur, v - 1)
@@ -319,65 +449,84 @@ def _reduce(cur: str, b: _Binding, memo: MutableMapping) -> Packed:
         if (rule := contract[freed1]) is not None:  # a zero factor skips the branch
             if (term := memo.get(merged1)) is None:
                 term = _wgl_state(merged1, b, memo)
-            terms.append((1, rule[0], term if rule[1] is None else packed_mul(rule[1], term)))
+            terms.append((1, rule[0], term if rule[1] is None else mul(rule[1], term)))
         if (rule := contract[freed2]) is not None:
             if (term := memo.get(merged2)) is None:
                 term = _wgl_state(merged2, b, memo)
-            terms.append((-1, rule[0], term if rule[1] is None else packed_mul(rule[1], term)))
+            terms.append((-1, rule[0], term if rule[1] is None else mul(rule[1], term)))
         pending.append((cur, None, terms))
         cur = swap
-    for state, strip, terms in reversed(pending):
-        val = packed_fold(val, terms) if strip is None else packed_mul(strip, val)
+    for state, factor, terms in reversed(pending):
+        val = fold(val, terms) if factor is None else mul(factor, val)
         memo[state] = val
     return val
 
 
-# One memo per binding name: state (one-line image as a str) -> packed
-# value in that binding's ring.  Reads are concurrent-safe under the GIL.
-_MEMOS: dict[str, dict[str, Packed]] = {}
+class EngineMemos(dict[tuple[str, int], dict[str, Value]]):
+    """The engine's memos, one per binding name and width class: state
+    (one-line image as a str) -> value in that binding's ring.  An
+    explicit cache, kept until clear(); reads are concurrent-safe under
+    the GIL."""
+
+    def table(self, b: _Binding) -> dict[str, Value]:
+        """b's memo, made on first use with the empty state's value 1."""
+        table = self.get((b.name, b.points))
+        if table is None:
+            table = self[b.name, b.points] = {"": b.one}
+        return table
+
+    def stats(self) -> dict[str, dict[int, int]]:
+        """Entries per binding name and width class."""
+        out: dict[str, dict[int, int]] = {}
+        for (name, points), table in sorted(self.items()):
+            out.setdefault(name, {})[points] = len(table)
+        return out
 
 
-def packed_state_value(state: str, cap: int, b: _Binding, memo: MutableMapping | None = None) -> Packed:
-    """The value in b's packed ring of a state (a one-line image as a str,
-    see :func:`wgl`): the one path into the engine.  It refuses a negative
-    cap and more points than the cap or MAX_POINTS, reads the memo (b's own
-    unless ``memo`` is given) and evaluates only on a miss, then runs b's
-    consistency check on the value, if b has one."""
+#: The memos of the public functions; a caller of wgl may pass its own.
+ENGINE_MEMOS = EngineMemos()
+
+
+def packed_state_value(state: str, cap: int, b: _Binding, memo: MutableMapping | None = None) -> Value:
+    """The value in b's ring of a state (a one-line image as a str, see
+    :func:`wgl`): the one path into the engine.  It refuses a negative cap
+    and more points than the cap or MAX_POINTS, reads the memo (b's own in
+    :data:`ENGINE_MEMOS` unless ``memo`` is given) and evaluates only on a
+    miss, then runs b's consistency check on the value, if b has one."""
     if cap < 0:
         raise DomainError(f"cap must be >= 0, got {shorten_int(cap)}")
-    what, limit = ("cap", cap) if cap <= MAX_POINTS else ("budget", MAX_POINTS)
-    if len(state) > limit:
-        raise DomainError(f"permutation has {len(state)} points, exceeding the {what} {limit}")
-    table = _MEMOS.setdefault(b.name, {}) if memo is None else memo
-    table.setdefault("", {0: 1})
+    if (n := len(state)) > cap or n > b.points:  # b.points <= MAX_POINTS
+        what, limit = ("cap", cap) if cap <= MAX_POINTS else ("budget", MAX_POINTS)
+        if n > limit:
+            raise DomainError(f"permutation has {n} points, exceeding the {what} {limit}")
+        raise InternalError(f"a state on {n} points in the {b.points}-point class of {b.name}")
+    if memo is None:
+        table = ENGINE_MEMOS.table(b)
+    else:
+        table = memo
+        table.setdefault("", b.one)
     if (val := table.get(state)) is None:
         val = _wgl_state(state, b, table)
     if b.check is not None:
-        b.check(state, val)
+        b.check(b, state, val)
     return val
 
 
-def _packed_value(p: Perm, cap: int, b: _Binding, memo: MutableMapping | None = None) -> Packed:
-    return packed_state_value(_state(p.img), cap, b, memo)
-
-
-def _evaluate(p: Perm, cap: int, b: _Binding, memo: MutableMapping | None = None) -> Poly:
-    return b.ring.poly(_packed_value(p, cap, b, memo))
+def _evaluate(p: Perm, cap: int, spec: _Specialization, memo: MutableMapping | None = None) -> Any:
+    """The public form of p's value: decoded once, in the width class of p."""
+    b = spec[p.m]
+    return b.decode(packed_state_value(_state(p.img), cap, b, memo), p.m)
 
 
 # Slot 0 holds N and slot k holds C_k.  A wgl value on m points has weighted
 # degree at most m (N of weight 1, C_k of weight k), since a strip of C_k
 # leaves m - k points and a contraction one factor N at most and m - 1
 # points; so has every partial sum of the evaluator, and every exponent is
-# at most m <= MAX_POINTS < 2^EXP_BITS (_packed_value refuses more points).
-# feps's image of C_k has degree <= k in N and in eps, so its exponents
-# are at most m too.  The interlace, gl(1|1), standard and cycle rings are
-# univariate and so are not packed.
-@cache
-def _wgl_binding() -> _Binding:
-    """The wgl binding, built on first use: its ring names MAX_POINTS Casimirs."""
-    casimirs = tuple(casimir(k) for k in range(1, MAX_POINTS + 1))
-    return _binding("wgl", ("N", *casimirs), lambda k: Poly.var(casimir(k)), (Poly.one(), _N))
+# at most m <= MAX_POINTS < 2^EXP_BITS (packed_state_value refuses more
+# points).  gl(1|1) is univariate, so its dict ring bounds no exponent.
+_WGL = _Specialization(
+    "wgl", ("N", *map(casimir, range(1, MAX_POINTS + 1))), lambda k: Poly.var(casimir(k)), (Poly.one(), _N)
+)
 
 
 def wgl(
@@ -391,7 +540,7 @@ def wgl(
     rotation of each fixed-point-free state reduced, and the states of its
     strip/swap loop.  A state is a one-line image as a ``str`` with one
     code point per point: ``"".join(map(chr, p.img))``."""
-    return _evaluate(p, cap, _wgl_binding(), memo)
+    return _evaluate(p, cap, _WGL, memo)
 
 
 def rule_terms(p: Perm, l: int) -> tuple[Perm, int, Perm, int, Perm]:
@@ -448,20 +597,73 @@ def _interlace_casimir(k: int) -> Poly:
     return sum((comb(k, i) * _Z2 ** (i - 1) * _ONE_MINUS_Z**i for i in range(1, k + 1)), _Z2)
 
 
-_FEPS = _binding("feps", ("N", "eps"), feps_casimir_binding, (Poly.one(), _N))
+def _feps_poly(ring: KroneckerRing, value: int, m: int) -> Poly:
+    """feps on m points from its unsigned digits.  By feps_direct's subset
+    sum its coefficients are >= 0 and sum to 2^m, and each degree is <= m,
+    so every coefficient fits a slot (the width holds 2^points).  A digit
+    carried past its slot, or a negative coefficient borrowed from the
+    next, moves the digit sum by a multiple of 2^W - 1."""
+    digits = ring.digits(value, ring.slots(m), signed=False)
+    if sum(digits) != 1 << m:
+        raise InternalError(f"feps digits of a state on {m} points do not sum to 2^{m}")
+    return ring.from_digits(digits)
 
 
-def _check_standard(state: str, val: Packed) -> None:
+def _interlace_coeffs(ring: KroneckerRing, value: int, m: int) -> list[int]:
+    """The homogenized interlace numerator on m points, from its signed
+    digits.  By feps_direct's subset sum it is the sum over subsets U of
+    (z^2-1)^a (1-z)^|U| with a <= m, so its degree is <= 3m and its L1
+    norm <= 2^m * 4^m; it vanishes at z = 1 when m >= 1 (every term but
+    U = {} has a factor 1-z, and that one is N^c(p)), so the digits sum to
+    0, or to 1 at m = 0.  A carry between slots moves the sum by a
+    multiple of 2^W - 1."""
+    digits = ring.digits(value, ring.slots(3 * m), signed=True)
+    if sum(digits) != (m == 0):
+        raise InternalError(f"interlace digits of a state on {m} points do not sum to {int(m == 0)}")
+    return digits
+
+
+def _monomial_poly(ring: KroneckerRing, value: int, m: int) -> Poly:
+    """A value that is one monomial with coefficient 1 (the standard and
+    C_k -> N values): one set bit, at a slot boundary."""
+    e = (value.bit_length() - 1) // ring.width
+    if e < 0 or value != 1 << ring.width * e:
+        raise InternalError(f"{ring.names[0]} value of a state on {m} points is not a monomial")
+    return Poly.var(ring.names[0], e)
+
+
+_FEPS = _Specialization(
+    "feps",
+    ("N", "eps"),
+    feps_casimir_binding,
+    (Poly.one(), _N),
+    l1=lambda m: 1 << m,
+    projected=True,
+    decode=_feps_poly,
+)
+
+
+def _check_standard(b: _Binding, state: str, val: Value) -> None:
     """The standard value of every state is N^(f - 1)."""
-    if val != {face_count(Perm(_image(state))) - 1: 1}:
+    if val != b.ring.pack(Poly.var("N", face_count(Perm(_image(state))) - 1)):
         raise InternalError(
-            f"standard specialization of {_image(state)} is not N^(f-1): {_STANDARD.ring.poly(val)}"
+            f"standard specialization of {_image(state)} is not N^(f-1): {b.decode(val, len(state))}"
         )
 
 
-_STANDARD = _binding("standard", ("N",), lambda k: Poly.var("N", k - 1), (Poly.one(), _N), _check_standard)
-_CYCLES = _binding("cycles", ("N",), lambda k: _N, (Poly.one(), _N))
-_GL11 = _binding(
+# The standard and C_k -> N values are one monomial with coefficient 1.
+_STANDARD = _Specialization(
+    "standard",
+    ("N",),
+    lambda k: Poly.var("N", k - 1),
+    (Poly.one(), _N),
+    l1=lambda m: 1,
+    projected=True,
+    decode=_monomial_poly,
+    check=_check_standard,
+)
+_CYCLES = _Specialization("cycles", ("N",), lambda k: _N, (Poly.one(), _N), l1=lambda m: 1, decode=_monomial_poly)
+_GL11 = _Specialization(
     "gl11",
     ("u",),
     lambda k: Poly({(("u", k - 1),) if k > 1 else (): Fraction(k, 2 ** (k - 1))}),
@@ -470,7 +672,16 @@ _GL11 = _binding(
 # The interlace family homogenized by (1-z)^m: every contraction drops one
 # point, so it takes one factor (1-z) besides its N; a removed fixed point
 # takes its (1-z) with the image of C1.
-_INTERLACE = _binding("interlace", ("z",), _interlace_casimir, (_ONE_MINUS_Z, _Z2 * _ONE_MINUS_Z))
+_INTERLACE = _Specialization(
+    "interlace",
+    ("z",),
+    _interlace_casimir,
+    (_ONE_MINUS_Z, _Z2 * _ONE_MINUS_Z),
+    l1=lambda m: 1 << 3 * m,
+    degree=3,
+    decode=_interlace_coeffs,
+    coeffs=True,
+)
 
 
 def feps(p: Perm, cap: int = DEFAULT_CAP) -> Poly:
@@ -532,7 +743,7 @@ def interlace_perm(p: Perm, cap: int = DEFAULT_CAP) -> RatFunc:
     """Interlace rational function of a permutation: the two-parameter
     family at N = z^2 - 1, eps = 1/(1-z).  A polynomial (dpow = 0) on
     chord diagrams."""
-    return RatFunc.from_coeffs(_INTERLACE.ring.coeff_list(_packed_value(p, cap, _INTERLACE)), p.m)
+    return RatFunc.from_coeffs(_evaluate(p, cap, _INTERLACE), p.m)
 
 
 # The public specializations that a caller may evaluate state by state
@@ -541,7 +752,8 @@ def interlace_perm(p: Perm, cap: int = DEFAULT_CAP) -> RatFunc:
 _SPECIALIZATIONS = ((feps, _FEPS), (spec_standard, _STANDARD))
 
 
-def specialization_binding(f: Callable) -> _Binding | None:
-    """The binding of f if f is one of the engine's own specializations
-    above (for :func:`packed_state_value`), else None."""
-    return next((b for g, b in _SPECIALIZATIONS if g is f), None)
+def specialization_binding(f: Callable) -> _Specialization | None:
+    """The specialization of f if f is one of the engine's own above, else
+    None.  Indexed by a point count, it gives the binding of that width
+    class (for :func:`packed_state_value`)."""
+    return next((spec for g, spec in _SPECIALIZATIONS if g is f), None)

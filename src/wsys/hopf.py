@@ -16,17 +16,20 @@ Both run on bitmasks with fewer than 3^n products for n ground elements.
 They are identities of the algebra, so they hold for every f,
 multiplicative or not.  The values are packed once into the
 :class:`wsys.algebra.PackedRing` of their variables, the convolutions run
-there, one :func:`~wsys.algebra.packed_fold` per subset, and the result
-converts to :class:`Poly` once.
+there, one fold per subset, and the result converts to :class:`Poly`
+once.
 
 Given one of the engine's own specializations (``feps``,
 ``spec_standard``; :func:`wsys.glws.specialization_binding` tells them
 by function object), :func:`primitive_eval_diagram` skips the Poly
 values altogether: each chord subdiagram is a state cut from the
-diagram's one-line image, its packed value is read straight from the
-specialization's memo (:func:`wsys.glws.packed_state_value`), and the
-convolutions run in that binding's ring.  Any other callable, a wrapper
-of those included, takes the generic route through :func:`primitive_eval`.
+diagram's one-line image, its value is read straight from the
+specialization's memo (:func:`wsys.glws.packed_state_value`) as one int
+of the diagram's width class, and the convolutions multiply and add
+those ints.  The result decodes once, with a proven bound on its
+coefficients (:func:`wsys.glws.projection_bound`) and a check on its
+digits.  Any other callable, a wrapper of those included, takes the
+generic route through :func:`primitive_eval`.
 """
 
 from __future__ import annotations
@@ -34,9 +37,19 @@ from __future__ import annotations
 from itertools import chain
 from typing import Callable, Iterator, Sequence, TypeVar
 
-from .algebra import EXP_BITS, Packed, PackedRing, Poly, packed_fold, packed_mul, var_key
+from .algebra import EXP_BITS, Packed, PackedRing, Poly, var_key
 from .errors import DomainError, InternalError
-from .glws import DEFAULT_CAP, feps, packed_state_value, spec_standard, specialization_binding
+from .glws import (
+    DEFAULT_CAP,
+    Ring,
+    Value,
+    _Binding,
+    feps,
+    packed_state_value,
+    projection_bound,
+    spec_standard,
+    specialization_binding,
+)
 from .graphs import Graph, induced_subgraph, subsets
 from .perm import Perm, chord_subdiagram, chords
 
@@ -73,29 +86,26 @@ def _check_slots(top: int, n: int) -> None:
         raise DomainError(f"exponent {top} on {n} ground elements exceeds the packed slots")
 
 
-def _subdiagram_values(b: Perm, binding) -> list[Packed]:
-    """The packed value under an engine specialization's binding of every
-    chord subdiagram of b, by mask as in :func:`_restricted_values`, each
-    read straight from the binding's memo.  A subdiagram is its state cut
-    from b's one-line image: the chosen chords' points in order, each value
+def _subdiagram_values(b: Perm, binding: _Binding) -> list[Value]:
+    """The value under an engine specialization's binding of every chord
+    subdiagram of b, by mask as in :func:`_restricted_values`, each read
+    straight from the binding's memo.  A subdiagram is its state cut from
+    b's one-line image: the chosen chords' points in order, each value
     renumbered to its rank among them (a chord diagram maps chosen points
     to chosen points)."""
     img, ground = b.img, chords(b)
-    values: list[Packed] = []
+    values: list[Value] = []
     for mask, members in subsets(ground):
         if not mask:
-            values.append({0: 1})
+            values.append(binding.one)
             continue
         points = sorted(chain.from_iterable(members))
         rank = {x: chr(i) for i, x in enumerate(points, 1)}  # point -> code point of its new number
         values.append(packed_state_value("".join([rank[img[x - 1]] for x in points]), DEFAULT_CAP, binding))
-    # an engine value on m points has every exponent at most m; the last
-    # variable of a ring has no bound to keep
-    _check_slots(b.m if len(binding.ring.names) > 1 else 0, len(ground))
     return values
 
 
-def _pointed_terms(p: list[Packed], g: list[Packed], s: int, sign: int) -> Iterator[tuple[int, int, Packed]]:
+def _pointed_terms(p: list[Value], g: list[Value], s: int, sign: int, mul) -> Iterator[tuple[int, int, Value]]:
     """Fold terms sign * p(T) * g(S - T) over the T strictly inside S holding min S."""
     low = s & -s
     rest = s ^ low
@@ -104,15 +114,36 @@ def _pointed_terms(p: list[Packed], g: list[Packed], s: int, sign: int) -> Itera
         r = (r - 1) & rest
         t = low | r
         if p[t]:
-            yield sign, 0, packed_mul(p[t], g[s ^ t])
+            yield sign, 0, mul(p[t], g[s ^ t])
 
 
-def _connected_parts(values: list[Packed]) -> list[Packed]:
+def _connected_parts(values: list[Value], ring: Ring) -> list[Value]:
     """The primitive projection p of every subset, by the log recursion."""
-    p: list[Packed] = [{}]
+    p: list[Value] = [ring.zero]
+    fold, mul = ring.fold, ring.mul
     for s in range(1, len(values)):
-        p.append(packed_fold(values[s], _pointed_terms(p, values, s, -1)))
+        p.append(fold(values[s], _pointed_terms(p, values, s, -1, mul)))
     return p
+
+
+def _engine_projection(b: Perm, binding: _Binding) -> Poly:
+    """(f o pi)(b) for an engine specialization f: its values are ints of
+    b's width class, so the convolutions are int products and sums.  Every
+    value has each degree at most b.m and the projection too, and its
+    coefficients are bounded by projection_bound; a bound past the slots
+    is refused.  The decode checks that bound, and that the digits sum to
+    p(S) at all variables 1: f there is l1(m) (feps sums to 2^m, the
+    standard value is one monomial), a multiplicative function, whose
+    projection is 0 on two chords or more."""
+    values = _subdiagram_values(b, binding)
+    s = len(values).bit_length() - 1
+    ring, bound = binding.ring, projection_bound(binding.l1, s)
+    if bound >> ring.width - 1:
+        raise DomainError(f"projection over {s} chords may reach {bound}, past the {ring.width}-bit slots")
+    digits = ring.digits(_connected_parts(values, ring)[-1], ring.slots(b.m), signed=True)
+    if sum(map(abs, digits)) > bound or sum(digits) != (binding.l1(2) if s == 1 else 0):
+        raise InternalError(f"projection of {b.img} over {s} chords breaks its bound {bound}")
+    return ring.from_digits(digits)
 
 
 def primitive_eval(
@@ -123,7 +154,7 @@ def primitive_eval(
 ) -> Poly:
     """(f o pi)(obj) by the connected-part recursion; 0 on an empty ground set."""
     ring, values = _restricted_values(f, obj, ground, restrict)
-    return ring.poly(_connected_parts(values)[-1])
+    return ring.poly(_connected_parts(values, ring)[-1])
 
 
 def reconstruct_from_primitives(
@@ -135,10 +166,10 @@ def reconstruct_from_primitives(
     """The exponential of the projection: rebuilds f(obj) from the values
     of f o pi on the subsets of the ground set (1 on an empty ground set)."""
     ring, values = _restricted_values(f, obj, ground, restrict)
-    p = _connected_parts(values)
-    g: list[Packed] = [{0: 1}]
+    p = _connected_parts(values, ring)
+    g: list[Packed] = [ring.one]
     for s in range(1, len(p)):
-        g.append(packed_fold(p[s], _pointed_terms(p, g, s, 1)))
+        g.append(ring.fold(p[s], _pointed_terms(p, g, s, 1, ring.mul)))
     return ring.poly(g[-1])
 
 
@@ -164,13 +195,13 @@ def primitive_eval_graph(f: Callable[[Graph], Poly], g: Graph) -> Poly:
 
 def primitive_eval_diagram(f: Callable[[Perm], Poly], b: Perm) -> Poly:
     """(f o pi)(b) over the chords of b.  For one of the engine's own
-    specializations the restricted values are read packed from its memo
+    specializations the restricted values are read as ints from its memo
     and the result is decoded once; any other f is called on each
     subdiagram (:func:`primitive_eval`)."""
-    binding = specialization_binding(f)
-    if binding is None:
+    spec = specialization_binding(f)
+    if spec is None:
         return primitive_eval(f, b, chords(b), chord_subdiagram)
-    return binding.ring.poly(_connected_parts(_subdiagram_values(b, binding))[-1])
+    return _engine_projection(b, spec[b.m])
 
 
 def eps_independence_check(b: Perm) -> tuple[bool, Poly]:

@@ -203,7 +203,8 @@ def _interlace_flat(
     policy the edge is first_edge's: the lowest set bit lies in the lowest
     row with a neighbour, at that vertex's lowest neighbour.  A policy gets
     the Graph of every node, edgeless ones included, and its edge must be
-    one of the graph's."""
+    one of the graph's, or None on an edgeless graph only.  A refused
+    edge raises before the node writes the memo."""
     key = (n, flat)
     value = memo.get(key)
     if value is not None:
@@ -217,6 +218,8 @@ def _interlace_flat(
             if not (0 < a <= n and 0 < b <= n and flat >> _STRIDE * (a - 1) + b - 1 & 1):
                 raise DomainError(f"pivot requires edge {a}-{b}")
             edge = a - 1, b - 1
+        elif flat:  # None on a graph with edges would take it as edgeless
+            raise DomainError("pivot requires an edge, and the policy gave none on a graph with edges")
     if edge is None:
         value = _X_PLUS_ONE**n
     else:
@@ -243,7 +246,8 @@ def interlace_graph_recursive(
     not depend on which edge the policy picks; the default,
     :func:`first_edge`, is read off the flat graph without building a Graph
     per node.  Any other policy gets a Graph per node, edgeless ones
-    included, and must return one of its edges or None.  The memo (by
+    included, and must return one of its edges, or None exactly when it
+    has none (DomainError otherwise).  The memo (by
     default :data:`RECURSION_MEMO`) holds packed values (L at
     x = 2^(MAX_GROUND + 1)), keyed by (n, flat) whatever the policy."""
     if g.n > MAX_GROUND:

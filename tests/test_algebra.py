@@ -10,11 +10,14 @@ from wsys.algebra import (
     EXP_BITS,
     MAX_SERIES_ORDER,
     SLOT_BITS,
+    KroneckerRing,
     PackedRing,
     Poly,
     RatFunc,
     casimir,
     coeffs_to_poly_z,
+    int_fold,
+    kronecker_width,
     poly_coeffs_z,
     poly_subst,
     packed_fold,
@@ -85,6 +88,33 @@ def test_packed_fold_adds_shifted_signed_terms_in_one_copy():
     assert pa == copy
     assert ring.poly(packed_fold(pa, [(-1, 0, pa)])) == Poly.zero()
     assert packed_fold(pa, []) == pa and packed_fold(pa, []) is not pa
+
+
+def test_kronecker_ring_round_trip_and_arithmetic():
+    # one int per value: sums and products are int ones, and a decode with
+    # signed digits gives the Poly back at native widths and past 64 bits
+    a = 3 * N**2 * eps - 5 * eps**4 + 7
+    b = N * eps - 2 * N**3 + 1
+    assert kronecker_width(127) == 8 and kronecker_width(128) == 16 and kronecker_width(1 << 70) == 72
+    for width in (8, 16, 32, 64, 72):
+        ring = KroneckerRing(("N", "eps"), width, 9)
+        pa, pb = ring.pack(a), ring.pack(b)
+        shift_n = ring.unit_shift(ring.pack(N))
+        folded = int_fold(pa, [(1, 0, pb), (-1, shift_n, pa)])
+        for value, want in ((pa, a), (pa * pb, a * b), (folded, a + b - N * a)):
+            assert ring.from_digits(ring.digits(value, ring.slots(8), signed=True)) == want, width
+        assert ring.unit_shift(ring.pack(N * eps**2)) == width * 11 and ring.unit_shift(pa) is None
+    zring = KroneckerRing(("z",), 16, 1)
+    assert list(zring.digits(zring.pack(2 * z**3 - 1), zring.slots(3), signed=True)) == [-1, 0, 0, 2]
+    # a value past its slots, or negative with unsigned digits, is refused
+    with pytest.raises(InternalError):
+        zring.digits(zring.pack(z**4), zring.slots(3), signed=True)
+    with pytest.raises(InternalError):
+        zring.digits(-1, zring.slots(3), signed=False)
+    with pytest.raises(DomainError):
+        KroneckerRing(("N", "eps"), 8, 5).pack(eps**5)
+    with pytest.raises(DomainError):
+        zring.pack(Poly.const(Fraction(1, 2)))
 
 
 def test_packed_decode_refuses_a_set_guard_bit():

@@ -12,8 +12,9 @@ import pytest
 
 import wsys
 from wsys import glws
-from wsys.algebra import EXP_BITS, Poly, RatFunc, casimir, poly_subst, var_key
+from wsys.algebra import EXP_BITS, KroneckerRing, Poly, RatFunc, casimir, poly_coeffs_z, poly_subst, var_key
 from wsys.errors import DomainError
+from wsys.graphs import MAX_GROUND
 from wsys.glws import (
     casimir_to_N,
     feps,
@@ -326,26 +327,38 @@ def test_zero_factor_branches_are_never_evaluated():
     # gl11 binds N to 0, so a contraction that frees an index class has a
     # zero factor and its branch is skipped: gl11 visits a proper subset of
     # the states that wgl visits from the same input
-    assert glws._GL11.contract[1] is None
+    assert glws._GL11[6].contract[1] is None
     fewer = 0
     for p in all_perms(6):
         by_wgl: dict = {}
         by_gl11: dict = {}
-        glws._packed_value(p, 6, glws._wgl_binding(), by_wgl)
-        glws._packed_value(p, 6, glws._GL11, by_gl11)
+        glws.packed_state_value(glws._state(p.img), 6, glws._WGL[6], by_wgl)
+        glws.packed_state_value(glws._state(p.img), 6, glws._GL11[6], by_gl11)
         assert by_gl11.keys() <= by_wgl.keys(), p.img
         fewer += len(by_gl11) < len(by_wgl)
     assert fewer == 518  # of the 720 inputs; 0 if a zero-factor branch were evaluated
 
 
 def test_binding_rings_hold_every_admitted_exponent():
-    # a packed ring's variables are distinct and in the fixed order, and the
-    # slots hold every exponent on MAX_POINTS points
+    # a dict ring's variables are distinct and in the fixed order, and the
+    # slots hold every exponent on MAX_POINTS points; an int ring's slots
+    # hold its proven bound (a projected one's over MAX_GROUND chords too)
+    # and every exponent of a value on as many points as its class holds
     assert MAX_POINTS < 1 << EXP_BITS
-    assert glws._wgl_binding().ring.names == ("N",) + tuple(casimir(k) for k in range(1, MAX_POINTS + 1))
-    for b in (glws._wgl_binding(), glws._FEPS, glws._STANDARD, glws._CYCLES, glws._GL11, glws._INTERLACE):
+    assert glws._WGL[MAX_POINTS].ring.names == ("N",) + tuple(casimir(k) for k in range(1, MAX_POINTS + 1))
+    specs = (glws._WGL, glws._FEPS, glws._STANDARD, glws._CYCLES, glws._GL11, glws._INTERLACE)
+    int_rings = 0
+    for spec in specs:
+        b = spec[MAX_POINTS]
+        assert b.points == MAX_POINTS, spec.name
         names = b.ring.names
-        assert list(names) == sorted(set(names), key=var_key), b.name
+        assert list(names) == sorted(set(names), key=var_key), spec.name
+        if isinstance(b.ring, KroneckerRing):
+            int_rings += 1
+            bound = max(spec.l1(MAX_POINTS), glws.projection_bound(spec.l1, MAX_GROUND) if spec.projected else 0)
+            assert bound < 1 << b.ring.width - 1, spec.name
+            assert b.ring.stride == spec.degree * MAX_POINTS + 1, spec.name
+    assert int_rings == 2  # standard and cycles; feps and interlace keep the dict ring there
 
 
 def _seeded_perms(seed):
@@ -432,7 +445,7 @@ def test_fixed_point_factors_out_as_c1():
     assert len(pairs) == sum(factorial(m) for m in range(1, 8))  # one fixed point per permutation on average
 
     def values(perms):
-        glws._MEMOS.clear()
+        glws.ENGINE_MEMOS.clear()
         return [(wgl(p), feps(p), interlace_perm(p)) for p in perms]
 
     whole = values([p for p, _ in pairs])
@@ -501,7 +514,8 @@ def test_consistency_check_survives_optimize_flag():
         "from wsys.errors import InternalError\n"
         "b = perm_parse('(1 3)(2 4)')\n"
         "for run in (glws.spec_standard, lambda b: hopf.primitive_eval_diagram(glws.spec_standard, b)):\n"
-        "    glws._MEMOS['standard'] = {glws._state(b.img): {5: 1}}\n"
+        "    glws.ENGINE_MEMOS.clear()\n"
+        "    glws.ENGINE_MEMOS.table(glws._STANDARD[4])[glws._state(b.img)] = glws._STANDARD[4].ring.pack(glws._N ** 5)\n"
         "    try:\n"
         "        run(b)\n"
         "    except InternalError as exc:\n"
@@ -515,6 +529,81 @@ def test_consistency_check_survives_optimize_flag():
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == [f"standard specialization of (3, 4, 1, 2) is not N^(f-1): N^5|{optimize}"] * 2
+
+
+def test_int_decode_checks_survive_optimize_flag():
+    # each int ring's decode raises InternalError, normally and under
+    # python -O: a feps and an interlace memo entry with slot 0's
+    # coefficient raised by 2^W (what a carry into slot 1 would leave), and
+    # a one-chord feps value of 2^20, which puts the projection over two
+    # chords past its bound of 32
+    code = (
+        "import sys\n"
+        "from wsys import glws, hopf, perm_parse\n"
+        "from wsys.errors import InternalError\n"
+        "p = perm_parse('(1 3 2)(4 5)')\n"
+        "def plant(spec, run):\n"
+        "    def planted(p):\n"
+        "        glws.ENGINE_MEMOS.clear()\n"
+        "        run(p)\n"
+        "        b = spec[p.m]\n"
+        "        glws.ENGINE_MEMOS.table(b)[glws._state(p.img)] += 1 << b.ring.width\n"
+        "        run(p)\n"
+        "    return planted\n"
+        "def project(b):\n"
+        "    glws.ENGINE_MEMOS.clear()\n"
+        "    glws.ENGINE_MEMOS.table(glws._FEPS[4])['\\x02\\x01'] = 1 << 20\n"
+        "    return hopf.primitive_eval_diagram(glws.feps, perm_parse('(1 3)(2 4)'))\n"
+        "for run in (plant(glws._FEPS, glws.feps), plant(glws._INTERLACE, glws.interlace_perm), project):\n"
+        "    try:\n"
+        "        run(p)\n"
+        "    except InternalError as exc:\n"
+        "        print(exc, sys.flags.optimize, sep='|')\n"
+    )
+    src = os.path.dirname(os.path.dirname(wsys.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for flags, optimize in (([], 0), (["-O"], 1)):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            f"feps digits of a state on 5 points do not sum to 2^5|{optimize}",
+            f"interlace digits of a state on 5 points do not sum to 0|{optimize}",
+            f"projection of (3, 4, 1, 2) over 2 chords breaks its bound 32|{optimize}",
+        ]
+
+
+def test_int_rings_past_exhaustive_range_and_the_smallest_class():
+    # seeded permutations at m = 9..12, cap raised to 12: m = 11 and 12 run
+    # in the 20-point width class, with wider slots and their own memos
+    rng = Random(2026)
+    ENGINE = glws.ENGINE_MEMOS
+    ENGINE.clear()
+    for m in range(9, 13):
+        for _ in range(2):
+            img = list(range(1, m + 1))
+            rng.shuffle(img)
+            p = Perm(tuple(img))
+            f = feps(p, cap=12)
+            assert f == feps_direct(p), p.img
+            for z0 in (Fraction(1, 2), Fraction(-3, 2)):
+                assert interlace_perm(p, cap=12).evaluate(z0) == f.evaluate({"N": z0 * z0 - 1, "eps": 1 / (1 - z0)})
+            assert spec_standard(p, cap=12) == N ** (face_count(p) - 1)
+            assert casimir_to_N(p, cap=12) == N ** cycle_count(p)
+    stats = ENGINE.stats()
+    for name in ("feps", "interlace", "standard", "cycles"):
+        assert set(stats[name]) == {10, 20} and all(stats[name].values()), name
+    assert isinstance(glws._FEPS[12].ring, KroneckerRing) and glws._FEPS[12].ring.width == 64
+    # the 40-point class has slots past 64 bits (112 for feps, 128 for the
+    # interlace numerator), read one slot at a time
+    c40 = standard_cycle(40)
+    assert feps(c40, cap=40) == feps_casimir_binding(40)
+    want = RatFunc.from_coeffs(poly_coeffs_z(glws._interlace_casimir(40)), 40)
+    assert interlace_perm(c40, cap=40) == want
+    assert (glws._FEPS[40].ring.width, glws._INTERLACE[40].ring.width) == (112, 128)
+    ENGINE.clear()
+    assert ENGINE.stats() == {}
 
 
 def test_feps_golden_values():

@@ -241,14 +241,20 @@ def test_engine_specializations_take_the_packed_route(monkeypatch):
 
 
 def test_packed_route_keeps_the_exponent_budget(monkeypatch):
-    # the bound of the packed route is the point count: an engine value on
-    # m points has no exponent above m.  Slots of 4 bits hold no convolution
-    # over 3 chords of exponents up to 6 (3 * 6 >= 2^4); a univariate ring
-    # has no bounded slot
-    monkeypatch.setattr(hopf, "EXP_BITS", 4)
+    # the bound of the int route is the projection's: its coefficients
+    # reach at most projection_bound over the diagram's chords.  Slots of
+    # 8 bits hold no projection over 3 chords of feps (bound 384 >= 2^7);
+    # the values were read before the width was patched, so the refusal
+    # comes before any convolution, and the standard specialization's
+    # 16-bit slots still hold its bound of 6
     triangle = perm_parse("(1 4)(2 5)(3 6)")
-    with pytest.raises(DomainError, match="^exponent 6 on 3 ground elements exceeds the packed slots$"):
+    value = primitive_eval_diagram(feps, triangle)
+    assert hopf.projection_bound(specialization_binding(feps)[6].l1, 3) == 384
+    monkeypatch.setattr(specialization_binding(feps)[6].ring, "width", 8)
+    with pytest.raises(DomainError, match="^projection over 3 chords may reach 384, past the 8-bit slots$"):
         primitive_eval_diagram(feps, triangle)
+    monkeypatch.undo()
+    assert primitive_eval_diagram(feps, triangle) == value
     assert primitive_eval_diagram(spec_standard, triangle) == 2 * N**3 - 2 * N
 
 

@@ -206,6 +206,18 @@ def test_interlace_recursion_refuses_a_policy_edge_that_is_absent():
         interlace_graph_recursive(path_graph(3), memo={}, edge_policy=lambda g: (1, 3))
 
 
+def test_interlace_recursion_refuses_no_edge_on_a_graph_with_edges():
+    # None would take the graph as edgeless, (x+1)^n, whose coefficients
+    # still sum to 2^n; it is refused, and the refusing node writes no
+    # memo entry, so the default route on the same memo stays right
+    memo = {}
+    message = "^pivot requires an edge, and the policy gave none on a graph with edges$"
+    with pytest.raises(DomainError, match=message):
+        interlace_graph_recursive(path_graph(2), memo=memo, edge_policy=lambda h: None)
+    assert memo == {}
+    assert interlace_graph_recursive(path_graph(2), memo=memo) == 2 + 2 * Poly.var("x")
+
+
 def test_default_edge_rule_builds_no_graph(monkeypatch):
     g = cycle_graph(7)
     built, raw = [], Graph._raw

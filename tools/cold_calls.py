@@ -45,7 +45,7 @@ def main() -> int:
             rng.shuffle(img)
             p = Perm(tuple(img))
             for name in FUNCTIONS:
-                glws._MEMOS.clear()
+                glws.ENGINE_MEMOS.clear()
                 start = time.perf_counter()
                 getattr(glws, name)(p, cap=max(SIZES))
                 calls.append({"m": m, "img": img, "function": name, "s": time.perf_counter() - start})
