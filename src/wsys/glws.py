@@ -193,9 +193,9 @@ _INT_BITS = 1 << 20
 class _Specialization(dict[int, _Binding]):
     """One specialization of wgl, with one binding per width class, each
     built on first use, and indexed by point count: spec[m] is the binding
-    of the class that holds m points.  ``names`` are the ring's variables, ``strip`` the
-    image of C_k and ``contract`` the factors of a contraction that frees
-    no index class and one.
+    of the class that holds m points.  ``names`` are the ring's variables,
+    ``strip`` the image of C_k and ``contract`` the factors of a
+    contraction that frees no index class and one.
 
     Without ``l1`` the ring is the dict ring and there is one class of
     MAX_POINTS points.  With it the values have integer coefficients, and
