@@ -42,10 +42,10 @@ Every specialization is a ring homomorphism out of Q[N, C1, C2, ...], so
 it commutes with the recurrence: one evaluator runs the recurrence in each
 target ring, given a binding (the image of a stripped C_k, and the factor
 of a contraction that frees no index class or one: 1 and N in wgl).  A
-binding carries its ring's few operations (one, fold, mul) and the
-decode of a state's value to its public form; the fixed-point and
-rotation rules hold in every ring for the same reason.  Two forms of
-ring serve (:mod:`wsys.algebra`):
+binding carries its ring, whose few operations (one, fold, mul) each
+reduction binds to locals once, and the decode of a state's value to its
+public form; the fixed-point and rotation rules hold in every ring for
+the same reason.  Two forms of ring serve (:mod:`wsys.algebra`):
 
 * ``feps`` (N and eps), the homogenized interlace numerator (z), the
   standard specialization and C_k -> N (both N) have integer
@@ -62,13 +62,15 @@ The slot width W is proven, not sampled.  Evaluation at 2^W is a ring
 homomorphism Z[x] -> Z, so only a decoded value needs its coefficients
 to fit, and each specialization states the bound of the values it
 decodes (:class:`_Specialization`).  The bound grows with the point
-count, so a specialization has one binding per width class (at most
-DEFAULT_CAP points, then twice that, and so on up to MAX_POINTS), each
-with its own memo in :data:`ENGINE_MEMOS`.  An input is evaluated in the
-smallest class that holds its points, so an input with m <= DEFAULT_CAP
-never pays for a wider one.  A class whose widest value would take more
-than _INT_BITS bits keeps the dict ring.  Every decode of an int checks
-an identity that a carry between slots breaks and raises InternalError.
+count, so an int specialization has two width classes, DEFAULT_CAP
+points and twice that, each with its own binding and its own memo in
+:data:`ENGINE_MEMOS`; an input is evaluated in the smaller class that
+holds its points, so an input with m <= DEFAULT_CAP never pays for the
+wider slots.  An input on more points runs in one dict class of
+MAX_POINTS points, where the sparse values it can reach are cheaper as
+dicts than as ints sized by their slot grids.  Every decode of an int
+checks an identity that a carry between slots breaks and raises
+InternalError.
 
 A memo maps each state it has seen (rotation representatives, loop
 states and inputs) to its value in the binding's ring; the public
@@ -113,7 +115,7 @@ from typing import Any, Callable, MutableMapping, NamedTuple, Sequence, Union
 
 from .algebra import KroneckerRing, Packed, PackedRing, Poly, RatFunc, casimir, kronecker_width
 from .errors import DomainError, InternalError, shorten_int
-from .graphs import MAX_GROUND, subset_counts, subsets
+from .graphs import subset_counts, subsets
 from .invariants import MonomialParts, refined_skew_char_graph, subset_poly
 from .perm import MAX_POINTS, Perm, cycle_count, face_count, intersection_graph, is_chord_diagram, subperm
 
@@ -132,14 +134,11 @@ _N = Poly.var("N")
 
 class _Binding(NamedTuple):
     """Where the recurrence's factors go in one target ring, in one width
-    class, with the ring's operations bound once."""
+    class."""
 
     name: str
     points: int  # the width class: the most points of a state the binding holds
-    ring: Ring
-    one: Value
-    mul: Callable[[Value, Value], Value]
-    fold: Callable[[Value, Sequence[tuple[int, int, Value]]], Value]  # a + sum of sign * x^shift * b
+    ring: Ring  # one, zero, mul and fold, bound to locals once per reduction
     strip: Callable[[int], Value]  # image of C_k
     fixed: Callable[[int], Value]  # image of C1^f, for f fixed points
     contract: tuple[tuple[int, Value | None] | None, ...]  # per freed class count, see _contract_rule
@@ -159,15 +158,6 @@ def _contract_rule(ring: Ring, factor: Poly) -> tuple[int, Value | None] | None:
     return (0, value) if shift is None else (shift, None)
 
 
-def _width_class(m: int) -> int:
-    """The smallest width class that holds m points: DEFAULT_CAP, doubled
-    until it does, and at most MAX_POINTS."""
-    points = DEFAULT_CAP
-    while points < m:
-        points *= 2
-    return min(points, MAX_POINTS)
-
-
 @cache
 def projection_bound(l1: Callable[[int], int], chords: int) -> int:
     """A bound on the L1 norm, so on every coefficient, of the Hopf
@@ -183,31 +173,36 @@ def projection_bound(l1: Callable[[int], int], chords: int) -> int:
     return r[chords]
 
 
-# A width class is held as ints while its widest value (every slot of a
-# value on `points` points) takes at most this many bits, 128 KiB; past
-# that most slots stay empty for the sparse values that inputs so large
-# can reach (C1^m and C_m), and the class keeps the dict ring.
-_INT_BITS = 1 << 20
+# The width classes held as ints: DEFAULT_CAP points and twice that.  Past
+# them an int value is sized by its slot grid (at 40 points, 64-bit slots
+# by 41 per N degree for feps) while the values that inputs so large can
+# reach are sparse: with int classes doubling up to 320 points, cold feps
+# calls on 40 and 80 points (standard cycles, identities, chains of 3- and
+# 4-point blocks) took 1.3 to 2.2 times as long as on the dict ring, and
+# interlace calls on 40 to 320 points 0.65 to 1.7 times.  Every input past
+# them runs in one dict class of MAX_POINTS points.
+_INT_POINTS = 2 * DEFAULT_CAP
 
 
-class _Specialization(dict[int, _Binding]):
-    """One specialization of wgl, with one binding per width class, each
-    built on first use, and indexed by point count: spec[m] is the binding
-    of the class that holds m points.  ``names`` are the ring's variables,
+class _Specialization:
+    """One specialization of wgl: ``names`` are the ring's variables,
     ``strip`` the image of C_k and ``contract`` the factors of a
-    contraction that frees no index class and one.
+    contraction that frees no index class and one.  :meth:`binding` gives
+    the binding of the width class that holds a point count.
 
     Without ``l1`` the ring is the dict ring and there is one class of
     MAX_POINTS points.  With it the values have integer coefficients, and
     l1(m) bounds the L1 norm (so every coefficient) of the value of any
     state on m points; ``degree`` * m bounds each exponent, so the slot of
-    a monomial stays within stride = degree * points + 1 per variable.  A
-    ``projected`` specialization is also read by the Hopf projection, so
-    its width covers the projection over the chords of any diagram of the
-    class (:func:`projection_bound`, at most MAX_GROUND chords, the subset
-    budget).  ``decode`` reads an int value on m points to its public form
-    and checks it; a dict class decodes by ``coeffs`` (a coefficient list)
-    or as a Poly."""
+    a monomial stays within stride = degree * points + 1 per variable.
+    Such a specialization has two int classes, DEFAULT_CAP and
+    _INT_POINTS points, and a dict class of MAX_POINTS points past them.
+    A ``projected`` specialization is also read by the Hopf projection,
+    which evaluates under DEFAULT_CAP, so the width of the DEFAULT_CAP
+    class covers the projection over DEFAULT_CAP // 2 chords
+    (:func:`projection_bound`).  ``decode`` reads an int value on m points
+    to its public form and checks it; a dict class decodes by ``coeffs``
+    (a coefficient list) or as a Poly."""
 
     def __init__(
         self,
@@ -226,44 +221,35 @@ class _Specialization(dict[int, _Binding]):
         self.name, self.names, self.strip, self.contract = name, names, strip, contract
         self.l1, self.degree, self.projected, self.decode, self.coeffs = l1, degree, projected, decode, coeffs
         self.check = check
-        self._classes: dict[int, _Binding] = {}  # by width class
-        super().__init__()
 
-    def __missing__(self, m: int) -> _Binding:
-        points = MAX_POINTS if self.l1 is None else _width_class(m)
-        b = self._classes.get(points)
-        if b is None:
-            b = self._classes[points] = self._binding(points)
-        self[m] = b
-        return b
+    def binding(self, m: int) -> _Binding:
+        """The binding of the smallest width class that holds m points."""
+        if self.l1 is None or m > _INT_POINTS:
+            return self._class(MAX_POINTS)
+        return self._class(DEFAULT_CAP if m <= DEFAULT_CAP else _INT_POINTS)
 
-    def _ring(self, points: int) -> Ring:
-        """The ring of a width class: ints when its widest value fits
-        _INT_BITS, else the dict ring."""
-        if self.l1 is not None:
-            bound = self.l1(points)
-            if self.projected:
-                bound = max(bound, projection_bound(self.l1, min(points // 2, MAX_GROUND)))
-            width, stride = kronecker_width(bound), self.degree * points + 1
-            if width * stride ** len(self.names) <= _INT_BITS:
-                return KroneckerRing(self.names, width, stride)
-        return PackedRing(self.names)
-
-    def _binding(self, points: int) -> _Binding:
-        ring, strip, l1 = self._ring(points), self.strip, None
-        if isinstance(ring, KroneckerRing):
-            decode, l1 = partial(self.decode, ring), self.l1
-        elif self.coeffs:
-            decode = lambda value, m: ring.coeff_list(value)  # noqa: E731
+    @cache
+    def _class(self, points: int) -> _Binding:
+        """The binding of a width class, built once."""
+        ring: Ring
+        l1 = self.l1 if points <= _INT_POINTS else None
+        if l1 is None:
+            ring = PackedRing(self.names)
+            if self.coeffs:
+                decode = lambda value, m: ring.coeff_list(value)  # noqa: E731
+            else:
+                decode = lambda value, m: ring.poly(value)  # noqa: E731
         else:
-            decode = lambda value, m: ring.poly(value)  # noqa: E731
+            bound = l1(points)
+            if self.projected and points == DEFAULT_CAP:
+                bound = max(bound, projection_bound(l1, DEFAULT_CAP // 2))
+            ring = KroneckerRing(self.names, kronecker_width(bound), self.degree * points + 1)
+            decode = partial(self.decode, ring)
+        strip = self.strip
         return _Binding(
             self.name,
             points,
             ring,
-            ring.one,
-            ring.mul,
-            ring.fold,
             cache(lambda k: ring.pack(strip(k))),
             cache(lambda f: ring.pack(strip(1) ** f)),
             tuple(_contract_rule(ring, f) for f in self.contract),
@@ -425,7 +411,7 @@ def _wgl_state(state: str, b: _Binding, memo: MutableMapping) -> Value:
         cur = _least_rotation(cur)
         val = _reduce(cur, b, memo)
     if fixed:
-        val = b.mul(b.fixed(fixed), val)
+        val = b.ring.mul(b.fixed(fixed), val)
     if cur != state:
         memo[state] = val
     return val
@@ -438,7 +424,7 @@ def _reduce(cur: str, b: _Binding, memo: MutableMapping) -> Value:
     successor in one fold."""
     pending: list[tuple[str, Value | None, Sequence]] = []  # (state, strip factor, contraction terms)
     # per freed: (shift, factor or None), or None for a zero factor
-    contract, strip, mul, fold = b.contract, b.strip, b.mul, b.fold
+    contract, strip, mul, fold = b.contract, b.strip, b.ring.mul, b.ring.fold
     while (val := memo.get(cur)) is None:
         if (v := _scan(cur)) < 0:
             pending.append((cur, strip(-v), ()))
@@ -472,7 +458,7 @@ class EngineMemos(dict[tuple[str, int], dict[str, Value]]):
         """b's memo, made on first use with the empty state's value 1."""
         table = self.get((b.name, b.points))
         if table is None:
-            table = self[b.name, b.points] = {"": b.one}
+            table = self[b.name, b.points] = {"": b.ring.one}
         return table
 
     def stats(self) -> dict[str, dict[int, int]]:
@@ -504,7 +490,7 @@ def packed_state_value(state: str, cap: int, b: _Binding, memo: MutableMapping |
         table = ENGINE_MEMOS.table(b)
     else:
         table = memo
-        table.setdefault("", b.one)
+        table.setdefault("", b.ring.one)
     if (val := table.get(state)) is None:
         val = _wgl_state(state, b, table)
     if b.check is not None:
@@ -514,7 +500,7 @@ def packed_state_value(state: str, cap: int, b: _Binding, memo: MutableMapping |
 
 def _evaluate(p: Perm, cap: int, spec: _Specialization, memo: MutableMapping | None = None) -> Any:
     """The public form of p's value: decoded once, in the width class of p."""
-    b = spec[p.m]
+    b = spec.binding(p.m)
     return b.decode(packed_state_value(_state(p.img), cap, b, memo), p.m)
 
 
@@ -754,6 +740,6 @@ _SPECIALIZATIONS = ((feps, _FEPS), (spec_standard, _STANDARD))
 
 def specialization_binding(f: Callable) -> _Specialization | None:
     """The specialization of f if f is one of the engine's own above, else
-    None.  Indexed by a point count, it gives the binding of that width
-    class (for :func:`packed_state_value`)."""
+    None.  Its binding(m) is the binding of the width class that holds m
+    points (for :func:`packed_state_value`)."""
     return next((spec for g, spec in _SPECIALIZATIONS if g is f), None)

@@ -25,11 +25,12 @@ by function object), :func:`primitive_eval_diagram` skips the Poly
 values altogether: each chord subdiagram is a state cut from the
 diagram's one-line image, its value is read straight from the
 specialization's memo (:func:`wsys.glws.packed_state_value`) as one int
-of the diagram's width class, and the convolutions multiply and add
-those ints.  The result decodes once, with a proven bound on its
-coefficients (:func:`wsys.glws.projection_bound`) and a check on its
-digits.  Any other callable, a wrapper of those included, takes the
-generic route through :func:`primitive_eval`.
+of the DEFAULT_CAP width class (the route evaluates under DEFAULT_CAP),
+and the convolutions multiply and add those ints.  The result decodes
+once, with a proven bound on its coefficients
+(:func:`wsys.glws.projection_bound`) and a check on its digits.  Any
+other callable, a wrapper of those included, takes the generic route
+through :func:`primitive_eval`.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ def _subdiagram_values(b: Perm, binding: _Binding) -> list[Value]:
     values: list[Value] = []
     for mask, members in subsets(ground):
         if not mask:
-            values.append(binding.one)
+            values.append(binding.ring.one)
             continue
         points = sorted(chain.from_iterable(members))
         rank = {x: chr(i) for i, x in enumerate(points, 1)}  # point -> code point of its new number
@@ -128,12 +129,12 @@ def _connected_parts(values: list[Value], ring: Ring) -> list[Value]:
 
 def _engine_projection(b: Perm, binding: _Binding) -> Poly:
     """(f o pi)(b) for an engine specialization f: its values are ints of
-    b's width class, so the convolutions are int products and sums.  Every
-    value has each degree at most b.m and the projection too, and its
-    coefficients are bounded by projection_bound; a bound past the slots
-    is refused.  The decode checks that bound, and that the digits sum to
-    p(S) at all variables 1: f there is l1(m) (feps sums to 2^m, the
-    standard value is one monomial), a multiplicative function, whose
+    the DEFAULT_CAP class, so the convolutions are int products and sums.
+    Every value has each degree at most b.m and the projection too, and
+    its coefficients are bounded by projection_bound; a bound past the
+    slots is refused.  The decode checks that bound, and that the digits
+    sum to p(S) at all variables 1: f there is l1(m) (feps sums to 2^m,
+    the standard value is one monomial), a multiplicative function, whose
     projection is 0 on two chords or more."""
     values = _subdiagram_values(b, binding)
     s = len(values).bit_length() - 1
@@ -201,7 +202,7 @@ def primitive_eval_diagram(f: Callable[[Perm], Poly], b: Perm) -> Poly:
     spec = specialization_binding(f)
     if spec is None:
         return primitive_eval(f, b, chords(b), chord_subdiagram)
-    return _engine_projection(b, spec[b.m])
+    return _engine_projection(b, spec.binding(DEFAULT_CAP))
 
 
 def eps_independence_check(b: Perm) -> tuple[bool, Poly]:

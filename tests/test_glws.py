@@ -14,8 +14,8 @@ import wsys
 from wsys import glws
 from wsys.algebra import EXP_BITS, KroneckerRing, Poly, RatFunc, casimir, poly_coeffs_z, poly_subst, var_key
 from wsys.errors import DomainError
-from wsys.graphs import MAX_GROUND
 from wsys.glws import (
+    DEFAULT_CAP,
     casimir_to_N,
     feps,
     feps_casimir_binding,
@@ -327,13 +327,13 @@ def test_zero_factor_branches_are_never_evaluated():
     # gl11 binds N to 0, so a contraction that frees an index class has a
     # zero factor and its branch is skipped: gl11 visits a proper subset of
     # the states that wgl visits from the same input
-    assert glws._GL11[6].contract[1] is None
+    assert glws._GL11.binding(6).contract[1] is None
     fewer = 0
     for p in all_perms(6):
         by_wgl: dict = {}
         by_gl11: dict = {}
-        glws.packed_state_value(glws._state(p.img), 6, glws._WGL[6], by_wgl)
-        glws.packed_state_value(glws._state(p.img), 6, glws._GL11[6], by_gl11)
+        glws.packed_state_value(glws._state(p.img), 6, glws._WGL.binding(6), by_wgl)
+        glws.packed_state_value(glws._state(p.img), 6, glws._GL11.binding(6), by_gl11)
         assert by_gl11.keys() <= by_wgl.keys(), p.img
         fewer += len(by_gl11) < len(by_wgl)
     assert fewer == 518  # of the 720 inputs; 0 if a zero-factor branch were evaluated
@@ -342,23 +342,26 @@ def test_zero_factor_branches_are_never_evaluated():
 def test_binding_rings_hold_every_admitted_exponent():
     # a dict ring's variables are distinct and in the fixed order, and the
     # slots hold every exponent on MAX_POINTS points; an int ring's slots
-    # hold its proven bound (a projected one's over MAX_GROUND chords too)
-    # and every exponent of a value on as many points as its class holds
+    # hold its proven bound (a projected one's over the DEFAULT_CAP // 2
+    # chords of the Hopf route too, in the DEFAULT_CAP class) and every
+    # exponent of a value on as many points as its class holds
     assert MAX_POINTS < 1 << EXP_BITS
-    assert glws._WGL[MAX_POINTS].ring.names == ("N",) + tuple(casimir(k) for k in range(1, MAX_POINTS + 1))
-    specs = (glws._WGL, glws._FEPS, glws._STANDARD, glws._CYCLES, glws._GL11, glws._INTERLACE)
-    int_rings = 0
-    for spec in specs:
-        b = spec[MAX_POINTS]
-        assert b.points == MAX_POINTS, spec.name
+    assert glws._WGL.binding(MAX_POINTS).ring.names == ("N",) + tuple(casimir(k) for k in range(1, MAX_POINTS + 1))
+    int_specs = (glws._FEPS, glws._STANDARD, glws._CYCLES, glws._INTERLACE)
+    for spec in (glws._WGL, glws._GL11, *int_specs):
+        b = spec.binding(MAX_POINTS)
+        assert b.points == MAX_POINTS and not isinstance(b.ring, KroneckerRing), spec.name
         names = b.ring.names
         assert list(names) == sorted(set(names), key=var_key), spec.name
-        if isinstance(b.ring, KroneckerRing):
-            int_rings += 1
-            bound = max(spec.l1(MAX_POINTS), glws.projection_bound(spec.l1, MAX_GROUND) if spec.projected else 0)
-            assert bound < 1 << b.ring.width - 1, spec.name
-            assert b.ring.stride == spec.degree * MAX_POINTS + 1, spec.name
-    assert int_rings == 2  # standard and cycles; feps and interlace keep the dict ring there
+    for spec in int_specs:
+        for points in (DEFAULT_CAP, 2 * DEFAULT_CAP):
+            b = spec.binding(points)
+            assert b.points == points and isinstance(b.ring, KroneckerRing), spec.name
+            projected = spec.projected and points == DEFAULT_CAP
+            bound = max(spec.l1(points), glws.projection_bound(spec.l1, DEFAULT_CAP // 2) if projected else 0)
+            assert bound < 1 << b.ring.width - 1, (spec.name, points)
+            assert b.ring.stride == spec.degree * points + 1, (spec.name, points)
+        assert spec.binding(2 * DEFAULT_CAP + 1) is spec.binding(MAX_POINTS), spec.name
 
 
 def _seeded_perms(seed):
@@ -515,7 +518,8 @@ def test_consistency_check_survives_optimize_flag():
         "b = perm_parse('(1 3)(2 4)')\n"
         "for run in (glws.spec_standard, lambda b: hopf.primitive_eval_diagram(glws.spec_standard, b)):\n"
         "    glws.ENGINE_MEMOS.clear()\n"
-        "    glws.ENGINE_MEMOS.table(glws._STANDARD[4])[glws._state(b.img)] = glws._STANDARD[4].ring.pack(glws._N ** 5)\n"
+        "    sb = glws._STANDARD.binding(4)\n"
+        "    glws.ENGINE_MEMOS.table(sb)[glws._state(b.img)] = sb.ring.pack(glws._N ** 5)\n"
         "    try:\n"
         "        run(b)\n"
         "    except InternalError as exc:\n"
@@ -546,13 +550,13 @@ def test_int_decode_checks_survive_optimize_flag():
         "    def planted(p):\n"
         "        glws.ENGINE_MEMOS.clear()\n"
         "        run(p)\n"
-        "        b = spec[p.m]\n"
+        "        b = spec.binding(p.m)\n"
         "        glws.ENGINE_MEMOS.table(b)[glws._state(p.img)] += 1 << b.ring.width\n"
         "        run(p)\n"
         "    return planted\n"
         "def project(b):\n"
         "    glws.ENGINE_MEMOS.clear()\n"
-        "    glws.ENGINE_MEMOS.table(glws._FEPS[4])['\\x02\\x01'] = 1 << 20\n"
+        "    glws.ENGINE_MEMOS.table(glws._FEPS.binding(4))['\\x02\\x01'] = 1 << 20\n"
         "    return hopf.primitive_eval_diagram(glws.feps, perm_parse('(1 3)(2 4)'))\n"
         "for run in (plant(glws._FEPS, glws.feps), plant(glws._INTERLACE, glws.interlace_perm), project):\n"
         "    try:\n"
@@ -594,16 +598,31 @@ def test_int_rings_past_exhaustive_range_and_the_smallest_class():
     stats = ENGINE.stats()
     for name in ("feps", "interlace", "standard", "cycles"):
         assert set(stats[name]) == {10, 20} and all(stats[name].values()), name
-    assert isinstance(glws._FEPS[12].ring, KroneckerRing) and glws._FEPS[12].ring.width == 64
-    # the 40-point class has slots past 64 bits (112 for feps, 128 for the
-    # interlace numerator), read one slot at a time
-    c40 = standard_cycle(40)
-    assert feps(c40, cap=40) == feps_casimir_binding(40)
-    want = RatFunc.from_coeffs(poly_coeffs_z(glws._interlace_casimir(40)), 40)
-    assert interlace_perm(c40, cap=40) == want
-    assert (glws._FEPS[40].ring.width, glws._INTERLACE[40].ring.width) == (112, 128)
+    assert glws._FEPS.binding(12).ring.width == 32
+    # the last int class, at its widest: 20 points
+    c20 = standard_cycle(20)
+    assert feps(c20, cap=20) == feps_casimir_binding(20)
+    assert interlace_perm(c20, cap=20) == RatFunc.from_coeffs(poly_coeffs_z(glws._interlace_casimir(20)), 20)
+    assert set(ENGINE.stats()["feps"]) == {10, 20}
     ENGINE.clear()
     assert ENGINE.stats() == {}
+
+
+def test_dict_class_past_the_int_classes():
+    # inputs on more than 2 * DEFAULT_CAP points run on the dict ring of
+    # the MAX_POINTS class: its Poly decode for feps and its coefficient
+    # list for the interlace numerator
+    glws.ENGINE_MEMOS.clear()
+    c40 = standard_cycle(40)
+    assert feps(c40, cap=40) == feps_casimir_binding(40)
+    assert interlace_perm(c40, cap=40) == RatFunc.from_coeffs(poly_coeffs_z(glws._interlace_casimir(40)), 40)
+    assert feps(standard_cycle(160), cap=160) == feps_casimir_binding(160)
+    # C_40 and 600 fixed points: interlace(C1) is -z, a factor z^600
+    numerator = [0] * 600 + poly_coeffs_z(glws._interlace_casimir(40))
+    assert interlace_perm(concat(c40, identity(600)), cap=640) == RatFunc.from_coeffs(numerator, 40)
+    stats = glws.ENGINE_MEMOS.stats()
+    assert set(stats["feps"]) == set(stats["interlace"]) == {MAX_POINTS}
+    glws.ENGINE_MEMOS.clear()
 
 
 def test_feps_golden_values():

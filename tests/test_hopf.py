@@ -249,8 +249,8 @@ def test_packed_route_keeps_the_exponent_budget(monkeypatch):
     # 16-bit slots still hold its bound of 6
     triangle = perm_parse("(1 4)(2 5)(3 6)")
     value = primitive_eval_diagram(feps, triangle)
-    assert hopf.projection_bound(specialization_binding(feps)[6].l1, 3) == 384
-    monkeypatch.setattr(specialization_binding(feps)[6].ring, "width", 8)
+    assert hopf.projection_bound(specialization_binding(feps).binding(6).l1, 3) == 384
+    monkeypatch.setattr(specialization_binding(feps).binding(6).ring, "width", 8)
     with pytest.raises(DomainError, match="^projection over 3 chords may reach 384, past the 8-bit slots$"):
         primitive_eval_diagram(feps, triangle)
     monkeypatch.undo()
