@@ -17,7 +17,9 @@ monomial and the canonical ordering of monomials in the printed form (see
 
 :class:`RatFunc` is a univariate rational function in ``z`` whose
 denominator is a power of ``1 - z`` (the only pole the interlace family
-ever produces); it is kept normalized so equality is structural.
+ever produces); it is kept normalized so equality is structural.  Its
+series are ``Fraction`` lists whose integer entries come from one bounded
+cache, :data:`SERIES_FRACTIONS` (a :class:`FractionCache`).
 
 Two working forms serve the recurrence engine in ``glws`` and the subset
 convolutions of the Hopf projection in ``hopf``; both convert to
@@ -27,8 +29,10 @@ either:
 
 * :class:`PackedRing`, a ring with a fixed tuple of variables: a value is
   a dict whose monomials are packed exponent vectors in one ``int``.  It
-  holds the rings of many variables (``wgl``'s thousand Casimirs) and
-  rational coefficients (gl(1|1)).
+  holds the rings of many variables (``wgl``'s thousand Casimirs), sparse
+  values past the Kronecker width classes, gl(1|1) in v = u/2 (integer
+  coefficients) and the Hopf projection's generic ``Poly`` values, whose
+  coefficients may be rational.
 * :class:`KroneckerRing`, integer polynomials in one or two variables: a
   value is one ``int``, the polynomial evaluated at 2^width (Kronecker
   substitution).  Adding is an int add, a unit monomial a shift and a
@@ -39,12 +43,12 @@ either:
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, compress
 from operator import mul
-from typing import Iterable, Mapping, Union
+from typing import Any, Callable, Hashable, Iterable, Mapping, Union
 
 from .errors import DomainError, InternalError, is_uint, shorten_int
 
@@ -568,6 +572,33 @@ class KroneckerRing:
 # -- univariate helpers (in z) -------------------------------------------
 
 
+class FractionCache(dict[Hashable, Coeflike]):
+    """Exact rationals built once each: key -> build(key), kept while the
+    cache holds fewer than ``cap`` entries, so it never holds more; a key
+    it does not hold gets a freshly built value.  A ``Fraction`` is
+    immutable, so values that share one are the same values and print the
+    same.  An explicit cache, kept until clear()."""
+
+    __slots__ = ("build", "cap")
+
+    def __init__(self, build: Callable[[Any], Coeflike], cap: int = 4096):
+        super().__init__()
+        self.build, self.cap = build, cap
+
+    def __missing__(self, key: Hashable) -> Coeflike:
+        value = self.build(key)
+        if len(self) < self.cap:
+            self[key] = value
+        return value
+
+    def stats(self) -> dict[str, int]:
+        return {"entries": len(self), "cap": self.cap}
+
+
+#: The Fraction of each integer series coefficient (RatFunc.series).
+SERIES_FRACTIONS = FractionCache(Fraction)
+
+
 def poly_coeffs_z(p: Poly) -> list[Coeflike]:
     """Coefficient list [c0, c1, ...] of a polynomial univariate in z."""
     coeffs: dict[int, Coeflike] = {}
@@ -583,21 +614,34 @@ def poly_coeffs_z(p: Poly) -> list[Coeflike]:
     return [coeffs.get(i, 0) for i in range(top + 1)]
 
 
+_Z_MONOS: list[Monomial] = [()]  # _Z_MONOS[i] is the monomial z^i, made once
+
+
 def coeffs_to_poly_z(coeffs: Iterable[Coeflike]) -> Poly:
-    terms: dict[Monomial, Coeflike] = {}
-    for i, c in enumerate(coeffs):
-        c = _frac(c)
-        if c:
-            terms[() if i == 0 else (("z", i),)] = c
-    return Poly(terms)
+    """The Poly c0 + c1 z + ... of a coefficient list, its nonzero terms
+    picked in C; only a coefficient that is not an int is canonicalized."""
+    coeffs = list(coeffs)
+    if not all(map(int.__instancecheck__, coeffs)):
+        coeffs = [c if isinstance(c, int) else _frac(c) for c in coeffs]
+    monos = _Z_MONOS
+    if len(monos) < len(coeffs):
+        monos.extend(((("z", i),) for i in range(len(monos), len(coeffs))))
+    return Poly._raw(dict(zip(compress(monos, coeffs), filter(None, coeffs))))
 
 
 @dataclass(frozen=True)
 class RatFunc:
-    """num / (1-z)^dpow, normalized: num never divisible by 1-z when dpow > 0."""
+    """num / (1-z)^dpow, normalized: num never divisible by 1-z when dpow > 0.
+
+    A value made by :meth:`from_coeffs` (so also by :meth:`make`, and by
+    ``interlace_perm``) keeps its numerator's coefficient list, which
+    :meth:`series` reads instead of the Poly.  The list is not a field of
+    equality, hash, printing or the constructor: ``RatFunc(num, dpow)``
+    builds the same value without it."""
 
     num: Poly
     dpow: int
+    _coeffs: tuple[Coeflike, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def make(cls, num: Poly, dpow: int) -> "RatFunc":
@@ -608,14 +652,17 @@ class RatFunc:
         """(c0 + c1 z + ...) / (1-z)^dpow, normalized."""
         if dpow < 0:
             raise DomainError(f"negative denominator power {dpow}")
-        while dpow > 0 and sum(coeffs) == 0 and any(coeffs):
-            # num(1) = 0: divide by (1-z); quotient coefficients are the
-            # prefix sums of the dividend's.
-            coeffs = list(accumulate(coeffs[:-1]))
-            dpow -= 1
         if not any(coeffs):
             return cls(Poly.zero(), 0)
-        return cls(coeffs_to_poly_z(coeffs), dpow)
+        while dpow > 0 and not sum(coeffs):
+            # num(1) = 0: divide by (1-z); quotient coefficients are the
+            # prefix sums of the dividend's, the last of which is num(1).
+            coeffs = list(accumulate(coeffs))
+            coeffs.pop()
+            dpow -= 1
+        r = cls(coeffs_to_poly_z(coeffs), dpow)
+        object.__setattr__(r, "_coeffs", tuple(coeffs))
+        return r
 
     @classmethod
     def from_poly(cls, p: Polylike) -> "RatFunc":
@@ -637,14 +684,18 @@ class RatFunc:
     def series(self, order: int) -> list[Fraction]:
         """Taylor coefficients of z^0 .. z^order at z = 0.  Dividing by
         (1-z) takes prefix sums, so the series is dpow running prefix sums
-        of the numerator's coefficients, in int for an integer numerator."""
+        of the numerator's coefficients, in int for an integer numerator;
+        each int's Fraction comes from :data:`SERIES_FRACTIONS`."""
         if not 0 <= order <= MAX_SERIES_ORDER:
             raise DomainError(f"series order must be in 0..{MAX_SERIES_ORDER}, got {shorten_int(order)}")
-        coeffs = poly_coeffs_z(self.num)[: order + 1]
+        coeffs = self._coeffs
+        if coeffs is None:
+            coeffs = poly_coeffs_z(self.num)
+        coeffs = list(coeffs[: order + 1])
         coeffs += [0] * (order + 1 - len(coeffs))
         for _ in range(self.dpow):
             coeffs = list(accumulate(coeffs))
-        return [Fraction(c) for c in coeffs]
+        return list(map(SERIES_FRACTIONS.__getitem__, coeffs))
 
     def evaluate(self, zval: Coeflike) -> Fraction:
         zval = _frac(zval)

@@ -54,9 +54,12 @@ the same reason.  Two forms of ring serve (:mod:`wsys.algebra`):
   is an int add, a unit monomial (N) a shift, and every other factor (a
   strip image, C1^f, the interlace contraction factors) one int
   multiply.
-* ``wgl`` (N and a thousand Casimirs) and gl(1|1) (``Fraction`` images)
-  keep the dict form (:class:`~wsys.algebra.PackedRing`, one int per
-  monomial).
+* ``wgl`` (N and a thousand Casimirs) and gl(1|1) keep the dict form
+  (:class:`~wsys.algebra.PackedRing`, one int per monomial).  gl(1|1)
+  runs in v = u/2, where the image k (u/2)^(k-1) of C_k is the integer
+  polynomial k v^(k-1), and its decode turns the coefficient c of v^j
+  into c/2^j of u^j, each rational built once (:data:`GL11_COEFFS`).  So
+  no ring of the engine holds a ``Fraction``.
 
 The slot width W is proven, not sampled.  Evaluation at 2^W is a ring
 homomorphism Z[x] -> Z, so only a decoded value needs its coefficients
@@ -113,7 +116,7 @@ from math import comb
 from operator import eq
 from typing import Any, Callable, MutableMapping, NamedTuple, Sequence, Union
 
-from .algebra import KroneckerRing, Packed, PackedRing, Poly, RatFunc, casimir, kronecker_width
+from .algebra import FractionCache, KroneckerRing, Monomial, Packed, PackedRing, Poly, RatFunc, casimir, kronecker_width
 from .errors import DomainError, InternalError, shorten_int
 from .graphs import subset_counts, subsets
 from .invariants import MonomialParts, refined_skew_char_graph, subset_poly
@@ -200,9 +203,10 @@ class _Specialization:
     A ``projected`` specialization is also read by the Hopf projection,
     which evaluates under DEFAULT_CAP, so the width of the DEFAULT_CAP
     class covers the projection over DEFAULT_CAP // 2 chords
-    (:func:`projection_bound`).  ``decode`` reads an int value on m points
-    to its public form and checks it; a dict class decodes by ``coeffs``
-    (a coefficient list) or as a Poly."""
+    (:func:`projection_bound`).  ``decode`` reads a value on m points to
+    its public form (and checks it): an int value when ``l1`` is given,
+    else a dict value.  A dict class of an int specialization decodes by
+    ``coeffs`` (a coefficient list) or as a Poly."""
 
     def __init__(
         self,
@@ -214,7 +218,7 @@ class _Specialization:
         l1: Callable[[int], int] | None = None,
         degree: int = 1,
         projected: bool = False,
-        decode: Callable[[KroneckerRing, int, int], Any] | None = None,
+        decode: Callable[[Any, Any, int], Any] | None = None,
         coeffs: bool = False,
         check: Callable[[_Binding, str, Value], None] | None = None,
     ) -> None:
@@ -235,7 +239,9 @@ class _Specialization:
         l1 = self.l1 if points <= _INT_POINTS else None
         if l1 is None:
             ring = PackedRing(self.names)
-            if self.coeffs:
+            if self.l1 is None and self.decode is not None:
+                decode = partial(self.decode, ring)
+            elif self.coeffs:
                 decode = lambda value, m: ring.coeff_list(value)  # noqa: E731
             else:
                 decode = lambda value, m: ring.poly(value)  # noqa: E731
@@ -509,7 +515,7 @@ def _evaluate(p: Perm, cap: int, spec: _Specialization, memo: MutableMapping | N
 # leaves m - k points and a contraction one factor N at most and m - 1
 # points; so has every partial sum of the evaluator, and every exponent is
 # at most m <= MAX_POINTS < 2^EXP_BITS (packed_state_value refuses more
-# points).  gl(1|1) is univariate, so its dict ring bounds no exponent.
+# points).  gl(1|1) is univariate in v, so its dict ring bounds no exponent.
 _WGL = _Specialization(
     "wgl", ("N", *map(casimir, range(1, MAX_POINTS + 1))), lambda k: Poly.var(casimir(k)), (Poly.one(), _N)
 )
@@ -578,9 +584,24 @@ _ONE_MINUS_Z = Poly.one() - Poly.var("z")  # 1/eps at the interlace point
 
 
 def _interlace_casimir(k: int) -> Poly:
-    """(1-z)^k C_k at N = z^2 - 1, eps = 1/(1-z):
-    (z^2-1) + sum_{i=1..k} binom(k, i) (z^2-1)^(i-1) (1-z)^i."""
-    return sum((comb(k, i) * _Z2 ** (i - 1) * _ONE_MINUS_Z**i for i in range(1, k + 1)), _Z2)
+    """(1-z)^k C_k at N = z^2 - 1, eps = 1/(1-z): with A = z^2 - 1 and
+    B = 1 - z, A + sum_{i=1..k} binom(k, i) A^(i-1) B^i, which is
+    A + ((1 + AB)^k - 1)/A, where 1 + AB = z + z^2 - z^3.
+
+    It is computed as one int, at z = 2^W: evaluation is a ring
+    homomorphism, so the division by A(2^W) is exact.  The L1 norm is at
+    most 2 + sum_i binom(k, i) 2^(i-1) 2^i = 2 + (5^k - 1)/2 <= 5^k, which
+    W holds; the degree is at most max(2, 3k - 2); and A(1) = B(1) = 0, so
+    the coefficients sum to 0, which a carry between slots breaks."""
+    if k < 1:
+        raise DomainError(f"Casimir index must be >= 1, got {k}")
+    ring = KroneckerRing(("z",), kronecker_width(5**k), 1)
+    x = 1 << ring.width
+    a = x * x - 1
+    digits = ring.digits(a + ((x + x * x - x * x * x) ** k - 1) // a, max(3, 3 * k - 1), signed=True)
+    if sum(digits):
+        raise InternalError(f"interlace image of C{k} does not vanish at z = 1")
+    return ring.from_digits(digits)
 
 
 def _feps_poly(ring: KroneckerRing, value: int, m: int) -> Poly:
@@ -649,11 +670,33 @@ _STANDARD = _Specialization(
     check=_check_standard,
 )
 _CYCLES = _Specialization("cycles", ("N",), lambda k: _N, (Poly.one(), _N), l1=lambda m: 1, decode=_monomial_poly)
+
+
+def _halved(key: tuple[int, int]) -> int | Fraction:
+    """c/2^j for key (c, j): an int when 2^j divides c."""
+    c, j = key
+    return Fraction(c, 1 << j) if c & (1 << j) - 1 else c >> j
+
+
+#: The coefficient c/2^j of u^j in gl(1|1) of each (c, j), built once.
+GL11_COEFFS = FractionCache(_halved)
+_U_MONOS: list[Monomial] = [()]  # _U_MONOS[j] is the monomial u^j, made once
+
+
+def _gl11_poly(ring: PackedRing, value: Packed, m: int) -> Poly:
+    """gl(1|1) in u from its value in v = u/2, whose packed monomial is the
+    exponent itself: the coefficient c of v^j is c/2^j of u^j."""
+    monos, coeffs = _U_MONOS, GL11_COEFFS
+    if len(monos) < m:  # a value on m points has degree < m in v
+        monos.extend(((("u", j),) for j in range(len(monos), m)))
+    terms = {}
+    for j, c in value.items():
+        terms[monos[j]] = coeffs[c, j]
+    return Poly._raw(terms)
+
+
 _GL11 = _Specialization(
-    "gl11",
-    ("u",),
-    lambda k: Poly({(("u", k - 1),) if k > 1 else (): Fraction(k, 2 ** (k - 1))}),
-    (Poly.one(), Poly.zero()),
+    "gl11", ("v",), lambda k: k * Poly.var("v", k - 1), (Poly.one(), Poly.zero()), decode=_gl11_poly
 )
 # The interlace family homogenized by (1-z)^m: every contraction drops one
 # point, so it takes one factor (1-z) besides its N; a removed fixed point

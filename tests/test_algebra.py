@@ -9,7 +9,9 @@ import pytest
 from wsys.algebra import (
     EXP_BITS,
     MAX_SERIES_ORDER,
+    SERIES_FRACTIONS,
     SLOT_BITS,
+    FractionCache,
     KroneckerRing,
     PackedRing,
     Poly,
@@ -312,3 +314,56 @@ def test_poly_hash_consistency():
     assert hash(N + 1) == hash(1 + N)
     d = {N + 1: "a"}
     assert d[Poly.var("N") + 1] == "a"
+
+
+def test_from_coeffs_keeps_its_list_out_of_the_value():
+    # the coefficient list from_coeffs keeps changes no equality, hash,
+    # printed form or series: make, which goes through a Poly, agrees
+    rng = Random(27)
+    normalized = 0
+    for _ in range(200):
+        coeffs = [rng.choice([0, 0, 1, -1, 2, -3, 5, 4000, -(10**20)]) for _ in range(rng.randrange(1, 8))]
+        for _ in range(rng.randrange(4)):  # some lists need normalizing: times (1-z)
+            coeffs = [a - b for a, b in zip(coeffs + [0], [0] + coeffs)]
+        dpow = rng.randrange(6)
+        a, b = RatFunc.from_coeffs(list(coeffs), dpow), RatFunc.make(coeffs_to_poly_z(coeffs), dpow)
+        normalized += a.dpow < dpow
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b) and str(a) == str(b)
+        direct = RatFunc(a.num, a.dpow)  # no list kept: series reads the Poly
+        for order in (0, 3, 12):
+            assert a.series(order) == b.series(order) == direct.series(order) == _series_by_binomials(a, order)
+    assert normalized > 50
+    assert repr(RatFunc.from_coeffs([1, 2], 1)) == "RatFunc(num=Poly(1 + 2*z), dpow=1)"
+
+
+def test_series_is_exact_past_the_fraction_cache():
+    SERIES_FRACTIONS.clear()
+    big = RatFunc.from_coeffs([10**30, -3, 7 * 10**25], 3)
+    assert big.series(9) == _series_by_binomials(big, 9)
+    # a full cache stores nothing more; series stays exact
+    for c in range(SERIES_FRACTIONS.cap + 10):
+        SERIES_FRACTIONS[c]
+    assert len(SERIES_FRACTIONS) == SERIES_FRACTIONS.cap
+    r = RatFunc.from_coeffs([-5000, 3, 1], 2)
+    assert r.series(20) == _series_by_binomials(r, 20)
+    assert len(SERIES_FRACTIONS) == SERIES_FRACTIONS.cap
+    SERIES_FRACTIONS.clear()
+
+
+def test_fraction_cache_is_bounded():
+    cache = FractionCache(lambda c: Fraction(c, 3), cap=5)
+    assert cache.stats() == {"entries": 0, "cap": 5}
+    assert [cache[c] for c in range(8)] == [Fraction(c, 3) for c in range(8)]
+    assert cache.stats() == {"entries": 5, "cap": 5} and set(cache) == set(range(5))
+    assert cache[2] is cache[2]  # one Fraction per key it holds
+    assert cache[7] == Fraction(7, 3) and 7 not in cache  # past the cap: a fresh value
+    cache.clear()
+    assert cache.stats() == {"entries": 0, "cap": 5}
+    # series shares the Fraction of each integer it has seen
+    SERIES_FRACTIONS.clear()
+    r = RatFunc.from_coeffs([1, 2, 3], 1)
+    first, again = r.series(5), r.series(5)
+    assert first == again == [1, 3, 6, 6, 6, 6]
+    assert all(a is b for a, b in zip(first, again)) and all(type(c) is Fraction for c in first)
+    assert SERIES_FRACTIONS.stats() == {"entries": 3, "cap": 4096}
+    SERIES_FRACTIONS.clear()

@@ -1,7 +1,10 @@
 """The summary of tools/bench_pairs.py on fixed numbers."""
 
 import importlib.util
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -105,3 +108,60 @@ def test_per_layer_summary_has_quartiles_and_no_verdict():
         "invariants.interlace_graph_recursive.self_s (s): parent 0.023 [0.0215, 0.0245] change 0.0125 [0.01175, 0.01325]",
         "dmat.dmat_from_graph.self_s (s): parent 0.0045 [0.004, 0.00525] change 0.0045 [0.004, 0.005]",
     ]  # glws.wgl.states is zero on both sides and left out
+
+
+_STUB_RUN = """import json
+print(json.dumps({"correct": True, "failed": 0, "metrics": {"wall_s": {"value": 1.0, "unit": "s"}}}))
+"""
+_STUB_SPEC = {"end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}], "per_layer": []}
+
+
+def _checkout(root, name: str, pycache: bool) -> str:
+    """A stand-in checkout whose bench/run.py prints one fixed report."""
+    path = root / name
+    (path / "bench").mkdir(parents=True)
+    (path / "bench" / "run.py").write_text(_STUB_RUN)
+    (path / "BENCHMARK.json").write_text(json.dumps(_STUB_SPEC))
+    (path / "src" / "wsys").mkdir(parents=True)
+    if pycache:
+        (path / "src" / "wsys" / "__pycache__").mkdir()
+    return str(path)
+
+
+def _tool(parent: str, change: str, env: dict) -> subprocess.CompletedProcess:
+    cmd = [sys.executable, _PATH, "--parent", parent, "--change", change, "--workload", "family", "--pairs", "1"]
+    return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_json_head_records_the_bytecode_state(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")}
+    cases = [
+        ({"PYTHONDONTWRITEBYTECODE": "1"}, False),
+        ({"PYTHONDONTWRITEBYTECODE": "1"}, True),
+        ({"PYTHONDONTWRITEBYTECODE": "", "PYTHONPYCACHEPREFIX": str(tmp_path / "prefix")}, False),
+    ]
+    for i, (variables, pycache) in enumerate(cases):
+        parent = _checkout(tmp_path / str(i), "parent", pycache)
+        change = _checkout(tmp_path / str(i), "change", pycache)
+        proc = _tool(parent, change, {**env, **variables})
+        assert proc.returncode == 0, proc.stderr
+        head = json.loads(proc.stdout.splitlines()[-1])
+        assert head["bytecode"] == {
+            "env": {
+                "PYTHONDONTWRITEBYTECODE": bool(variables.get("PYTHONDONTWRITEBYTECODE")),
+                "PYTHONPYCACHEPREFIX": "PYTHONPYCACHEPREFIX" in variables,
+            },
+            "pycache": {"parent": pycache, "change": pycache},
+        }
+
+
+def test_refuses_to_pair_checkouts_with_unlike_bytecode_caches(tmp_path):
+    for have in ("parent", "change"):
+        parent = _checkout(tmp_path / have, "parent", have == "parent")
+        change = _checkout(tmp_path / have, "change", have == "change")
+        proc = _tool(parent, change, dict(os.environ))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            f"bench_pairs: only the {have} checkout has src/wsys/__pycache__; remove it or compile both"
+        ]

@@ -5,7 +5,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from random import Random
 
 import pytest
@@ -659,6 +659,58 @@ def test_gl11_skewchar_matches_graph_polynomial():
     for n in range(1, 5):
         for b in all_chord_diagrams(n):
             assert gl11_skewchar(b) == skew_char(intersection_graph(b))
+
+
+def test_gl11_runs_on_integers_in_v():
+    # the ring holds k v^(k-1) for C_k, v = u/2: every engine value is an
+    # integer polynomial in v, and the decode divides by 2^j where needed
+    glws.ENGINE_MEMOS.clear()
+    g3, g2 = gl11_skewchar(standard_cycle(3)), gl11_skewchar(standard_cycle(2))
+    assert g3 == Fraction(3, 4) * u**2 and type(g3.terms[(("u", 2),)]) is Fraction
+    assert g2 == u and type(g2.terms[(("u", 1),)]) is int
+    for p in all_perms(5):
+        gl11_skewchar(p)
+    memo = glws.ENGINE_MEMOS.table(glws._GL11.binding(5))
+    assert len(memo) > 100 and all(type(c) is int for value in memo.values() for c in value.values())
+    assert 0 < glws.GL11_COEFFS.stats()["entries"] <= glws.GL11_COEFFS.cap
+    glws.GL11_COEFFS.clear()
+    assert glws.GL11_COEFFS.stats()["entries"] == 0
+    assert gl11_skewchar(standard_cycle(3)) == g3  # rebuilt after clear()
+    glws.ENGINE_MEMOS.clear()
+
+
+def test_gl11_equals_substitution_past_exhaustive_range():
+    rng = Random(1111)
+    for m in range(9, 13):
+        for _ in range(2):
+            img = list(range(1, m + 1))
+            rng.shuffle(img)
+            p = Perm(tuple(img))
+            gl11 = {casimir(k): Fraction(k, 2 ** (k - 1)) * u ** (k - 1) for k in range(1, m + 1)}
+            assert gl11_skewchar(p, cap=12) == wgl(p, cap=12).subs({"N": 0, **gl11}), p.img
+
+
+def _interlace_casimir_by_sum(k: int) -> Poly:
+    """Reference: (z^2-1) + sum_{i=1..k} binom(k, i) (z^2-1)^(i-1) (1-z)^i in Poly arithmetic."""
+    a, b = z**2 - 1, 1 - z
+    total, power = a, b  # power = a^(i-1) b^i
+    for i in range(1, k + 1):
+        total = total + comb(k, i) * power
+        power = power * a * b
+    return total
+
+
+def test_interlace_casimir_closed_form():
+    for k in range(1, 41):
+        assert glws._interlace_casimir(k) == _interlace_casimir_by_sum(k), k
+    with pytest.raises(DomainError):
+        glws._interlace_casimir(0)
+    # the 320-point standard cycle strips one C_320 in the dict class
+    r = interlace_perm(standard_cycle(320), cap=320)
+    for z0 in (Fraction(1, 3), Fraction(-5, 2)):
+        at = {"N": z0 * z0 - 1, "eps": 1 / (1 - z0)}
+        assert r.evaluate(z0) == feps_casimir_binding(320).evaluate(at), z0
+    glws.ENGINE_MEMOS.clear()
 
 
 def test_feps_in_v():

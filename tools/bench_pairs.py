@@ -20,6 +20,13 @@ With `--trace 1` each run is `bench/run.py --trace 1`, and the summary
 holds, per metric of the `per_layer` list of BENCHMARK.json, each side's
 values, median and quartiles only: a traced run measures where the time
 goes, so it gives no win count and no gain verdict.
+
+Bytecode caches move `setup_s`, the `cli` times and `peak_rss_mb`, so
+the JSON head records the cache state at the start: whether
+PYTHONDONTWRITEBYTECODE and PYTHONPYCACHEPREFIX are set (non-empty), and
+whether `src/wsys/__pycache__` exists in each checkout.  When exactly one
+checkout has that directory the two sides would not compile alike, and
+the tool refuses to start (exit 2).
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ import subprocess
 import sys
 
 SIDES = ("parent", "change")
+PYCACHE = os.path.join("src", "wsys", "__pycache__")
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float | None, trace: int = 0) -> dict:
@@ -42,6 +50,15 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float | None, tra
     if proc.returncode != 0:
         raise SystemExit(f"bench_pairs: {workload} failed in {checkout}:\n{proc.stderr.strip()}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def bytecode_state(checkouts: dict[str, str]) -> dict:
+    """The bytecode-cache state of a pair of checkouts: which cache
+    variables are set (non-empty) and which checkouts have src/wsys/__pycache__."""
+    return {
+        "env": {name: bool(os.environ.get(name)) for name in ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")},
+        "pycache": {side: os.path.isdir(os.path.join(path, PYCACHE)) for side, path in checkouts.items()},
+    }
 
 
 def _quartiles(values: list[float]) -> list[float]:
@@ -121,6 +138,11 @@ def main() -> int:
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     checkouts = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    bytecode = bytecode_state(checkouts)
+    if len(set(bytecode["pycache"].values())) > 1:
+        have = next(side for side, present in bytecode["pycache"].items() if present)
+        print(f"bench_pairs: only the {have} checkout has {PYCACHE}; remove it or compile both", file=sys.stderr)
+        return 2
     with open(os.path.join(checkouts["change"], "BENCHMARK.json")) as fh:
         spec = json.load(fh)
 
@@ -138,7 +160,8 @@ def main() -> int:
             print(f"bench_pairs: {line}", file=sys.stderr)
     else:
         summary = summarize(runs, spec["end_to_end"])
-    head = {"workload": args.workload, "seed": args.seed, "trace": args.trace, "checkouts": checkouts}
+    head = {"workload": args.workload, "seed": args.seed, "trace": args.trace}
+    head.update(checkouts=checkouts, bytecode=bytecode)
     print(json.dumps({**head, **summary}))
     return 0
 
