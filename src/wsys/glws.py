@@ -78,7 +78,21 @@ InternalError.
 A memo maps each state it has seen (rotation representatives, loop
 states and inputs) to its value in the binding's ring; the public
 functions decode the result once, and ``interlace_perm`` reads its
-coefficient list straight into a :class:`RatFunc`.  Every public
+coefficient list straight into a :class:`RatFunc`.  Every ring cuts a
+state into the same pieces, and only the values differ, so the public
+functions share one more table, ``ENGINE_MEMOS.cuts``: state -> its
+cut, made by whichever ring met the state first.  An input or a
+contraction result maps to (fixed points, the fixed-point-free rest,
+its least rotation or None until a ring needs it); a strip state to (k,
+rest); a swap state to the :func:`_step` tuple, which lists both
+contractions even where a zero factor skips one.  A later ring on the
+same permutation only looks cuts up and folds values, and a state met
+in the loop and later as a contraction result is reduced as it stands
+(the values of a state and of its rotations are equal).  The cut table
+holds no value, so it serves every binding and width class; each cut,
+with its two checks, is made once, not once per ring.  A call with its
+own ``memo`` neither reads nor writes the table, so it cuts every state
+itself (cold timing stays cold).  Every public
 function enters the engine through :func:`packed_state_value` (cap
 checks, memo read, and the binding's own consistency check, such as the
 standard value N^(f-1)); the Hopf projection calls it directly, with
@@ -406,45 +420,65 @@ def _least_rotation(state: str) -> str:
     return (state[x:] + state[:x]).translate(tables[m - 1 - x : 2 * m - x]) if x else state
 
 
-def _wgl_state(state: str, b: _Binding, memo: MutableMapping) -> Value:
+def _wgl_state(state: str, b: _Binding, memo: MutableMapping, cuts: dict[str, tuple] | None) -> Value:
     """The value in b's ring of a state the memo misses.  Fixed points are
     factored out as one power of C1 first, and what is left, if the memo
     misses it too, is replaced by its least rotation; then leading
     standard blocks are stripped and the out-of-place element bubbled left
-    in one loop; only the contractions (one point fewer each) recurse."""
-    fixed, cur = _drop_fixed(state)
-    if not fixed or (val := memo.get(cur)) is None:
-        cur = _least_rotation(cur)
-        val = _reduce(cur, b, memo)
+    in one loop; only the contractions (one point fewer each) recurse.
+    The cut (fixed points, rest, least rotation or None if not yet needed)
+    is read from ``cuts`` when another ring made it, and written there."""
+    cut = None if cuts is None else cuts.get(state)
+    if cut is None:
+        fixed, rest = _drop_fixed(state)
+        rot = None
+    elif len(cut) == 3:
+        fixed, rest, rot = cut
+    else:  # a loop state, so fixed-point free: reduced as it stands
+        return _reduce(state, b, memo, cuts)
+    if not fixed or (val := memo.get(rest)) is None:
+        if rot is None:
+            rot = _least_rotation(rest)
+        val = _reduce(rot, b, memo, cuts)
     if fixed:
         val = b.ring.mul(b.fixed(fixed), val)
-    if cur != state:
+    if rot != state:  # else the loop has memoized the state and cut it
         memo[state] = val
+        if cuts is not None and (cut is None or cut[2] != rot):
+            cuts[state] = (fixed, rest, rot)
     return val
 
 
-def _reduce(cur: str, b: _Binding, memo: MutableMapping) -> Value:
+def _reduce(cur: str, b: _Binding, memo: MutableMapping, cuts: dict[str, tuple] | None) -> Value:
     """The value of a fixed-point-free state by strips, swaps and
-    contractions, memoizing every state of the loop.  On the way out each
-    swap state's contraction terms are folded into the value of its
-    successor in one fold."""
+    contractions, memoizing every state of the loop.  A loop state's cut,
+    (k, rest) for a strip or the :func:`_step` tuple for a swap, is read
+    from ``cuts`` when another ring made it, and written there.  On the
+    way out each swap state's contraction terms are folded into the value
+    of its successor in one fold."""
     pending: list[tuple[str, Value | None, Sequence]] = []  # (state, strip factor, contraction terms)
     # per freed: (shift, factor or None), or None for a zero factor
     contract, strip, mul, fold = b.contract, b.strip, b.ring.mul, b.ring.fold
     while (val := memo.get(cur)) is None:
-        if (v := _scan(cur)) < 0:
-            pending.append((cur, strip(-v), ()))
-            cur = cur[-v:].translate(_strip_table(-v))
+        if cuts is None or (cut := cuts.get(cur)) is None or len(cut) == 3:
+            v = _scan(cur)
+            cut = (-v, cur[-v:].translate(_strip_table(-v))) if v < 0 else _step(cur, v - 1)
+            if cuts is not None:
+                cuts[cur] = cut
+        if len(cut) == 2:
+            k, rest = cut
+            pending.append((cur, strip(k), ()))
+            cur = rest
             continue
-        swap, freed1, merged1, freed2, merged2 = _step(cur, v - 1)
+        swap, freed1, merged1, freed2, merged2 = cut
         terms = []
         if (rule := contract[freed1]) is not None:  # a zero factor skips the branch
             if (term := memo.get(merged1)) is None:
-                term = _wgl_state(merged1, b, memo)
+                term = _wgl_state(merged1, b, memo, cuts)
             terms.append((1, rule[0], term if rule[1] is None else mul(rule[1], term)))
         if (rule := contract[freed2]) is not None:
             if (term := memo.get(merged2)) is None:
-                term = _wgl_state(merged2, b, memo)
+                term = _wgl_state(merged2, b, memo, cuts)
             terms.append((-1, rule[0], term if rule[1] is None else mul(rule[1], term)))
         pending.append((cur, None, terms))
         cur = swap
@@ -456,9 +490,14 @@ def _reduce(cur: str, b: _Binding, memo: MutableMapping) -> Value:
 
 class EngineMemos(dict[tuple[str, int], dict[str, Value]]):
     """The engine's memos, one per binding name and width class: state
-    (one-line image as a str) -> value in that binding's ring.  An
-    explicit cache, kept until clear(); reads are concurrent-safe under
-    the GIL."""
+    (one-line image as a str) -> value in that binding's ring, and one
+    table ``cuts`` of every ring: state -> its ring-free cut (see
+    :func:`_wgl_state` and :func:`_reduce`).  An explicit cache, kept
+    until clear(); reads are concurrent-safe under the GIL."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.cuts: dict[str, tuple] = {}
 
     def table(self, b: _Binding) -> dict[str, Value]:
         """b's memo, made on first use with the empty state's value 1."""
@@ -467,11 +506,19 @@ class EngineMemos(dict[tuple[str, int], dict[str, Value]]):
             table = self[b.name, b.points] = {"": b.ring.one}
         return table
 
-    def stats(self) -> dict[str, dict[int, int]]:
-        """Entries per binding name and width class."""
-        out: dict[str, dict[int, int]] = {}
+    def clear(self) -> None:
+        """Empty the value memos and the cut table."""
+        super().clear()
+        self.cuts.clear()
+
+    def stats(self) -> dict[str, Any]:
+        """Entries per binding name and width class, and under "cuts" the
+        cut table's entries once it has any."""
+        out: dict[str, Any] = {}
         for (name, points), table in sorted(self.items()):
             out.setdefault(name, {})[points] = len(table)
+        if self.cuts:
+            out["cuts"] = len(self.cuts)
         return out
 
 
@@ -493,12 +540,12 @@ def packed_state_value(state: str, cap: int, b: _Binding, memo: MutableMapping |
             raise DomainError(f"permutation has {n} points, exceeding the {what} {limit}")
         raise InternalError(f"a state on {n} points in the {b.points}-point class of {b.name}")
     if memo is None:
-        table = ENGINE_MEMOS.table(b)
+        table, cuts = ENGINE_MEMOS.table(b), ENGINE_MEMOS.cuts
     else:
-        table = memo
+        table, cuts = memo, None
         table.setdefault("", b.ring.one)
     if (val := table.get(state)) is None:
-        val = _wgl_state(state, b, table)
+        val = _wgl_state(state, b, table, cuts)
     if b.check is not None:
         b.check(b, state, val)
     return val
@@ -527,8 +574,9 @@ def wgl(
     memo: MutableMapping[str, Packed] | None = None,
 ) -> Poly:
     """Value of the universal gl-weight system, a polynomial in N, C1, C2, ...
-    Pass a private ``memo`` dict to isolate the computation (cold timing);
-    it maps states to the engine's packed value: each input, the least
+    Pass a private ``memo`` dict to isolate the computation (cold timing):
+    the call then reads and writes nothing of :data:`ENGINE_MEMOS`, its
+    cut table included.  The memo maps states to the engine's packed value: each input, the least
     rotation of each fixed-point-free state reduced, and the states of its
     strip/swap loop.  A state is a one-line image as a ``str`` with one
     code point per point: ``"".join(map(chr, p.img))``."""

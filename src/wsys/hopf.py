@@ -23,7 +23,9 @@ Given one of the engine's own specializations (``feps``,
 ``spec_standard``; :func:`wsys.glws.specialization_binding` tells them
 by function object), :func:`primitive_eval_diagram` skips the Poly
 values altogether: each chord subdiagram is a state cut from the
-diagram's one-line image, its value is read straight from the
+diagram's state by one ``str.translate`` (the table of its point mask
+deletes the other points and renumbers the kept ones; one table per
+mask over DEFAULT_CAP points), its value is read straight from the
 specialization's memo (:func:`wsys.glws.packed_state_value`) as one int
 of the DEFAULT_CAP width class (the route evaluates under DEFAULT_CAP),
 and the convolutions multiply and add those ints.  The result decodes
@@ -35,7 +37,7 @@ through :func:`primitive_eval`.
 
 from __future__ import annotations
 
-from itertools import chain
+from functools import cache, partial
 from typing import Callable, Iterator, Sequence, TypeVar
 
 from .algebra import EXP_BITS, Packed, PackedRing, Poly, var_key
@@ -45,13 +47,14 @@ from .glws import (
     Ring,
     Value,
     _Binding,
+    _state,
     feps,
     packed_state_value,
     projection_bound,
     spec_standard,
     specialization_binding,
 )
-from .graphs import Graph, induced_subgraph, subsets
+from .graphs import Graph, induced_subgraph, subset_masks, subsets
 from .perm import Perm, chord_subdiagram, chords
 
 T = TypeVar("T")
@@ -87,22 +90,39 @@ def _check_slots(top: int, n: int) -> None:
         raise DomainError(f"exponent {top} on {n} ground elements exceeds the packed slots")
 
 
+def _point_table(points: int, m: int) -> dict[int, str | None]:
+    """The translate table of a point mask over 1..m: each point in the
+    mask (bit x for point x) to the code point of its rank among them,
+    every other point deleted."""
+    kept = [x for x in range(1, m + 1) if points >> x & 1]
+    return dict.fromkeys(range(1, m + 1)) | {x: chr(rank) for rank, x in enumerate(kept, 1)}
+
+
+#: The translate table of each point mask over 1..DEFAULT_CAP, built once:
+#: at most 2^DEFAULT_CAP tables.
+_cap_table = cache(partial(_point_table, m=DEFAULT_CAP))
+
+
 def _subdiagram_values(b: Perm, binding: _Binding) -> list[Value]:
     """The value under an engine specialization's binding of every chord
     subdiagram of b, by mask as in :func:`_restricted_values`, each read
-    straight from the binding's memo.  A subdiagram is its state cut from
-    b's one-line image: the chosen chords' points in order, each value
-    renumbered to its rank among them (a chord diagram maps chosen points
-    to chosen points)."""
-    img, ground = b.img, chords(b)
-    values: list[Value] = []
-    for mask, members in subsets(ground):
-        if not mask:
-            values.append(binding.ring.one)
-            continue
-        points = sorted(chain.from_iterable(members))
-        rank = {x: chr(i) for i, x in enumerate(points, 1)}  # point -> code point of its new number
-        values.append(packed_state_value("".join([rank[img[x - 1]] for x in points]), DEFAULT_CAP, binding))
+    straight from the binding's memo.  A subdiagram's state is one
+    translate of b's state: a chord diagram maps the chosen points to
+    chosen points, so deleting the values outside them deletes their
+    positions too, and the kept values are renumbered by rank.  The point
+    mask of a chord mask adds the points of its lowest chord to those of
+    the rest.  Past the subset budget nothing is cut; past DEFAULT_CAP
+    points the tables are not kept, and the engine refuses the first
+    subdiagram past the cap."""
+    state, ground = _state(b.img), chords(b)
+    masks = subset_masks(len(ground))
+    table = _cap_table if b.m <= DEFAULT_CAP else partial(_point_table, m=b.m)
+    bits = [1 << x | 1 << y for x, y in ground]
+    points, values = [0], [binding.ring.one]
+    for mask in masks[1:]:
+        low = mask & -mask
+        points.append(points[mask ^ low] | bits[low.bit_length() - 1])
+        values.append(packed_state_value(state.translate(table(points[mask])), DEFAULT_CAP, binding))
     return values
 
 

@@ -165,3 +165,54 @@ def test_refuses_to_pair_checkouts_with_unlike_bytecode_caches(tmp_path):
         assert proc.stderr.splitlines() == [
             f"bench_pairs: only the {have} checkout has src/wsys/__pycache__; remove it or compile both"
         ]
+
+
+_STUB_CLI = """import json, sys
+suite = sys.argv[2]
+report = {"suite": suite, "passed": True, "instances": INSTANCES, "failures": [], "seconds": SECONDS, "notes": []}
+print(json.dumps({"reports": [report], "passed": True}, indent=2))
+"""
+
+
+def _suite_checkout(root, name: str, seconds: float, instances: int = 123) -> str:
+    """A stand-in checkout whose `wsys verify SUITE --json` reports fixed seconds."""
+    path = root / name
+    (path / "src" / "wsys").mkdir(parents=True)
+    (path / "src" / "wsys" / "__init__.py").write_text("")
+    cli = _STUB_CLI.replace("INSTANCES", str(instances)).replace("SECONDS", str(seconds))
+    (path / "src" / "wsys" / "cli.py").write_text(cli)
+    (path / "BENCHMARK.json").write_text(json.dumps(_STUB_SPEC))
+    return str(path)
+
+
+def _suite_tool(parent: str, change: str, pairs: int) -> subprocess.CompletedProcess:
+    cmd = [sys.executable, _PATH, "--parent", parent, "--change", change, "--suite", "hopf-eps", "--pairs", str(pairs)]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_suite_pairs_report_seconds_under_the_gain_rule(tmp_path):
+    parent = _suite_checkout(tmp_path, "parent", 0.3)
+    change = _suite_checkout(tmp_path, "change", 0.2)
+    proc = _suite_tool(parent, change, 3)
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(proc.stdout.splitlines()[-1])
+    assert summary["suite"] == "hopf-eps" and summary["pairs"] == 3 and summary["correct"]
+    assert summary["failed"] == {"parent": 0, "change": 0}
+    seconds = summary["metrics"]["seconds"]
+    assert seconds["parent"]["values"] == [0.3] * 3 and seconds["change"]["values"] == [0.2] * 3
+    assert seconds["change_wins"] == 3 and seconds["parent_iqr"] == 0 and seconds["gain"]
+    assert set(summary["metrics"]) == {"seconds"}
+    # the change loses: no wins, no gain
+    proc = _suite_tool(change, parent, 2)
+    seconds = json.loads(proc.stdout.splitlines()[-1])["metrics"]["seconds"]
+    assert seconds["change_wins"] == 0 and not seconds["gain"]
+
+
+def test_suite_pairs_refuse_reports_that_differ_besides_seconds(tmp_path):
+    parent = _suite_checkout(tmp_path, "parent", 0.3, instances=123)
+    change = _suite_checkout(tmp_path, "change", 0.2, instances=122)
+    proc = _suite_tool(parent, change, 3)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == ["bench_pairs: pair 1: the hopf-eps reports differ besides seconds"]

@@ -831,3 +831,127 @@ def test_printed_series_and_projections_are_unchanged():
     ]
     assert len(lines) == 999
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == SERIES_HOPF_DIGEST
+
+
+# -- the cut table shared by every ring ------------------------------------------
+
+_RINGS = {
+    "wgl": (wgl, glws._WGL),
+    "feps": (feps, glws._FEPS),
+    "standard": (spec_standard, glws._STANDARD),
+    "cycles": (casimir_to_N, glws._CYCLES),
+    "gl11": (gl11_skewchar, glws._GL11),
+    "interlace": (interlace_perm, glws._INTERLACE),
+}
+
+
+def test_engine_memos_report_and_clear_the_cut_table():
+    # the cut table is listed in stats() beside the value memos once it has
+    # entries; a second ring on the same input cuts no new state, and
+    # clear() empties the table with the memos, so the next call is cold
+    ENGINE = glws.ENGINE_MEMOS
+    ENGINE.clear()
+    assert ENGINE.stats() == {} and ENGINE.cuts == {}
+    p = Perm((3, 5, 1, 6, 2, 4))
+    wgl(p)
+    cuts = len(ENGINE.cuts)
+    assert ENGINE.stats() == {"wgl": {MAX_POINTS: len(ENGINE.table(glws._WGL.binding(6)))}, "cuts": cuts}
+    assert cuts >= 10
+    for f in (feps, interlace_perm, gl11_skewchar, spec_standard, casimir_to_N):
+        f(p)
+    stats = ENGINE.stats()
+    assert set(stats) == {"wgl", "feps", "interlace", "gl11", "standard", "cycles", "cuts"}
+    assert stats["cuts"] == cuts
+    ENGINE.clear()
+    assert ENGINE.stats() == {} and ENGINE.cuts == {}
+    wgl(p)
+    assert ENGINE.stats()["cuts"] == cuts
+    ENGINE.clear()
+
+
+def _private_value(name: str, p: Perm, memo: dict):
+    """The public value of p in one ring, evaluated on a private memo."""
+    value = glws._evaluate(p, DEFAULT_CAP, _RINGS[name][1], memo)
+    return RatFunc.from_coeffs(value, p.m) if name == "interlace" else value
+
+
+def _digests(values: dict[str, list], perms: list[Perm]) -> tuple[str, str, str]:
+    """The three committed digests' text, from the values of perms (every
+    permutation with at most seven points, in order) and the projections
+    of every diagram with at most four chords."""
+    from wsys.hopf import primitive_eval_diagram
+
+    def sha(lines):
+        return hashlib.sha256("".join(lines).encode()).hexdigest()
+
+    six = [i for i, p in enumerate(perms) if p.m <= 6]
+    columns = ("wgl", "feps", "gl11", "interlace")
+    m6 = ["\t".join([perm_format(perms[i]), *(str(values[c][i]) for c in columns)]) + "\n" for i in six]
+    m7 = [f"{perm_format(p)}\t{w}\n" for p, w in zip(perms, values["wgl"]) if p.m == 7]
+    series = [f"{perm_format(perms[i])}\t{' '.join(map(str, values['interlace'][i].series(12)))}\n" for i in six]
+    diagrams = [b for n in range(5) for b in all_chord_diagrams(n)]
+    series += [f"{perm_format(b)}\t{primitive_eval_diagram(feps, b)}\n" for b in diagrams]
+    return sha(m6), sha(m7), sha(series)
+
+
+def test_ring_order_does_not_change_any_value():
+    # gl11 skips the branches of freed classes, so with gl11 first the
+    # later rings meet states that no cut covers yet; either order gives
+    # the values of private memos and the committed digests
+    perms = [p for m in range(8) for p in all_perms(m)]
+    private = {}
+    for name in _RINGS:
+        memo: dict = {}
+        private[name] = [_private_value(name, p, memo) for p in perms]
+    order = list(_RINGS)
+    for first in ("wgl", "gl11"):
+        glws.ENGINE_MEMOS.clear()
+        names = [first] + [name for name in order if name != first]
+        values = {name: [] for name in order}
+        for p in perms:
+            for name in names:
+                values[name].append(_RINGS[name][0](p))
+        assert values == private, first
+        assert _digests(values, perms) == (OUTPUT_DIGEST_M6, OUTPUT_DIGEST_M7, SERIES_HOPF_DIGEST), first
+    # a state that wgl cut in its loop, and that is not its own least
+    # rotation, is reduced as it stands when another ring meets it first
+    # as an input
+    glws.ENGINE_MEMOS.clear()
+    for p in all_perms(6):
+        wgl(p)
+    cuts = glws.ENGINE_MEMOS.cuts
+    unrotated = [s for s, cut in cuts.items() if len(cut) != 3 and glws._least_rotation(s) != s]
+    assert unrotated
+    for s in unrotated:
+        q = Perm(glws._image(s))
+        for name in ("feps", "gl11", "interlace"):
+            assert _RINGS[name][0](q) == _private_value(name, q, {}), (s, name)
+    # and the other way round: cut first as an input, then met in the loop
+    # of another ring, which cuts the state there itself
+    glws.ENGINE_MEMOS.clear()
+    for s in unrotated:
+        feps(Perm(glws._image(s)))
+    wgl_memo: dict = {}
+    assert [wgl(p) for p in all_perms(6)] == [_private_value("wgl", p, wgl_memo) for p in all_perms(6)]
+    glws.ENGINE_MEMOS.clear()
+
+
+def test_private_memos_neither_read_nor_write_the_cut_table():
+    # a call with its own memo cuts every state itself: as many entries on
+    # a full table as on a cleared engine, and the table is left as it was
+    p = Perm((4, 7, 2, 6, 1, 5, 3))
+    glws.ENGINE_MEMOS.clear()
+    cold: dict = {}
+    wgl(p, memo=cold)
+    assert glws.ENGINE_MEMOS.stats() == {}
+    for q in all_perms(6):
+        wgl(q)
+        gl11_skewchar(q)
+    wgl(p)
+    stats = glws.ENGINE_MEMOS.stats()
+    assert stats["cuts"] > 500
+    warm: dict = {}
+    assert wgl(p, memo=warm) == wgl(p)
+    assert len(warm) == len(cold) and warm.keys() == cold.keys()
+    assert glws.ENGINE_MEMOS.stats() == stats
+    glws.ENGINE_MEMOS.clear()

@@ -1,13 +1,14 @@
 """Primitive projection via the convolution-logarithm expansion."""
 
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
-from wsys import hopf
+from wsys import glws, hopf
 from wsys.algebra import Poly
 from wsys.errors import DomainError
-from wsys.glws import feps, spec_standard, specialization_binding
+from wsys.glws import DEFAULT_CAP, feps, spec_standard, specialization_binding
 from wsys.graphs import Graph, all_graphs, complete_graph
 from wsys.hopf import (
     eps_independence_check,
@@ -19,7 +20,7 @@ from wsys.hopf import (
     restrict_graph,
 )
 from wsys.invariants import refined_skew_char_graph, skew_char, vertex_count_power_u
-from wsys.perm import Perm, all_chord_diagrams, perm_parse
+from wsys.perm import Perm, all_chord_diagrams, chord_subdiagram, chords, perm_parse
 
 N = Poly.var("N")
 u = Poly.var("u")
@@ -238,6 +239,33 @@ def test_engine_specializations_take_the_packed_route(monkeypatch):
             for route in (f, wrapped):
                 with pytest.raises(DomainError, match=f"^{message}$"):
                     primitive_eval_diagram(route, b)
+
+
+def _ranked_state(b: Perm, chosen: list[tuple[int, int]]) -> str:
+    """Reference: the chosen chords' points in order, each value renumbered
+    to its rank among them."""
+    points = sorted(chain.from_iterable(chosen))
+    rank = {x: chr(i) for i, x in enumerate(points, 1)}
+    return "".join([rank[b.img[x - 1]] for x in points])
+
+
+def test_subdiagram_states_are_one_translate_of_the_diagram(monkeypatch):
+    # the state the packed route reads for each chord mask is the
+    # subdiagram's own state, on every diagram through 5 chords
+    seen = []
+    read = hopf.packed_state_value
+    monkeypatch.setattr(hopf, "packed_state_value", lambda state, *args: seen.append(state) or read(state, *args))
+    binding = specialization_binding(feps).binding(DEFAULT_CAP)
+    for n in range(6):
+        for b in all_chord_diagrams(n):
+            seen.clear()
+            hopf._subdiagram_values(b, binding)
+            assert len(seen) == (1 << n) - 1
+            ch = chords(b)
+            for mask, state in enumerate(seen, 1):
+                chosen = [c for i, c in enumerate(ch) if mask >> i & 1]
+                assert state == _ranked_state(b, chosen) == glws._state(chord_subdiagram(b, chosen).img), (b.img, mask)
+    assert hopf._cap_table.cache_info().currsize <= 1 << DEFAULT_CAP
 
 
 def test_packed_route_keeps_the_exponent_budget(monkeypatch):

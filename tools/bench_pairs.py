@@ -21,6 +21,14 @@ holds, per metric of the `per_layer` list of BENCHMARK.json, each side's
 values, median and quartiles only: a traced run measures where the time
 goes, so it gives no win count and no gain verdict.
 
+With `--suite NAME` in place of `--workload`, each run is one
+`wsys verify NAME --json` process (`python3 -m wsys.cli`, with the
+checkout's `src` first on PYTHONPATH) at the suite's own bounds, and
+the one metric is the suite's `seconds`, lower is better, under the same
+win count and gain rule.  Both reports of a pair must be equal once
+`seconds` is removed (same verdict, instance count, failures and notes);
+a pair that differs stops the tool (exit 2).
+
 Bytecode caches move `setup_s`, the `cli` times and `peak_rss_mb`, so
 the JSON head records the cache state at the start: whether
 PYTHONDONTWRITEBYTECODE and PYTHONPYCACHEPREFIX are set (non-empty), and
@@ -50,6 +58,32 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float | None, tra
     if proc.returncode != 0:
         raise SystemExit(f"bench_pairs: {workload} failed in {checkout}:\n{proc.stderr.strip()}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+# The one metric of a --suite run, in the form of BENCHMARK.json's end_to_end list.
+SUITE_METRIC = {"name": "seconds", "unit": "s", "better": "lower"}
+
+
+def run_suite(checkout: str, suite: str) -> dict:
+    """One `wsys verify SUITE --json` process in a checkout, in the form of
+    a bench/run.py report: correct when every suite passed, one failed
+    operation per failed suite, the suites' seconds as the one metric, and
+    under "report" the printed report without its `seconds`."""
+    env = dict(os.environ)
+    src = os.path.join(checkout, "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    cmd = [sys.executable, "-m", "wsys.cli", "verify", suite, "--json"]
+    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True, check=False)
+    if proc.returncode not in (0, 3) or not proc.stdout.strip():
+        raise SystemExit(f"bench_pairs: verify {suite} failed in {checkout}:\n{proc.stderr.strip()}")
+    report = json.loads(proc.stdout)
+    suites = report["reports"]
+    return {
+        "correct": report["passed"],
+        "failed": sum(not r["passed"] for r in suites),
+        "metrics": {SUITE_METRIC["name"]: {"value": sum(r["seconds"] for r in suites), "unit": "s"}},
+        "report": {**report, "reports": [{k: v for k, v in r.items() if k != "seconds"} for r in suites]},
+    }
 
 
 def bytecode_state(checkouts: dict[str, str]) -> dict:
@@ -129,14 +163,18 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
     parser.add_argument("--change", required=True, help="checkout of the change")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seed", type=int, default=1)
+    kind = parser.add_mutually_exclusive_group(required=True)
+    kind.add_argument("--workload", help="a workload of bench/run.py")
+    kind.add_argument("--suite", help="a wsys verify suite: paired `seconds` of `wsys verify SUITE --json`")
+    parser.add_argument("--seed", type=int, default=1, help="bench/run.py --seed (workloads only)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=None, help="bench/run.py --seconds (default: its own)")
     parser.add_argument("--trace", type=int, choices=[0, 1], default=0, help="1: per-layer metrics, no verdict")
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    if args.suite and (args.trace or args.seconds is not None):
+        parser.error("--trace and --seconds apply to workloads only")
     checkouts = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     bytecode = bytecode_state(checkouts)
     if len(set(bytecode["pycache"].values())) > 1:
@@ -146,10 +184,18 @@ def main() -> int:
     with open(os.path.join(checkouts["change"], "BENCHMARK.json")) as fh:
         spec = json.load(fh)
 
+    def run(side: str) -> dict:
+        if args.suite:
+            return run_suite(checkouts[side], args.suite)
+        return run_once(checkouts[side], args.workload, args.seed, args.seconds, args.trace)
+
     runs: dict[str, list[dict]] = {side: [] for side in SIDES}
     for i in range(args.pairs):
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-            runs[side].append(run_once(checkouts[side], args.workload, args.seed, args.seconds, args.trace))
+            runs[side].append(run(side))
+        if args.suite and runs["parent"][-1]["report"] != runs["change"][-1]["report"]:
+            print(f"bench_pairs: pair {i + 1}: the {args.suite} reports differ besides seconds", file=sys.stderr)
+            return 2
         for side in SIDES:
             values = " ".join(f"{k}={m['value']:.4g}" for k, m in runs[side][-1]["metrics"].items() if m["value"])
             print(f"bench_pairs: pair {i + 1}/{args.pairs} {side}: {values}", file=sys.stderr)
@@ -159,8 +205,8 @@ def main() -> int:
         for line in layer_lines(summary):
             print(f"bench_pairs: {line}", file=sys.stderr)
     else:
-        summary = summarize(runs, spec["end_to_end"])
-    head = {"workload": args.workload, "seed": args.seed, "trace": args.trace}
+        summary = summarize(runs, [SUITE_METRIC] if args.suite else spec["end_to_end"])
+    head = {"suite": args.suite} if args.suite else {"workload": args.workload, "seed": args.seed, "trace": args.trace}
     head.update(checkouts=checkouts, bytecode=bytecode)
     print(json.dumps({**head, **summary}))
     return 0
