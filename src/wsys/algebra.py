@@ -19,7 +19,8 @@ monomial and the canonical ordering of monomials in the printed form (see
 denominator is a power of ``1 - z`` (the only pole the interlace family
 ever produces); it is kept normalized so equality is structural.  Its
 series are ``Fraction`` lists whose integer entries come from one bounded
-cache, :data:`SERIES_FRACTIONS` (a :class:`FractionCache`).
+:class:`~wsys.caches.Cache`, :data:`SERIES_FRACTIONS`; the variable keys
+and the rings' decoded monomials and digit biases are caches too.
 
 Two working forms serve the recurrence engine in ``glws`` and the subset
 convolutions of the Hopf projection in ``hopf``; both convert to
@@ -45,11 +46,12 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import partial
 from itertools import accumulate, compress
 from operator import mul
-from typing import Any, Callable, Hashable, Iterable, Mapping, Union
+from typing import Iterable, Mapping, Union
 
+from .caches import Cache
 from .errors import DomainError, InternalError, is_uint, shorten_int
 
 # A monomial is a tuple of (variable, exponent) pairs, sorted by the fixed
@@ -75,15 +77,18 @@ _FIXED_VARS = {
 }
 
 
-@cache
 def var_key(name: str) -> tuple[int, int]:
-    """Sort key realizing the fixed variable order (cached; an unknown name
-    raises every time)."""
+    """Sort key realizing the fixed variable order; the keys met are kept
+    in :data:`VAR_KEYS`."""
     if name in _FIXED_VARS:
         return _FIXED_VARS[name]
     if name.startswith("C") and is_uint(name[1:]) and int(name[1:]) >= 1:
         return (1, int(name[1:]))
     raise DomainError(f"unknown variable {name!r}")
+
+
+#: var_key of each variable name met; an unknown name raises every time.
+VAR_KEYS = Cache(var_key)
 
 
 def casimir(k: int) -> str:
@@ -106,7 +111,7 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     exps: dict[str, int] = dict(a)
     for var, e in b:
         exps[var] = exps.get(var, 0) + e
-    return tuple(sorted(exps.items(), key=lambda it: var_key(it[0])))
+    return tuple(sorted(exps.items(), key=lambda it: VAR_KEYS[it[0]]))
 
 
 class Poly:
@@ -148,7 +153,7 @@ class Poly:
 
     @classmethod
     def var(cls, name: str, exp: int = 1) -> "Poly":
-        var_key(name)  # validates
+        VAR_KEYS[name]  # validates
         if exp < 0:
             raise DomainError(f"negative exponent {exp} for {name}")
         if exp == 0:
@@ -233,7 +238,7 @@ class Poly:
 
     def coefficient(self, mono: Mapping[str, int]) -> Coeflike:
         key = tuple(
-            sorted(((v, e) for v, e in mono.items() if e), key=lambda it: var_key(it[0]))
+            sorted(((v, e) for v, e in mono.items() if e), key=lambda it: VAR_KEYS[it[0]])
         )
         return self.terms.get(key, 0)
 
@@ -272,7 +277,7 @@ class Poly:
         """Terms in canonical order: ascending total degree, ties broken by
         the exponent vector read from the highest variable down (smaller
         exponent on the highest differing variable comes first)."""
-        support = sorted(self.variables(), key=var_key, reverse=True)
+        support = sorted(self.variables(), key=VAR_KEYS.__getitem__, reverse=True)
 
         def key(item: tuple[Monomial, Coeflike]):
             mono, _ = item
@@ -379,8 +384,8 @@ class PackedRing:
     thousand Casimirs), so a decoded monomial needs no sort.
 
     Each packed monomial is decoded once; the ring keeps the Monomial
-    tuple, so the Polys it returns share their monomials, as values the
-    engine returned straight from its memo did."""
+    tuple in the cache ``_monos``, so the Polys it returns share their
+    monomials, as values the engine returned straight from its memo did."""
 
     __slots__ = ("names", "one", "zero", "mul", "fold", "_slot", "_monos")
 
@@ -388,7 +393,7 @@ class PackedRing:
         self.names = names
         self.one, self.zero, self.mul, self.fold = {0: 1}, {}, packed_mul, packed_fold
         self._slot = {name: i for i, name in enumerate(names)}
-        self._monos: dict[int, Monomial] = {}
+        self._monos = Cache(partial(_packed_monomial, names))
 
     def pack(self, p: Poly) -> Packed:
         """p in packed form; its variables must be the ring's."""
@@ -418,13 +423,7 @@ class PackedRing:
     def poly(self, value: Packed) -> Poly:
         """The Poly of a packed value; InternalError when a guard bit is set."""
         monos = self._monos
-        terms: dict[Monomial, Coeflike] = {}
-        for key, coef in value.items():
-            mono = monos.get(key)
-            if mono is None:
-                mono = monos[key] = self._monomial(key)
-            terms[mono] = _frac(coef)
-        return Poly._raw(terms)
+        return Poly._raw({monos[key]: _frac(coef) for key, coef in value.items()})
 
     def coeff_list(self, value: Packed) -> list[Coeflike]:
         """Coefficient list [c0, c1, ...] of a value of a univariate ring,
@@ -436,21 +435,23 @@ class PackedRing:
             coeffs[e] = c
         return coeffs
 
-    def _monomial(self, key: int) -> Monomial:
-        names, top = self.names, len(self.names) - 1
-        mono = []
-        slot = 0
-        while key:
-            if slot == top:
-                e, key = key, 0
-            else:
-                e, key = key & _SLOT_MASK, key >> SLOT_BITS
-                if e >> EXP_BITS:
-                    raise InternalError(f"exponent of {names[slot]} overflowed its slot")
-            if e:
-                mono.append((names[slot], e))
-            slot += 1
-        return tuple(mono)
+
+def _packed_monomial(names: tuple[str, ...], key: int) -> Monomial:
+    """The Monomial of a packed monomial; InternalError on a set guard bit."""
+    top = len(names) - 1
+    mono = []
+    slot = 0
+    while key:
+        if slot == top:
+            e, key = key, 0
+        else:
+            e, key = key & _SLOT_MASK, key >> SLOT_BITS
+            if e >> EXP_BITS:
+                raise InternalError(f"exponent of {names[slot]} overflowed its slot")
+        if e:
+            mono.append((names[slot], e))
+        slot += 1
+    return tuple(mono)
 
 
 # -- Kronecker integers ---------------------------------------------------
@@ -509,7 +510,7 @@ class KroneckerRing:
         self.one, self.zero, self.mul, self.fold = 1, 0, mul, int_fold
         self._code = _NATIVE_INTS.get(width)
         self._monos = []
-        self._biases: dict[int, int] = {}
+        self._biases = Cache(lambda slots: ((1 << width * slots) - 1) // ((1 << width) - 1) << width - 1)
 
     def slots(self, degree: int) -> int:
         """The slots of a value whose every exponent is at most degree."""
@@ -544,9 +545,7 @@ class KroneckerRing:
         width = self.width
         if signed:
             slots = min(slots, abs(value).bit_length() // width + 1)
-            bias = self._biases.get(slots)
-            if bias is None:
-                bias = self._biases[slots] = ((1 << width * slots) - 1) // ((1 << width) - 1) << width - 1
+            bias = self._biases[slots]
             value = value + bias ^ bias
         else:
             slots = min(slots, (value.bit_length() + width - 1) // width)
@@ -572,31 +571,9 @@ class KroneckerRing:
 # -- univariate helpers (in z) -------------------------------------------
 
 
-class FractionCache(dict[Hashable, Coeflike]):
-    """Exact rationals built once each: key -> build(key), kept while the
-    cache holds fewer than ``cap`` entries, so it never holds more; a key
-    it does not hold gets a freshly built value.  A ``Fraction`` is
-    immutable, so values that share one are the same values and print the
-    same.  An explicit cache, kept until clear()."""
-
-    __slots__ = ("build", "cap")
-
-    def __init__(self, build: Callable[[Any], Coeflike], cap: int = 4096):
-        super().__init__()
-        self.build, self.cap = build, cap
-
-    def __missing__(self, key: Hashable) -> Coeflike:
-        value = self.build(key)
-        if len(self) < self.cap:
-            self[key] = value
-        return value
-
-    def stats(self) -> dict[str, int]:
-        return {"entries": len(self), "cap": self.cap}
-
-
-#: The Fraction of each integer series coefficient (RatFunc.series).
-SERIES_FRACTIONS = FractionCache(Fraction)
+#: The Fraction of each integer series coefficient (RatFunc.series), at most
+#: 4096; a Fraction is immutable, so series that share one print the same.
+SERIES_FRACTIONS = Cache(Fraction, cap=4096)
 
 
 def poly_coeffs_z(p: Poly) -> list[Coeflike]:

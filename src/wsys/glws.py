@@ -112,13 +112,14 @@ translate, and factor out as one power of C1.  A rotation slices and
 translates by (y - 1 - x) mod m + 1; the rotations that start with 2 are
 found by comparing the state with 2, 3, ..., m, 1 in C, and only a state
 with none lists its displacements.  The translate tables are cut from
-one alphabet string and cached per l, k or m.  The loop reads the memo
-for each contraction result before it calls the evaluator, so a hit
-costs no call.  On the way out of the strip/swap loop, a swap state's
-two contraction terms are folded into its successor's value by the
-ring's fold (one dict copy, or int adds); a contraction factor that is a
-unit monomial (N) enters as a shift, any other factor multiplies, and a
-zero factor's branch is never evaluated.
+one alphabet string and cached per l, k or m by ``functools.cache``; every
+other growing table but :data:`ENGINE_MEMOS` is a :class:`~wsys.caches.Cache`.
+The loop reads the memo for each contraction result before it calls the
+evaluator, so a hit costs no call.  On the way out of the strip/swap
+loop, a swap state's two contraction terms are folded into its
+successor's value by the ring's fold (one dict copy, or int adds); a
+contraction factor that is a unit monomial (N) enters as a shift, any
+other factor multiplies, and a zero factor's branch is never evaluated.
 """
 
 from __future__ import annotations
@@ -130,10 +131,11 @@ from math import comb
 from operator import eq
 from typing import Any, Callable, MutableMapping, NamedTuple, Sequence, Union
 
-from .algebra import FractionCache, KroneckerRing, Monomial, Packed, PackedRing, Poly, RatFunc, casimir, kronecker_width
+from .algebra import KroneckerRing, Packed, PackedRing, Poly, RatFunc, casimir, kronecker_width
+from .caches import Cache
 from .errors import DomainError, InternalError, shorten_int
 from .graphs import subset_counts, subsets
-from .invariants import MonomialParts, refined_skew_char_graph, subset_poly
+from .invariants import monomial_parts, refined_skew_char_graph, subset_poly
 from .perm import MAX_POINTS, Perm, cycle_count, face_count, intersection_graph, is_chord_diagram, subperm
 
 DEFAULT_CAP = 10
@@ -147,6 +149,7 @@ Value = Union[Packed, int]
 Ring = Union[PackedRing, KroneckerRing]
 
 _N = Poly.var("N")
+_N_PARTS, _EPS_PARTS = monomial_parts("N"), monomial_parts("eps")
 
 
 class _Binding(NamedTuple):
@@ -156,8 +159,8 @@ class _Binding(NamedTuple):
     name: str
     points: int  # the width class: the most points of a state the binding holds
     ring: Ring  # one, zero, mul and fold, bound to locals once per reduction
-    strip: Callable[[int], Value]  # image of C_k
-    fixed: Callable[[int], Value]  # image of C1^f, for f fixed points
+    strip: Cache  # k -> image of C_k
+    fixed: Cache  # f -> image of C1^f, for f fixed points
     contract: tuple[tuple[int, Value | None] | None, ...]  # per freed class count, see _contract_rule
     decode: Callable[[Value, int], Any]  # the public form of a state's value on m points, checked
     l1: Callable[[int], int] | None  # the proven L1 bound of a value on m points, for an int ring
@@ -175,7 +178,6 @@ def _contract_rule(ring: Ring, factor: Poly) -> tuple[int, Value | None] | None:
     return (0, value) if shift is None else (shift, None)
 
 
-@cache
 def projection_bound(l1: Callable[[int], int], chords: int) -> int:
     """A bound on the L1 norm, so on every coefficient, of the Hopf
     projection p(S) over a set S of s = chords chords, when the value of
@@ -188,6 +190,10 @@ def projection_bound(l1: Callable[[int], int], chords: int) -> int:
     for s in range(1, chords + 1):
         r.append(l1(2 * s) + sum(comb(s - 1, t - 1) * r[t] * l1(2 * (s - t)) for t in range(1, s)))
     return r[chords]
+
+
+#: projection_bound of each (l1, chords) the Hopf projection has asked for.
+PROJECTION_BOUNDS = Cache(lambda key: projection_bound(*key))
 
 
 # The width classes held as ints: DEFAULT_CAP points and twice that.  Past
@@ -239,16 +245,16 @@ class _Specialization:
         self.name, self.names, self.strip, self.contract = name, names, strip, contract
         self.l1, self.degree, self.projected, self.decode, self.coeffs = l1, degree, projected, decode, coeffs
         self.check = check
+        self.classes = Cache(self._class)  # the binding of each width class
 
     def binding(self, m: int) -> _Binding:
         """The binding of the smallest width class that holds m points."""
         if self.l1 is None or m > _INT_POINTS:
-            return self._class(MAX_POINTS)
-        return self._class(DEFAULT_CAP if m <= DEFAULT_CAP else _INT_POINTS)
+            return self.classes[MAX_POINTS]
+        return self.classes[DEFAULT_CAP if m <= DEFAULT_CAP else _INT_POINTS]
 
-    @cache
     def _class(self, points: int) -> _Binding:
-        """The binding of a width class, built once."""
+        """The binding of a width class."""
         ring: Ring
         l1 = self.l1 if points <= _INT_POINTS else None
         if l1 is None:
@@ -270,8 +276,8 @@ class _Specialization:
             self.name,
             points,
             ring,
-            cache(lambda k: ring.pack(strip(k))),
-            cache(lambda f: ring.pack(strip(1) ** f)),
+            Cache(lambda k: ring.pack(strip(k))),
+            Cache(lambda f: ring.pack(strip(1) ** f)),
             tuple(_contract_rule(ring, f) for f in self.contract),
             decode,
             l1,
@@ -441,7 +447,7 @@ def _wgl_state(state: str, b: _Binding, memo: MutableMapping, cuts: dict[str, tu
             rot = _least_rotation(rest)
         val = _reduce(rot, b, memo, cuts)
     if fixed:
-        val = b.ring.mul(b.fixed(fixed), val)
+        val = b.ring.mul(b.fixed[fixed], val)
     if rot != state:  # else the loop has memoized the state and cut it
         memo[state] = val
         if cuts is not None and (cut is None or cut[2] != rot):
@@ -467,7 +473,7 @@ def _reduce(cur: str, b: _Binding, memo: MutableMapping, cuts: dict[str, tuple] 
                 cuts[cur] = cut
         if len(cut) == 2:
             k, rest = cut
-            pending.append((cur, strip(k), ()))
+            pending.append((cur, strip[k], ()))
             cur = rest
             continue
         swap, freed1, merged1, freed2, merged2 = cut
@@ -619,12 +625,17 @@ def state_value(
 # -- specializations ---------------------------------------------------------
 
 
-@cache
 def feps_casimir_binding(k: int) -> Poly:
-    """Image of C_k in the two-parameter family:
-    N*eps^k + sum_{i=1..k} binom(k, i) N^(i-1) eps^(k-i)."""
-    eps = Poly.var("eps")
-    return sum((comb(k, i) * _N ** (i - 1) * eps ** (k - i) for i in range(1, k + 1)), _N * eps**k)
+    """Image of C_k in the two-parameter family, its k + 1 distinct terms
+    built directly: N*eps^k + sum_{i=1..k} binom(k, i) N^(i-1) eps^(k-i)."""
+    if k < 0:
+        raise DomainError(f"Casimir index must be >= 0, got {k}")
+    terms = {_N_PARTS[i - 1] + _EPS_PARTS[k - i]: comb(k, i) for i in range(1, k + 1)}
+    return Poly._raw({_N_PARTS[1] + _EPS_PARTS[k]: 1, **terms})
+
+
+#: The image of each C_k that feps has stripped.
+FEPS_CASIMIR_IMAGES = Cache(feps_casimir_binding)
 
 
 _Z2 = Poly.var("z", 2) - Poly.one()  # N at the interlace point
@@ -690,7 +701,7 @@ def _monomial_poly(ring: KroneckerRing, value: int, m: int) -> Poly:
 _FEPS = _Specialization(
     "feps",
     ("N", "eps"),
-    feps_casimir_binding,
+    FEPS_CASIMIR_IMAGES.__getitem__,
     (Poly.one(), _N),
     l1=lambda m: 1 << m,
     projected=True,
@@ -726,21 +737,15 @@ def _halved(key: tuple[int, int]) -> int | Fraction:
     return Fraction(c, 1 << j) if c & (1 << j) - 1 else c >> j
 
 
-#: The coefficient c/2^j of u^j in gl(1|1) of each (c, j), built once.
-GL11_COEFFS = FractionCache(_halved)
-_U_MONOS: list[Monomial] = [()]  # _U_MONOS[j] is the monomial u^j, made once
+#: The coefficient c/2^j of u^j in gl(1|1) of each (c, j), at most 4096.
+GL11_COEFFS = Cache(_halved, cap=4096)
+_U_PARTS = monomial_parts("u")
 
 
 def _gl11_poly(ring: PackedRing, value: Packed, m: int) -> Poly:
     """gl(1|1) in u from its value in v = u/2, whose packed monomial is the
     exponent itself: the coefficient c of v^j is c/2^j of u^j."""
-    monos, coeffs = _U_MONOS, GL11_COEFFS
-    if len(monos) < m:  # a value on m points has degree < m in v
-        monos.extend(((("u", j),) for j in range(len(monos), m)))
-    terms = {}
-    for j, c in value.items():
-        terms[monos[j]] = coeffs[c, j]
-    return Poly._raw(terms)
+    return Poly._raw({_U_PARTS[j]: GL11_COEFFS[c, j] for j, c in value.items()})
 
 
 _GL11 = _Specialization(
@@ -765,9 +770,6 @@ def feps(p: Perm, cap: int = DEFAULT_CAP) -> Poly:
     """Two-parameter specialization of wgl: C_k bound as in
     :func:`feps_casimir_binding`; a polynomial in N and eps."""
     return _evaluate(p, cap, _FEPS)
-
-
-_N_PARTS, _EPS_PARTS = MonomialParts("N"), MonomialParts("eps")
 
 
 def feps_direct(p: Perm) -> Poly:

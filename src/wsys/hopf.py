@@ -24,12 +24,13 @@ Given one of the engine's own specializations (``feps``,
 by function object), :func:`primitive_eval_diagram` skips the Poly
 values altogether: each chord subdiagram is a state cut from the
 diagram's state by one ``str.translate`` (the table of its point mask
-deletes the other points and renumbers the kept ones; one table per
-mask over DEFAULT_CAP points), its value is read straight from the
-specialization's memo (:func:`wsys.glws.packed_state_value`) as one int
-of the DEFAULT_CAP width class (the route evaluates under DEFAULT_CAP),
-and the convolutions multiply and add those ints.  The result decodes
-once, with a proven bound on its coefficients
+deletes the other points and renumbers the kept ones; one table per mask
+over DEFAULT_CAP points, in the cache ``_CAP_TABLES``), its value is
+read straight from the specialization's memo
+(:func:`wsys.glws.packed_state_value`) as one int of the DEFAULT_CAP
+width class (a diagram past DEFAULT_CAP is refused before any value is
+read), and the convolutions multiply and add those ints.  The result
+decodes once, with a proven bound on its coefficients
 (:func:`wsys.glws.projection_bound`) and a check on its digits.  Any
 other callable, a wrapper of those included, takes the generic route
 through :func:`primitive_eval`.
@@ -37,10 +38,10 @@ through :func:`primitive_eval`.
 
 from __future__ import annotations
 
-from functools import cache, partial
 from typing import Callable, Iterator, Sequence, TypeVar
 
 from .algebra import EXP_BITS, Packed, PackedRing, Poly, var_key
+from .caches import Cache
 from .errors import DomainError, InternalError
 from .glws import (
     DEFAULT_CAP,
@@ -50,7 +51,7 @@ from .glws import (
     _state,
     feps,
     packed_state_value,
-    projection_bound,
+    PROJECTION_BOUNDS,
     spec_standard,
     specialization_binding,
 )
@@ -90,17 +91,17 @@ def _check_slots(top: int, n: int) -> None:
         raise DomainError(f"exponent {top} on {n} ground elements exceeds the packed slots")
 
 
-def _point_table(points: int, m: int) -> dict[int, str | None]:
-    """The translate table of a point mask over 1..m: each point in the
-    mask (bit x for point x) to the code point of its rank among them,
-    every other point deleted."""
-    kept = [x for x in range(1, m + 1) if points >> x & 1]
-    return dict.fromkeys(range(1, m + 1)) | {x: chr(rank) for rank, x in enumerate(kept, 1)}
+def _point_table(points: int) -> dict[int, str | None]:
+    """The translate table of a point mask over 1..DEFAULT_CAP: each point
+    in the mask (bit x for point x) to the code point of its rank among
+    them, every other point deleted."""
+    kept = [x for x in range(1, DEFAULT_CAP + 1) if points >> x & 1]
+    return dict.fromkeys(range(1, DEFAULT_CAP + 1)) | {x: chr(rank) for rank, x in enumerate(kept, 1)}
 
 
 #: The translate table of each point mask over 1..DEFAULT_CAP, built once:
 #: at most 2^DEFAULT_CAP tables.
-_cap_table = cache(partial(_point_table, m=DEFAULT_CAP))
+_CAP_TABLES = Cache(_point_table)
 
 
 def _subdiagram_values(b: Perm, binding: _Binding) -> list[Value]:
@@ -111,18 +112,19 @@ def _subdiagram_values(b: Perm, binding: _Binding) -> list[Value]:
     chosen points, so deleting the values outside them deletes their
     positions too, and the kept values are renumbered by rank.  The point
     mask of a chord mask adds the points of its lowest chord to those of
-    the rest.  Past the subset budget nothing is cut; past DEFAULT_CAP
-    points the tables are not kept, and the engine refuses the first
-    subdiagram past the cap."""
+    the rest.  A diagram past the subset budget, then one past DEFAULT_CAP
+    points, is refused before any subdiagram is read, naming the first
+    subdiagram past the cap as the engine would."""
     state, ground = _state(b.img), chords(b)
     masks = subset_masks(len(ground))
-    table = _cap_table if b.m <= DEFAULT_CAP else partial(_point_table, m=b.m)
+    if b.m > DEFAULT_CAP:
+        raise DomainError(f"permutation has {2 * (DEFAULT_CAP // 2 + 1)} points, exceeding the cap {DEFAULT_CAP}")
     bits = [1 << x | 1 << y for x, y in ground]
     points, values = [0], [binding.ring.one]
     for mask in masks[1:]:
         low = mask & -mask
         points.append(points[mask ^ low] | bits[low.bit_length() - 1])
-        values.append(packed_state_value(state.translate(table(points[mask])), DEFAULT_CAP, binding))
+        values.append(packed_state_value(state.translate(_CAP_TABLES[points[mask]]), DEFAULT_CAP, binding))
     return values
 
 
@@ -158,7 +160,7 @@ def _engine_projection(b: Perm, binding: _Binding) -> Poly:
     projection is 0 on two chords or more."""
     values = _subdiagram_values(b, binding)
     s = len(values).bit_length() - 1
-    ring, bound = binding.ring, projection_bound(binding.l1, s)
+    ring, bound = binding.ring, PROJECTION_BOUNDS[binding.l1, s]
     if bound >> ring.width - 1:
         raise DomainError(f"projection over {s} chords may reach {bound}, past the {ring.width}-bit slots")
     digits = ring.digits(_connected_parts(values, ring)[-1], ring.slots(b.m), signed=True)

@@ -13,7 +13,7 @@ makes of it share one table and one histogram; no sum decodes the 2^n
 statistics one by one.
 A sum adds each monomial's count into a plain dict and adopts it with
 ``Poly._raw``: a monomial is a concatenation of cached parts
-(:class:`MonomialParts`, () at exponent 0) in the fixed variable order
+(:func:`monomial_parts`, () at exponent 0) in the fixed variable order
 and histogram counts are positive ints, so nothing is left to validate.
 The vertex recursion of the interlace polynomial works on packed
 integers (L at x = 2^21) and decodes to a Poly once per call.  It keeps
@@ -21,8 +21,8 @@ each graph as one flat int, row r at bit 20r (a stride of MAX_GROUND),
 and deleting a vertex or pivoting is a fixed number of int operations.
 By default the edge is the lowest set bit; a policy the caller passes
 only chooses the edge: it gets a Graph per node and has its edge
-checked.  Packed values are keyed by (n, flat) in the explicit cache
-:data:`RECURSION_MEMO`.
+checked.  Packed values are keyed by (n, flat) in the
+:class:`~wsys.caches.Cache` :data:`RECURSION_MEMO`.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from __future__ import annotations
 from typing import Callable, Mapping, MutableMapping
 
 from .algebra import Monomial, Poly
+from .caches import Cache
 from .dmat import DMat, mask_to_set
 from .errors import DomainError, InternalError
 from .graphs import (
@@ -45,21 +46,13 @@ from .graphs import (
 GraphInvariant = Callable[[Graph], Poly]
 
 
-class MonomialParts(dict[int, Monomial]):
-    """var^e as a part of a monomial, by exponent: ((var, e),), or () at
-    e = 0, each made once.  Concatenating the parts of the variables in
-    the fixed variable order gives a monomial with no zero exponent."""
-
-    def __init__(self, var: str) -> None:
-        super().__init__()
-        self.var = var
-
-    def __missing__(self, e: int) -> Monomial:
-        part = self[e] = ((self.var, e),) if e else ()
-        return part
+def monomial_parts(var: str) -> Cache:
+    """The cache of var^e as a part of a monomial by exponent: ((var, e),),
+    or () at e = 0.  Parts joined in the fixed variable order make a monomial."""
+    return Cache(lambda e: ((var, e),) if e else ())
 
 
-_U, _W, _X, _Y = map(MonomialParts, "uwxy")
+_U, _W, _X, _Y = map(monomial_parts, "uwxy")
 
 
 def subset_poly(
@@ -68,7 +61,7 @@ def subset_poly(
     """Sum over subsets U of the monomial mono(|U|, stat(U)), read from the
     histogram {(|U|, stat): count} of a subset table or of
     :func:`~wsys.graphs.subset_counts` (the statistic is a corank or a
-    distance).  The monomial is a concatenation of :class:`MonomialParts`
+    distance).  The monomial is a concatenation of :func:`monomial_parts`
     in the fixed variable order, and None leaves U out.  The result is
     adopted without validation, which holds because every count of a
     histogram is a positive int.
@@ -151,21 +144,11 @@ _COLS_ABOVE = tuple((_ROW >> 1 & -1 << i) * _EVERY_ROW for i in range(MAX_GROUND
 _ROWS_BELOW = tuple((1 << _STRIDE * i) - 1 for i in range(MAX_GROUND))
 _ROWS_ABOVE = tuple(-1 << _STRIDE * i for i in range(MAX_GROUND))
 
-RecursionKey = tuple[int, int]
-
-
-class RecursionMemo(dict[RecursionKey, int]):
-    """Packed L of every graph the vertex recursion has met, keyed by
-    (n, flat), where flat holds row r of the adjacency rows at bit
-    MAX_GROUND * r: one int per graph.  An explicit cache, kept until
-    clear()."""
-
-    def stats(self) -> dict[str, int]:
-        return {"entries": len(self)}
-
-
-#: The memo of interlace_graph_recursive when the caller passes none.
-RECURSION_MEMO = RecursionMemo()
+#: The memo of interlace_graph_recursive when the caller passes none:
+#: packed L of every graph the vertex recursion has met, keyed by (n,
+#: flat), where flat holds row r of the adjacency rows at bit
+#: MAX_GROUND * r, one int per graph.
+RECURSION_MEMO = Cache()
 
 
 def first_edge(g: Graph) -> tuple[int, int] | None:
@@ -196,7 +179,7 @@ def _delete_flat(flat: int, i: int) -> int:
 def _interlace_flat(
     n: int,
     flat: int,
-    memo: MutableMapping[RecursionKey, int],
+    memo: MutableMapping[tuple[int, int], int],
     edge_policy: Callable[[Graph], tuple[int, int] | None] | None,
 ) -> int:
     """Packed L of the flat graph by the vertex recursion.  Without a
@@ -238,7 +221,7 @@ def _interlace_flat(
 
 def interlace_graph_recursive(
     g: Graph,
-    memo: MutableMapping[RecursionKey, int] | None = None,
+    memo: MutableMapping[tuple[int, int], int] | None = None,
     edge_policy: Callable[[Graph], tuple[int, int] | None] = first_edge,
 ) -> Poly:
     """L(x) by the vertex recursion L(G) = L(G - a) + L(G^{ab} - b), with

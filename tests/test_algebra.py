@@ -11,7 +11,6 @@ from wsys.algebra import (
     MAX_SERIES_ORDER,
     SERIES_FRACTIONS,
     SLOT_BITS,
-    FractionCache,
     KroneckerRing,
     PackedRing,
     Poly,
@@ -28,6 +27,7 @@ from wsys.algebra import (
     ratfunc_series,
     var_key,
 )
+from wsys.caches import Cache
 from wsys.errors import DomainError, InternalError
 
 N = Poly.var("N")
@@ -351,7 +351,7 @@ def test_series_is_exact_past_the_fraction_cache():
 
 
 def test_fraction_cache_is_bounded():
-    cache = FractionCache(lambda c: Fraction(c, 3), cap=5)
+    cache = Cache(lambda c: Fraction(c, 3), cap=5)
     assert cache.stats() == {"entries": 0, "cap": 5}
     assert [cache[c] for c in range(8)] == [Fraction(c, 3) for c in range(8)]
     assert cache.stats() == {"entries": 5, "cap": 5} and set(cache) == set(range(5))

@@ -487,6 +487,16 @@ def test_feps_casimir_binding():
     # equivalently (1/N)((N + eps)^k - (1 - N^2) eps^k)
     for k in range(1, 8):
         assert feps_casimir_binding(k) * N == (N + eps) ** k - (1 - N**2) * eps**k
+    # the k + 1 terms are built directly; the reference sums Poly powers,
+    # and both list the same terms in the same order
+    for k in range(41):
+        ref = sum((comb(k, i) * N ** (i - 1) * eps ** (k - i) for i in range(1, k + 1)), N * eps**k)
+        got = feps_casimir_binding(k)
+        assert (got, str(got), list(got.terms)) == (ref, str(ref), list(ref.terms)), k
+    at = {"N": Fraction(3, 2), "eps": Fraction(-2, 5)}
+    for k in (320, 1000):
+        n0, e0 = at["N"], at["eps"]
+        assert n0 * feps_casimir_binding(k).evaluate(at) == (n0 + e0) ** k - (1 - n0 * n0) * e0**k
 
 
 def test_specializations_equal_substitution_into_wgl():

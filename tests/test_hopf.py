@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import chain
+from random import Random
 
 import pytest
 
@@ -241,6 +242,23 @@ def test_engine_specializations_take_the_packed_route(monkeypatch):
                     primitive_eval_diagram(route, b)
 
 
+def test_packed_route_refuses_past_the_cap_before_any_evaluation():
+    # a seeded 20-chord diagram is within the subset budget and past the
+    # cap: it is refused before any subdiagram is read, so the engine's
+    # memos stay empty
+    points = list(range(1, 41))
+    Random(20).shuffle(points)
+    img = [0] * 40
+    for x, y in zip(points[::2], points[1::2]):
+        img[x - 1], img[y - 1] = y, x
+    twenty = Perm(tuple(img))
+    for f in (feps, spec_standard):
+        glws.ENGINE_MEMOS.clear()
+        with pytest.raises(DomainError, match="^permutation has 12 points, exceeding the cap 10$"):
+            primitive_eval_diagram(f, twenty)
+        assert glws.ENGINE_MEMOS.stats() == {}
+
+
 def _ranked_state(b: Perm, chosen: list[tuple[int, int]]) -> str:
     """Reference: the chosen chords' points in order, each value renumbered
     to its rank among them."""
@@ -265,7 +283,7 @@ def test_subdiagram_states_are_one_translate_of_the_diagram(monkeypatch):
             for mask, state in enumerate(seen, 1):
                 chosen = [c for i, c in enumerate(ch) if mask >> i & 1]
                 assert state == _ranked_state(b, chosen) == glws._state(chord_subdiagram(b, chosen).img), (b.img, mask)
-    assert hopf._cap_table.cache_info().currsize <= 1 << DEFAULT_CAP
+    assert hopf._CAP_TABLES.stats()["entries"] <= 1 << DEFAULT_CAP
 
 
 def test_packed_route_keeps_the_exponent_budget(monkeypatch):
@@ -277,7 +295,7 @@ def test_packed_route_keeps_the_exponent_budget(monkeypatch):
     # 16-bit slots still hold its bound of 6
     triangle = perm_parse("(1 4)(2 5)(3 6)")
     value = primitive_eval_diagram(feps, triangle)
-    assert hopf.projection_bound(specialization_binding(feps).binding(6).l1, 3) == 384
+    assert glws.projection_bound(specialization_binding(feps).binding(6).l1, 3) == 384
     monkeypatch.setattr(specialization_binding(feps).binding(6).ring, "width", 8)
     with pytest.raises(DomainError, match="^projection over 3 chords may reach 384, past the 8-bit slots$"):
         primitive_eval_diagram(feps, triangle)
