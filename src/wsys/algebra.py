@@ -39,6 +39,12 @@ either:
   substitution).  Adding is an int add, a unit monomial a shift and a
   product one int multiply; a decode reads every slot at once through
   ``int.to_bytes`` and a ``memoryview`` cast.
+
+The subset logarithm :func:`connected_parts`, the recursion of
+:mod:`wsys.hopf` on values held by subset mask, and the pointed terms it
+folds (:func:`pointed_terms`, also the terms of the exponential) run in
+either ring, so the generic Hopf projection of ``hopf`` and the engine's
+own (``glws.engine_projection``) share them.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import accumulate, compress
 from operator import mul
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 from .caches import Cache
 from .errors import DomainError, InternalError, is_uint, shorten_int
@@ -566,6 +572,37 @@ class KroneckerRing:
                 exps = divmod(slot, self.stride) if len(self.names) == 2 else (slot,)
                 monos.append(tuple((var, e) for var, e in zip(self.names, exps) if e))
         return Poly._raw(dict(zip(compress(monos, digits), filter(None, digits))))
+
+
+# A value in either ring: a dict of a PackedRing or one int of a KroneckerRing.
+Value = Union[Packed, int]
+Ring = Union[PackedRing, KroneckerRing]
+
+
+# -- the subset logarithm -------------------------------------------------
+
+
+def pointed_terms(p: list[Value], g: list[Value], s: int, sign: int, mul) -> Iterator[tuple[int, int, Value]]:
+    """Fold terms sign * p(T) * g(S - T) over the T strictly inside S holding min S."""
+    low = s & -s
+    rest = s ^ low
+    r = rest
+    while r:
+        r = (r - 1) & rest
+        t = low | r
+        if p[t]:
+            yield sign, 0, mul(p[t], g[s ^ t])
+
+
+def connected_parts(values: list[Value], ring: Ring) -> list[Value]:
+    """The subset logarithm p of values indexed by subset mask, values[0]
+    taken as 1: p(S) = values(S) - sum p(T) values(S - T) over the T
+    strictly inside S holding min S, each S one fold in the ring."""
+    p: list[Value] = [ring.zero]
+    fold, mul = ring.fold, ring.mul
+    for s in range(1, len(values)):
+        p.append(fold(values[s], pointed_terms(p, values, s, -1, mul)))
+    return p
 
 
 # -- univariate helpers (in z) -------------------------------------------

@@ -39,7 +39,7 @@ def set_to_mask(points: Iterable[int], ground: int) -> int:
 
 
 def mask_to_set(mask: int) -> tuple[int, ...]:
-    return tuple([e + 1 for e in graphs._bits(mask)])
+    return tuple([e + 1 for e in graphs.bit_indices(mask)])
 
 
 @dataclass(frozen=True)
@@ -195,7 +195,7 @@ def dmat_delete(d: DMat, e: int) -> DMat:
     bit = _element_bit(d, e)
     if is_coloop(d, e):
         raise DomainError(f"cannot delete the coloop {e}")
-    kept = frozenset(graphs._drop_bit(f, e - 1) for f in d.phi if not f & bit)
+    kept = frozenset(graphs.drop_bit(f, e - 1) for f in d.phi if not f & bit)
     return DMat(d.ground - 1, kept)
 
 

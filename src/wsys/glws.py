@@ -95,9 +95,7 @@ own ``memo`` neither reads nor writes the table, so it cuts every state
 itself (cold timing stays cold).  Every public
 function enters the engine through :func:`packed_state_value` (cap
 checks, memo read, and the binding's own consistency check, such as the
-standard value N^(f-1)); the Hopf projection calls it directly, with
-states it cuts itself, for the specializations that
-:func:`specialization_binding` names, and convolves their ints.
+standard value N^(f-1)).
 
 A state is a one-line image stored as a ``str`` with one code point per
 point (code point v is the value v), which covers all MAX_POINTS points;
@@ -120,6 +118,13 @@ loop, a swap state's two contraction terms are folded into its
 successor's value by the ring's fold (one dict copy, or int adds); a
 contraction factor that is a unit monomial (N) enters as a shift, any
 other factor multiplies, and a zero factor's branch is never evaluated.
+
+The Hopf projection of ``feps`` and ``spec_standard`` themselves runs here
+too (:func:`engine_projection`; the generic route is :mod:`wsys.hopf`'s):
+each chord subdiagram is a state cut from the diagram's by one
+``str.translate``, its value one int of the DEFAULT_CAP class read
+through :func:`packed_state_value`, and the subset logarithm multiplies
+and adds those ints before one checked decode.
 """
 
 from __future__ import annotations
@@ -129,24 +134,30 @@ from functools import cache, partial
 from itertools import compress
 from math import comb
 from operator import eq
-from typing import Any, Callable, MutableMapping, NamedTuple, Sequence, Union
+from typing import Any, Callable, MutableMapping, NamedTuple, Sequence
 
-from .algebra import KroneckerRing, Packed, PackedRing, Poly, RatFunc, casimir, kronecker_width
+from .algebra import (
+    KroneckerRing,
+    Packed,
+    PackedRing,
+    Poly,
+    RatFunc,
+    Ring,
+    Value,
+    casimir,
+    connected_parts,
+    kronecker_width,
+)
 from .caches import Cache
 from .errors import DomainError, InternalError, shorten_int
-from .graphs import subset_counts, subsets
+from .graphs import subset_counts, subset_masks, subsets
 from .invariants import monomial_parts, refined_skew_char_graph, subset_poly
-from .perm import MAX_POINTS, Perm, cycle_count, face_count, intersection_graph, is_chord_diagram, subperm
+from .perm import MAX_POINTS, Perm, chords, cycle_count, face_count, intersection_graph, is_chord_diagram, subperm
 
 DEFAULT_CAP = 10
 
 # One linear combination of permutations, as (coefficient, permutation) pairs.
 WglState = list[tuple[Poly, Perm]]
-
-# A value in a binding's ring: a dict of a PackedRing or one int of a
-# KroneckerRing.
-Value = Union[Packed, int]
-Ring = Union[PackedRing, KroneckerRing]
 
 _N = Poly.var("N")
 _N_PARTS, _EPS_PARTS = monomial_parts("N"), monomial_parts("eps")
@@ -220,13 +231,14 @@ class _Specialization:
     a monomial stays within stride = degree * points + 1 per variable.
     Such a specialization has two int classes, DEFAULT_CAP and
     _INT_POINTS points, and a dict class of MAX_POINTS points past them.
-    A ``projected`` specialization is also read by the Hopf projection,
-    which evaluates under DEFAULT_CAP, so the width of the DEFAULT_CAP
-    class covers the projection over DEFAULT_CAP // 2 chords
-    (:func:`projection_bound`).  ``decode`` reads a value on m points to
-    its public form (and checks it): an int value when ``l1`` is given,
-    else a dict value.  A dict class of an int specialization decodes by
-    ``coeffs`` (a coefficient list) or as a Poly."""
+    One of ``_PROJECTED`` is also read by the Hopf projection
+    (:func:`engine_projection`), which evaluates under DEFAULT_CAP, so the
+    width of its DEFAULT_CAP class covers the projection over
+    DEFAULT_CAP // 2 chords (:func:`projection_bound`).  ``decode`` reads
+    a value on m points to its public form (and checks it): an int value
+    when ``l1`` is given, else a dict value.  A dict class of an int
+    specialization decodes by ``coeffs`` (a coefficient list) or as a
+    Poly."""
 
     def __init__(
         self,
@@ -237,13 +249,12 @@ class _Specialization:
         *,
         l1: Callable[[int], int] | None = None,
         degree: int = 1,
-        projected: bool = False,
         decode: Callable[[Any, Any, int], Any] | None = None,
         coeffs: bool = False,
         check: Callable[[_Binding, str, Value], None] | None = None,
     ) -> None:
         self.name, self.names, self.strip, self.contract = name, names, strip, contract
-        self.l1, self.degree, self.projected, self.decode, self.coeffs = l1, degree, projected, decode, coeffs
+        self.l1, self.degree, self.decode, self.coeffs = l1, degree, decode, coeffs
         self.check = check
         self.classes = Cache(self._class)  # the binding of each width class
 
@@ -267,7 +278,7 @@ class _Specialization:
                 decode = lambda value, m: ring.poly(value)  # noqa: E731
         else:
             bound = l1(points)
-            if self.projected and points == DEFAULT_CAP:
+            if points == DEFAULT_CAP and self in _PROJECTED.values():
                 bound = max(bound, projection_bound(l1, DEFAULT_CAP // 2))
             ring = KroneckerRing(self.names, kronecker_width(bound), self.degree * points + 1)
             decode = partial(self.decode, ring)
@@ -634,10 +645,6 @@ def feps_casimir_binding(k: int) -> Poly:
     return Poly._raw({_N_PARTS[1] + _EPS_PARTS[k]: 1, **terms})
 
 
-#: The image of each C_k that feps has stripped.
-FEPS_CASIMIR_IMAGES = Cache(feps_casimir_binding)
-
-
 _Z2 = Poly.var("z", 2) - Poly.one()  # N at the interlace point
 _ONE_MINUS_Z = Poly.one() - Poly.var("z")  # 1/eps at the interlace point
 
@@ -701,10 +708,9 @@ def _monomial_poly(ring: KroneckerRing, value: int, m: int) -> Poly:
 _FEPS = _Specialization(
     "feps",
     ("N", "eps"),
-    FEPS_CASIMIR_IMAGES.__getitem__,
+    feps_casimir_binding,
     (Poly.one(), _N),
     l1=lambda m: 1 << m,
-    projected=True,
     decode=_feps_poly,
 )
 
@@ -724,7 +730,6 @@ _STANDARD = _Specialization(
     lambda k: Poly.var("N", k - 1),
     (Poly.one(), _N),
     l1=lambda m: 1,
-    projected=True,
     decode=_monomial_poly,
     check=_check_standard,
 )
@@ -825,14 +830,72 @@ def interlace_perm(p: Perm, cap: int = DEFAULT_CAP) -> RatFunc:
     return RatFunc.from_coeffs(_evaluate(p, cap, _INTERLACE), p.m)
 
 
-# The public specializations that a caller may evaluate state by state
-# (the Hopf projection does), by function object: any other callable, a
-# wrapper of one of these included, is not one of them.
-_SPECIALIZATIONS = ((feps, _FEPS), (spec_standard, _STANDARD))
+# -- the Hopf projection on the engine's ints --------------------------------
 
 
-def specialization_binding(f: Callable) -> _Specialization | None:
-    """The specialization of f if f is one of the engine's own above, else
-    None.  Its binding(m) is the binding of the width class that holds m
-    points (for :func:`packed_state_value`)."""
-    return next((spec for g, spec in _SPECIALIZATIONS if g is f), None)
+def _point_table(points: int) -> dict[int, str | None]:
+    """The translate table of a point mask over 1..DEFAULT_CAP: each point
+    in the mask (bit x for point x) to the code point of its rank among
+    them, every other point deleted."""
+    kept = [x for x in range(1, DEFAULT_CAP + 1) if points >> x & 1]
+    return dict.fromkeys(range(1, DEFAULT_CAP + 1)) | {x: chr(rank) for rank, x in enumerate(kept, 1)}
+
+
+#: The translate table of each point mask over 1..DEFAULT_CAP, built once:
+#: at most 2^DEFAULT_CAP tables.
+_CAP_TABLES = Cache(_point_table)
+
+
+def _subdiagram_values(b: Perm, binding: _Binding) -> list[Value]:
+    """The value under a binding of the DEFAULT_CAP class of every chord
+    subdiagram of b, by chord mask (the empty one is 1).  A subdiagram's
+    state is one translate of b's state by the table of its point mask
+    (:data:`_CAP_TABLES`): a chord diagram maps the chosen points to chosen
+    points, so deleting the values outside them deletes their positions
+    too, and the kept values are renumbered by rank.  The point mask of a
+    chord mask adds the points of its lowest chord to those of the rest.
+    A diagram past the subset budget, then one past DEFAULT_CAP points, is
+    refused before any subdiagram is read."""
+    state, ground = _state(b.img), chords(b)
+    masks = subset_masks(len(ground))
+    if b.m > DEFAULT_CAP:
+        raise DomainError(f"permutation has {b.m} points, exceeding the cap {DEFAULT_CAP}")
+    bits = [1 << x | 1 << y for x, y in ground]
+    points, values = [0], [binding.ring.one]
+    for mask in masks[1:]:
+        low = mask & -mask
+        points.append(points[mask ^ low] | bits[low.bit_length() - 1])
+        values.append(packed_state_value(state.translate(_CAP_TABLES[points[mask]]), DEFAULT_CAP, binding))
+    return values
+
+
+# The specializations whose Hopf projection runs on the engine's ints, by
+# the id of the function object: any other callable, a wrapper of one of
+# these included, takes the generic route.
+_PROJECTED = {id(feps): _FEPS, id(spec_standard): _STANDARD}
+
+
+def engine_projection(f: Callable, b: Perm) -> Poly | None:
+    """(f o pi)(b), the Hopf projection of f over the chords of b, when f
+    is :func:`feps` or :func:`spec_standard` itself; None for any other
+    callable.  The subset logarithm runs on the ints of
+    :func:`_subdiagram_values`.  Every value has each degree at most b.m
+    and the projection too, and its coefficients are bounded by
+    :func:`projection_bound`; a bound past the slots is refused.  The
+    decode checks that bound, and that the digits sum to p(S) at all
+    variables 1: f there is l1(m) (feps sums to 2^m, the standard value is
+    one monomial), a multiplicative function, whose projection is 0 on two
+    chords or more."""
+    spec = _PROJECTED.get(id(f))
+    if spec is None:
+        return None
+    binding = spec.binding(DEFAULT_CAP)
+    values = _subdiagram_values(b, binding)
+    s = len(values).bit_length() - 1
+    ring, bound = binding.ring, PROJECTION_BOUNDS[binding.l1, s]
+    if bound >> ring.width - 1:
+        raise DomainError(f"projection over {s} chords may reach {bound}, past the {ring.width}-bit slots")
+    digits = ring.digits(connected_parts(values, ring)[-1], ring.slots(b.m), signed=True)
+    if sum(map(abs, digits)) > bound or sum(digits) != (binding.l1(2) if s == 1 else 0):
+        raise InternalError(f"projection of {b.img} over {s} chords breaks its bound {bound}")
+    return ring.from_digits(digits)

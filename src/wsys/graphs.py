@@ -53,7 +53,7 @@ MAX_VERTICES = 1000
 T = TypeVar("T")
 
 
-def _bits(row: int) -> Iterator[int]:
+def bit_indices(row: int) -> Iterator[int]:
     """Indices of the set bits of row, ascending."""
     while row:
         low = row & -row
@@ -61,7 +61,7 @@ def _bits(row: int) -> Iterator[int]:
         row ^= low
 
 
-def _drop_bit(mask: int, i: int) -> int:
+def drop_bit(mask: int, i: int) -> int:
     """mask without bit i, the bits above it shifted down one place."""
     low = (1 << i) - 1
     return mask & low | mask >> 1 & ~low
@@ -147,7 +147,7 @@ def _pfaffian_bits(rows: Sequence[int]) -> int:
     found = 1  # the empty set; all masks found so far lie above v
     for v in reversed(range(len(rows))):
         odd = 0
-        for w in _bits(rows[v] >> v + 1 << v + 1):
+        for w in bit_indices(rows[v] >> v + 1 << v + 1):
             odd ^= (found ^ found & holding[w]) << (1 << w)
         found |= odd << (1 << v)
     return found
@@ -259,7 +259,7 @@ class Graph:
             if row >> i & 1:
                 raise DomainError(f"loop at vertex {i + 1}")
         for i, row in enumerate(self.rows):
-            for j in _bits(row):
+            for j in bit_indices(row):
                 if not self.rows[j] >> i & 1:
                     raise DomainError(f"asymmetric adjacency at {min(i, j) + 1},{max(i, j) + 1}")
 
@@ -293,11 +293,11 @@ class Graph:
         return bool(self.rows[a - 1] >> (b - 1) & 1)
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(i + 1, j + 1) for i, row in enumerate(self.rows) for j in _bits(row >> i << i)]
+        return [(i + 1, j + 1) for i, row in enumerate(self.rows) for j in bit_indices(row >> i << i)]
 
     def neighbors(self, v: int) -> set[int]:
         _check_vertices(self, (v,))
-        return {j + 1 for j in _bits(self.rows[v - 1])}
+        return {j + 1 for j in bit_indices(self.rows[v - 1])}
 
     def toggle_edge(self, a: int, b: int) -> "Graph":
         _check_vertices(self, (a, b))
@@ -418,7 +418,7 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     _check_vertices(g, vs)
     index = {v - 1: k for k, v in enumerate(vs)}
     mask = sum(1 << (v - 1) for v in vs)
-    rows = [sum(1 << index[j] for j in _bits(g.rows[v - 1] & mask)) for v in vs]
+    rows = [sum(1 << index[j] for j in bit_indices(g.rows[v - 1] & mask)) for v in vs]
     return Graph._raw(len(vs), tuple(rows))
 
 
@@ -466,7 +466,7 @@ def four_term_images(g: Graph, a: int, b: int) -> tuple[Graph, Graph, Graph]:
     others = g.rows[b - 1] & ~a_bit
     rows = list(g.rows)
     rows[a - 1] ^= others
-    for v in _bits(others):
+    for v in bit_indices(others):
         rows[v] ^= a_bit
     g_tilde = Graph._raw(g.n, tuple(rows))
     return g.toggle_edge(a, b), g_tilde, g_tilde.toggle_edge(a, b)

@@ -15,8 +15,9 @@ A sum adds each monomial's count into a plain dict and adopts it with
 ``Poly._raw``: a monomial is a concatenation of cached parts
 (:func:`monomial_parts`, () at exponent 0) in the fixed variable order
 and histogram counts are positive ints, so nothing is left to validate.
-The vertex recursion of the interlace polynomial works on packed
-integers (L at x = 2^21) and decodes to a Poly once per call.  It keeps
+The vertex recursion of the interlace polynomial holds L as one int of a
+:class:`~wsys.algebra.KroneckerRing` (L at x = 2^24) and decodes it to a
+Poly once per call, by the ring's checked digits.  It keeps
 each graph as one flat int, row r at bit 20r (a stride of MAX_GROUND),
 and deleting a vertex or pivoting is a fixed number of int operations.
 By default the edge is the lowest set bit; a policy the caller passes
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 from typing import Callable, Mapping, MutableMapping
 
-from .algebra import Monomial, Poly
+from .algebra import KroneckerRing, Monomial, Poly
 from .caches import Cache
 from .dmat import DMat, mask_to_set
 from .errors import DomainError, InternalError
@@ -104,14 +105,15 @@ def two_var_interlace(d: DMat) -> Poly:
 
 # -- recursive interlace -------------------------------------------------------
 
-# The recursion evaluates L at x = 2^_SLOT, one _SLOT-bit slot per
-# coefficient.  By induction on n, L of an n-vertex graph has nonnegative
-# coefficients summing to exactly 2^n: (x+1)^n does, and L(G - a) and
-# L(G^{ab} - b) each sum to 2^(n-1).  Under the budget n <= MAX_GROUND every
-# coefficient is at most 2^MAX_GROUND < 2^_SLOT, so no slot carries into
-# the next, and adding two polynomials is one int addition.
-_SLOT = MAX_GROUND + 1
-_X_PLUS_ONE = (1 << _SLOT) + 1
+# The recursion holds L as one int of _L_RING, L at x = 2^24, one 24-bit
+# slot per coefficient.  By induction on n, L of an n-vertex graph has
+# nonnegative coefficients summing to exactly 2^n: (x+1)^n does, and
+# L(G - a) and L(G^{ab} - b) each sum to 2^(n-1).  Under the budget
+# n <= MAX_GROUND every coefficient is at most 2^MAX_GROUND < 2^24, so no
+# slot carries into the next, and adding two polynomials is one int
+# addition.
+_L_RING = KroneckerRing(("x",), 24, 1)
+_X_PLUS_ONE = _L_RING.pack(Poly.var("x") + Poly.one())
 
 # The recursion keeps a graph as one flat int: row r (the neighbours of
 # vertex r + 1) sits at bits _STRIDE*r ... _STRIDE*r + _STRIDE - 1.
@@ -231,17 +233,16 @@ def interlace_graph_recursive(
     per node.  Any other policy gets a Graph per node, edgeless ones
     included, and must return one of its edges, or None exactly when it
     has none (DomainError otherwise).  The memo (by
-    default :data:`RECURSION_MEMO`) holds packed values (L at
-    x = 2^(MAX_GROUND + 1)), keyed by (n, flat) whatever the policy."""
+    default :data:`RECURSION_MEMO`) holds packed values (L at x = 2^24),
+    keyed by (n, flat) whatever the policy."""
     if g.n > MAX_GROUND:
         raise DomainError(f"{g.n} elements exceed the subset budget of {MAX_GROUND}")
     memo = RECURSION_MEMO if memo is None else memo
     value = _interlace_flat(g.n, _flat(g.rows), memo, None if edge_policy is first_edge else edge_policy)
-    mask = (1 << _SLOT) - 1
-    coeffs = [value >> _SLOT * k & mask for k in range(g.n + 1)]
-    if value >> _SLOT * (g.n + 1) or sum(coeffs) != 1 << g.n:
+    digits = _L_RING.digits(value, g.n + 1, signed=False)
+    if sum(digits) != 1 << g.n:
         raise InternalError(f"interlace coefficients of {graph_format(g)} do not sum to 2^{g.n}")
-    return Poly._raw({(("x", k),) if k else (): c for k, c in enumerate(coeffs) if c})
+    return _L_RING.from_digits(digits)
 
 
 def interlace_graph(g: Graph) -> Poly:

@@ -10,7 +10,7 @@ from random import Random
 import pytest
 
 import wsys
-from wsys import algebra, glws, graphs, hopf, invariants
+from wsys import algebra, glws, graphs, invariants
 from wsys.caches import Cache
 from wsys.dmat import dmat_from_graph
 from wsys.errors import DomainError
@@ -103,10 +103,9 @@ def test_every_cache_clears_and_recomputes_the_same_values():
         algebra.SERIES_FRACTIONS,
         graphs.SUBSET_BITSETS,
         invariants.RECURSION_MEMO,
-        glws.FEPS_CASIMIR_IMAGES,
         glws.PROJECTION_BOUNDS,
         glws.GL11_COEFFS,
-        hopf._CAP_TABLES,
+        glws._CAP_TABLES,
     ]
     bound = [glws._FEPS.classes, glws._GL11.binding(5).strip, glws._INTERLACE.binding(5).fixed]
     rings = [glws._WGL.binding(5).ring._monos, glws._FEPS.binding(5).ring._biases]

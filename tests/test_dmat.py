@@ -1,5 +1,6 @@
 """Delta-matroids: admissible sets, exchange axiom, distance, partial duality."""
 
+import hashlib
 from itertools import combinations
 from random import Random
 
@@ -21,8 +22,15 @@ from wsys.dmat import (
     set_to_mask,
 )
 from wsys.errors import DomainError, ParseError
-from wsys.graphs import Graph, all_graphs, complete_graph, path_graph
-from wsys.perm import all_chord_diagrams, face_count, perm_parse, subperm
+from wsys.graphs import Graph, all_graphs, complete_graph, graph_format, graph_pivot, path_graph
+from wsys.invariants import (
+    interlace_dmat,
+    interlace_graph_recursive,
+    refined_skew_char_graph,
+    skew_char,
+    two_var_interlace,
+)
+from wsys.perm import all_chord_diagrams, face_count, perm_format, perm_parse, subperm
 
 
 def set_bits(mask):
@@ -194,3 +202,44 @@ def test_distances_past_the_exhaustive_range():
             masks = [rng.randrange(1 << d.ground) for _ in range(25)]
             for mask in masks + rng.sample(sorted(d.phi), min(5, len(d.phi))):
                 assert d.distances[mask] == distance(d, mask), (dmat_format(d)[:80], mask)
+
+
+# SHA-256 of the printed subset-sum and delta-matroid layer, one
+# tab-separated line each: the system, the four subset sums and the
+# interlace recursion of every graph with at most five vertices and of 26
+# seeded graphs at 8 to 20 vertices (the system printed through 10
+# vertices, its size past them); a partial dual (the i-th graph's by the
+# mask i mod 2^n) and the pivot at each edge of every graph with at most
+# five vertices; and the
+# system of every chord diagram with at most four chords with its
+# distances.
+LAYER_D_DIGEST = "df4002d900dc172d4c89897d6f5a3fb98e7c77c4c8643c4bc2e8ed84e64921a9"
+
+
+def _layer_d_lines() -> list[str]:
+    rng = Random(14)
+    graphs = [g for n in range(6) for g in all_graphs(n)]
+    for n in range(8, 21):
+        for density in (0.2, 0.8):
+            graphs.append(Graph.from_edges(n, [p for p in combinations(range(1, n + 1), 2) if rng.random() < density]))
+    lines = []
+    for g in graphs:
+        d = dmat_from_graph(g)
+        sums = (skew_char(g), refined_skew_char_graph(g), interlace_dmat(d), two_var_interlace(d))
+        system = dmat_format(d) if g.n <= 10 else str(len(d.phi))
+        lines.append("\t".join([graph_format(g), system, *map(str, sums), str(interlace_graph_recursive(g))]))
+    for i, g in enumerate(graphs[:1100]):
+        dual = dmat_format(partial_dual(dmat_from_graph(g), i % (1 << g.n)))
+        pivots = [graph_format(graph_pivot(g, a, b)) for a, b in g.edges()]
+        lines.append("\t".join([graph_format(g), dual, *pivots]))
+    for n in range(5):
+        for b in all_chord_diagrams(n):
+            d = dmat_from_chord_diagram(b)
+            lines.append(f"{perm_format(b)}\t{dmat_format(d)}\t{' '.join(map(str, d.distances))}")
+    return lines
+
+
+def test_printed_subset_layer_is_unchanged():
+    lines = _layer_d_lines()
+    assert len(lines) == 1126 + 1100 + 125
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == LAYER_D_DIGEST

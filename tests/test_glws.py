@@ -357,7 +357,7 @@ def test_binding_rings_hold_every_admitted_exponent():
         for points in (DEFAULT_CAP, 2 * DEFAULT_CAP):
             b = spec.binding(points)
             assert b.points == points and isinstance(b.ring, KroneckerRing), spec.name
-            projected = spec.projected and points == DEFAULT_CAP
+            projected = spec in glws._PROJECTED.values() and points == DEFAULT_CAP
             bound = max(spec.l1(points), glws.projection_bound(spec.l1, DEFAULT_CAP // 2) if projected else 0)
             assert bound < 1 << b.ring.width - 1, (spec.name, points)
             assert b.ring.stride == spec.degree * points + 1, (spec.name, points)

@@ -22,8 +22,8 @@ from wsys.graphs import (
     SUBSET_BITSETS,
     Graph,
     SubsetTable,
-    _bits,
     all_graphs,
+    bit_indices,
     complete_graph,
     cycle_graph,
     diamond_graph,
@@ -139,14 +139,14 @@ def test_coranks_past_the_exhaustive_range():
         coranks, full = g.coranks, range(1 << g.n)
         masks = full if g.n <= 8 else [rng.randrange(1 << g.n) for _ in range(200)]
         for mask in masks:
-            assert coranks[mask] == induced_corank(g, [v + 1 for v in _bits(mask)]), (g, mask)
+            assert coranks[mask] == induced_corank(g, [v + 1 for v in bit_indices(mask)]), (g, mask)
         for mask in full:
             # a GF(2) alternating matrix has even rank, and deleting one
             # vertex changes the rank by at most 2, so the corank by exactly 1
             assert coranks[mask] % 2 == mask.bit_count() % 2, (g, mask)
-            for v in _bits(mask):
+            for v in bit_indices(mask):
                 assert abs(coranks[mask] - coranks[mask ^ 1 << v]) == 1, (g, mask, v)
-        nondegenerate = {mask for mask in full if induced_corank(g, [v + 1 for v in _bits(mask)]) == 0}
+        nondegenerate = {mask for mask in full if induced_corank(g, [v + 1 for v in bit_indices(mask)]) == 0}
         assert dmat_from_graph(g).phi == nondegenerate, g
 
 
@@ -164,7 +164,7 @@ def test_subset_tables_up_to_the_budget():
             assert len(phi) == sum(c for (_, corank), c in counts.items() if corank == 0), g
             masks = [rng.randrange(1 << n) for _ in range(40)] + rng.sample(sorted(phi), min(10, len(phi)))
             for mask in masks:
-                corank = induced_corank(g, [v + 1 for v in _bits(mask)])
+                corank = induced_corank(g, [v + 1 for v in bit_indices(mask)])
                 assert coranks[mask] == corank, (g, mask)
                 assert (mask in phi) == (corank == 0), (g, mask)
 

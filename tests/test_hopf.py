@@ -9,7 +9,7 @@ import pytest
 from wsys import glws, hopf
 from wsys.algebra import Poly
 from wsys.errors import DomainError
-from wsys.glws import DEFAULT_CAP, feps, spec_standard, specialization_binding
+from wsys.glws import DEFAULT_CAP, engine_projection, feps, spec_standard
 from wsys.graphs import Graph, all_graphs, complete_graph
 from wsys.hopf import (
     eps_independence_check,
@@ -221,11 +221,11 @@ def test_engine_specializations_take_the_packed_route(monkeypatch):
     # Both routes give equal values and text on every diagram through 5
     # chords, and the same refusals at 6 chords (the cap of 10 points) and
     # at 21 (the subset budget)
-    six = next(all_chord_diagrams(6))
+    one, six = perm_parse("(1 2)"), next(all_chord_diagrams(6))
     twenty_one = Perm(tuple(range(22, 43)) + tuple(range(1, 22)))
     for f in (feps, spec_standard):
         wrapped = lambda p, f=f: f(p)  # noqa: E731
-        assert specialization_binding(f) is not None and specialization_binding(wrapped) is None
+        assert engine_projection(f, one) is not None and engine_projection(wrapped, one) is None
         for n in range(6):
             for b in all_chord_diagrams(n):
                 with monkeypatch.context() as m:
@@ -244,8 +244,8 @@ def test_engine_specializations_take_the_packed_route(monkeypatch):
 
 def test_packed_route_refuses_past_the_cap_before_any_evaluation():
     # a seeded 20-chord diagram is within the subset budget and past the
-    # cap: it is refused before any subdiagram is read, so the engine's
-    # memos stay empty
+    # cap: it is refused, with its own point count, before any subdiagram
+    # is read, so the engine's memos stay empty
     points = list(range(1, 41))
     Random(20).shuffle(points)
     img = [0] * 40
@@ -254,7 +254,7 @@ def test_packed_route_refuses_past_the_cap_before_any_evaluation():
     twenty = Perm(tuple(img))
     for f in (feps, spec_standard):
         glws.ENGINE_MEMOS.clear()
-        with pytest.raises(DomainError, match="^permutation has 12 points, exceeding the cap 10$"):
+        with pytest.raises(DomainError, match="^permutation has 40 points, exceeding the cap 10$"):
             primitive_eval_diagram(f, twenty)
         assert glws.ENGINE_MEMOS.stats() == {}
 
@@ -271,19 +271,19 @@ def test_subdiagram_states_are_one_translate_of_the_diagram(monkeypatch):
     # the state the packed route reads for each chord mask is the
     # subdiagram's own state, on every diagram through 5 chords
     seen = []
-    read = hopf.packed_state_value
-    monkeypatch.setattr(hopf, "packed_state_value", lambda state, *args: seen.append(state) or read(state, *args))
-    binding = specialization_binding(feps).binding(DEFAULT_CAP)
+    read = glws.packed_state_value
+    monkeypatch.setattr(glws, "packed_state_value", lambda state, *args: seen.append(state) or read(state, *args))
+    binding = glws._FEPS.binding(DEFAULT_CAP)
     for n in range(6):
         for b in all_chord_diagrams(n):
             seen.clear()
-            hopf._subdiagram_values(b, binding)
+            glws._subdiagram_values(b, binding)
             assert len(seen) == (1 << n) - 1
             ch = chords(b)
             for mask, state in enumerate(seen, 1):
                 chosen = [c for i, c in enumerate(ch) if mask >> i & 1]
                 assert state == _ranked_state(b, chosen) == glws._state(chord_subdiagram(b, chosen).img), (b.img, mask)
-    assert hopf._CAP_TABLES.stats()["entries"] <= 1 << DEFAULT_CAP
+    assert glws._CAP_TABLES.stats()["entries"] <= 1 << DEFAULT_CAP
 
 
 def test_packed_route_keeps_the_exponent_budget(monkeypatch):
@@ -295,8 +295,8 @@ def test_packed_route_keeps_the_exponent_budget(monkeypatch):
     # 16-bit slots still hold its bound of 6
     triangle = perm_parse("(1 4)(2 5)(3 6)")
     value = primitive_eval_diagram(feps, triangle)
-    assert glws.projection_bound(specialization_binding(feps).binding(6).l1, 3) == 384
-    monkeypatch.setattr(specialization_binding(feps).binding(6).ring, "width", 8)
+    assert glws.projection_bound(glws._FEPS.binding(6).l1, 3) == 384
+    monkeypatch.setattr(glws._FEPS.binding(6).ring, "width", 8)
     with pytest.raises(DomainError, match="^projection over 3 chords may reach 384, past the 8-bit slots$"):
         primitive_eval_diagram(feps, triangle)
     monkeypatch.undo()

@@ -133,7 +133,7 @@ def test_interlace_recursion_slot_check_survives_optimize_flag():
         "from wsys.graphs import complete_graph\n"
         "from wsys.errors import InternalError\n"
         "from wsys.invariants import interlace_graph_recursive\n"
-        "memo = {(2, 2 | 1 << 20): 1 << 21}\n"
+        "memo = {(2, 2 | 1 << 20): 1 << 24}\n"
         "try:\n"
         "    interlace_graph_recursive(complete_graph(2), memo=memo)\n"
         "except InternalError:\n"
