@@ -122,7 +122,9 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
 
 class Poly:
     """Immutable sparse polynomial with exact rational coefficients, each an
-    int when integral and a Fraction otherwise; zero terms are never stored."""
+    int when integral and a Fraction otherwise; zero terms are never stored.
+    Public values may be shared objects (the engine returns one object per
+    distinct int value), so ``terms`` must never be mutated."""
 
     __slots__ = ("terms",)
 
@@ -651,7 +653,8 @@ class RatFunc:
     ``interlace_perm``) keeps its numerator's coefficient list, which
     :meth:`series` reads instead of the Poly.  The list is not a field of
     equality, hash, printing or the constructor: ``RatFunc(num, dpow)``
-    builds the same value without it."""
+    builds the same value without it.  ``interlace_perm`` returns one
+    object per distinct value, so ``num.terms`` must never be mutated."""
 
     num: Poly
     dpow: int

@@ -236,8 +236,10 @@ def dmat_parse(text: str) -> DMat:
 
 
 def dmat_format(d: DMat) -> str:
-    blocks = ",".join(
-        "{" + ",".join(str(p) for p in mask_to_set(mask)) + "}"
-        for mask in d.admissible_sorted()
-    )
+    """The text of a set system, its sets in the order of
+    :meth:`DMat.admissible_sorted`: each set's tuple is built once, sorted
+    as it stands and then, stably, by size, and printed."""
+    sets = sorted(map(mask_to_set, d.phi))
+    sets.sort(key=len)
+    blocks = ",".join(["{" + ",".join(map(str, s)) + "}" for s in sets])
     return f"E={d.ground}; phi={blocks}"

@@ -78,7 +78,9 @@ InternalError.
 A memo maps each state it has seen (rotation representatives, loop
 states and inputs) to its value in the binding's ring; the public
 functions decode the result once, and ``interlace_perm`` reads its
-coefficient list straight into a :class:`RatFunc`.  Every ring cuts a
+coefficient list straight into a :class:`RatFunc`; an int value is
+decoded once per distinct value, not once per call (``public`` of
+:class:`EngineMemos`).  Every ring cuts a
 state into the same pieces, and only the values differ, so the public
 functions share one more table, ``ENGINE_MEMOS.cuts``: state -> its
 cut, made by whichever ring met the state first.  An input or a
@@ -91,8 +93,9 @@ in the loop and later as a contraction result is reduced as it stands
 (the values of a state and of its rotations are equal).  The cut table
 holds no value, so it serves every binding and width class; each cut,
 with its two checks, is made once, not once per ring.  A call with its
-own ``memo`` neither reads nor writes the table, so it cuts every state
-itself (cold timing stays cold).  Every public
+own ``memo`` neither reads nor writes the cut table or the public
+values, so it cuts every state and decodes its value itself (cold timing
+stays cold).  Every public
 function enters the engine through :func:`packed_state_value` (cap
 checks, memo read, and the binding's own consistency check, such as the
 standard value N^(f-1)).
@@ -173,7 +176,7 @@ class _Binding(NamedTuple):
     strip: Cache  # k -> image of C_k
     fixed: Cache  # f -> image of C1^f, for f fixed points
     contract: tuple[tuple[int, Value | None] | None, ...]  # per freed class count, see _contract_rule
-    decode: Callable[[Value, int], Any]  # the public form of a state's value on m points, checked
+    decode: Callable[[Value, int], Any]  # what the public function returns for a value on m points, checked
     l1: Callable[[int], int] | None  # the proven L1 bound of a value on m points, for an int ring
     check: Callable[["_Binding", str, Value], None] | None  # raises InternalError on a wrong value of a state
 
@@ -235,10 +238,10 @@ class _Specialization:
     (:func:`engine_projection`), which evaluates under DEFAULT_CAP, so the
     width of its DEFAULT_CAP class covers the projection over
     DEFAULT_CAP // 2 chords (:func:`projection_bound`).  ``decode`` reads
-    a value on m points to its public form (and checks it): an int value
-    when ``l1`` is given, else a dict value.  A dict class of an int
-    specialization decodes by ``coeffs`` (a coefficient list) or as a
-    Poly."""
+    a value on m points to what the public function returns (and checks
+    it): an int value when ``l1`` is given, else a dict value.  A dict
+    class of an int specialization decodes as a Poly, or with ``ratfunc``
+    as the RatFunc of its coefficient list over (1-z)^m."""
 
     def __init__(
         self,
@@ -250,11 +253,11 @@ class _Specialization:
         l1: Callable[[int], int] | None = None,
         degree: int = 1,
         decode: Callable[[Any, Any, int], Any] | None = None,
-        coeffs: bool = False,
+        ratfunc: bool = False,
         check: Callable[[_Binding, str, Value], None] | None = None,
     ) -> None:
         self.name, self.names, self.strip, self.contract = name, names, strip, contract
-        self.l1, self.degree, self.decode, self.coeffs = l1, degree, decode, coeffs
+        self.l1, self.degree, self.decode, self.ratfunc = l1, degree, decode, ratfunc
         self.check = check
         self.classes = Cache(self._class)  # the binding of each width class
 
@@ -272,8 +275,8 @@ class _Specialization:
             ring = PackedRing(self.names)
             if self.l1 is None and self.decode is not None:
                 decode = partial(self.decode, ring)
-            elif self.coeffs:
-                decode = lambda value, m: ring.coeff_list(value)  # noqa: E731
+            elif self.ratfunc:
+                decode = lambda value, m: RatFunc.from_coeffs(ring.coeff_list(value), m)  # noqa: E731
             else:
                 decode = lambda value, m: ring.poly(value)  # noqa: E731
         else:
@@ -505,16 +508,33 @@ def _reduce(cur: str, b: _Binding, memo: MutableMapping, cuts: dict[str, tuple] 
     return val
 
 
+def _public_value(key: tuple[str, int, int, int]) -> Any:
+    """The public value of (binding name, width class, m, int value): the
+    binding's checked decode."""
+    name, points, m, value = key
+    return _INT_SPECIALIZATIONS[name].classes[points].decode(value, m)
+
+
 class EngineMemos(dict[tuple[str, int], dict[str, Value]]):
     """The engine's memos, one per binding name and width class: state
     (one-line image as a str) -> value in that binding's ring, and one
     table ``cuts`` of every ring: state -> its ring-free cut (see
     :func:`_wgl_state` and :func:`_reduce`).  An explicit cache, kept
-    until clear(); reads are concurrent-safe under the GIL."""
+    until clear(); reads are concurrent-safe under the GIL.
+
+    ``public`` holds what the public functions return for the int rings,
+    by (binding name, width class, m, int value), so each distinct value
+    is decoded (and checked) once and inputs with equal values share one
+    object: the specializations depend only on the class of a
+    permutation, and their values repeat.  It keeps at most 4096 values,
+    about 5 MB (a feps value on 10 points takes about 1.1 KB, an
+    interlace one 0.8 KB); past that a value is decoded on every call.  A
+    dict value cannot be a key, so the dict rings always decode."""
 
     def __init__(self) -> None:
         super().__init__()
         self.cuts: dict[str, tuple] = {}
+        self.public = Cache(_public_value, cap=4096)
 
     def table(self, b: _Binding) -> dict[str, Value]:
         """b's memo, made on first use with the empty state's value 1."""
@@ -524,18 +544,22 @@ class EngineMemos(dict[tuple[str, int], dict[str, Value]]):
         return table
 
     def clear(self) -> None:
-        """Empty the value memos and the cut table."""
+        """Empty the value memos, the cut table and the public values."""
         super().clear()
         self.cuts.clear()
+        self.public.clear()
 
     def stats(self) -> dict[str, Any]:
-        """Entries per binding name and width class, and under "cuts" the
-        cut table's entries once it has any."""
+        """Entries per binding name and width class, under "cuts" the cut
+        table's entries once it has any, and under "public" the public
+        values' stats() once it has any."""
         out: dict[str, Any] = {}
         for (name, points), table in sorted(self.items()):
             out.setdefault(name, {})[points] = len(table)
         if self.cuts:
             out["cuts"] = len(self.cuts)
+        if self.public:
+            out["public"] = self.public.stats()
         return out
 
 
@@ -569,9 +593,15 @@ def packed_state_value(state: str, cap: int, b: _Binding, memo: MutableMapping |
 
 
 def _evaluate(p: Perm, cap: int, spec: _Specialization, memo: MutableMapping | None = None) -> Any:
-    """The public form of p's value: decoded once, in the width class of p."""
+    """The public value of p, in the width class of p: an int value is
+    read from ``ENGINE_MEMOS.public`` and decoded only on a miss there; a
+    dict value, or any value of a call with its own ``memo``, is decoded
+    on every call."""
     b = spec.binding(p.m)
-    return b.decode(packed_state_value(_state(p.img), cap, b, memo), p.m)
+    val = packed_state_value(_state(p.img), cap, b, memo)
+    if memo is not None or b.l1 is None:
+        return b.decode(val, p.m)
+    return ENGINE_MEMOS.public[b.name, b.points, p.m, val]
 
 
 # Slot 0 holds N and slot k holds C_k.  A wgl value on m points has weighted
@@ -593,7 +623,7 @@ def wgl(
     """Value of the universal gl-weight system, a polynomial in N, C1, C2, ...
     Pass a private ``memo`` dict to isolate the computation (cold timing):
     the call then reads and writes nothing of :data:`ENGINE_MEMOS`, its
-    cut table included.  The memo maps states to the engine's packed value: each input, the least
+    cut table and public values included.  The memo maps states to the engine's packed value: each input, the least
     rotation of each fixed-point-free state reduced, and the states of its
     strip/swap loop.  A state is a one-line image as a ``str`` with one
     code point per point: ``"".join(map(chr, p.img))``."""
@@ -682,9 +712,10 @@ def _feps_poly(ring: KroneckerRing, value: int, m: int) -> Poly:
     return ring.from_digits(digits)
 
 
-def _interlace_coeffs(ring: KroneckerRing, value: int, m: int) -> list[int]:
-    """The homogenized interlace numerator on m points, from its signed
-    digits.  By feps_direct's subset sum it is the sum over subsets U of
+def _interlace_ratfunc(ring: KroneckerRing, value: int, m: int) -> RatFunc:
+    """The interlace rational function on m points: the homogenized
+    numerator, from its signed digits, over (1-z)^m.  By feps_direct's
+    subset sum the numerator is the sum over subsets U of
     (z^2-1)^a (1-z)^|U| with a <= m, so its degree is <= 3m and its L1
     norm <= 2^m * 4^m; it vanishes at z = 1 when m >= 1 (every term but
     U = {} has a factor 1-z, and that one is N^c(p)), so the digits sum to
@@ -693,7 +724,7 @@ def _interlace_coeffs(ring: KroneckerRing, value: int, m: int) -> list[int]:
     digits = ring.digits(value, ring.slots(3 * m), signed=True)
     if sum(digits) != (m == 0):
         raise InternalError(f"interlace digits of a state on {m} points do not sum to {int(m == 0)}")
-    return digits
+    return RatFunc.from_coeffs(digits, m)
 
 
 def _monomial_poly(ring: KroneckerRing, value: int, m: int) -> Poly:
@@ -766,9 +797,12 @@ _INTERLACE = _Specialization(
     (_ONE_MINUS_Z, _Z2 * _ONE_MINUS_Z),
     l1=lambda m: 1 << 3 * m,
     degree=3,
-    decode=_interlace_coeffs,
-    coeffs=True,
+    decode=_interlace_ratfunc,
+    ratfunc=True,
 )
+# The specializations whose values are ints up to _INT_POINTS points, by
+# binding name, for the decode of a miss in ENGINE_MEMOS.public.
+_INT_SPECIALIZATIONS = {spec.name: spec for spec in (_FEPS, _STANDARD, _CYCLES, _INTERLACE)}
 
 
 def feps(p: Perm, cap: int = DEFAULT_CAP) -> Poly:
@@ -827,7 +861,7 @@ def interlace_perm(p: Perm, cap: int = DEFAULT_CAP) -> RatFunc:
     """Interlace rational function of a permutation: the two-parameter
     family at N = z^2 - 1, eps = 1/(1-z).  A polynomial (dpow = 0) on
     chord diagrams."""
-    return RatFunc.from_coeffs(_evaluate(p, cap, _INTERLACE), p.m)
+    return _evaluate(p, cap, _INTERLACE)
 
 
 # -- the Hopf projection on the engine's ints --------------------------------

@@ -111,7 +111,7 @@ def test_per_layer_summary_has_quartiles_and_no_verdict():
 
 
 _STUB_RUN = """import json
-print(json.dumps({"correct": True, "failed": 0, "metrics": {"wall_s": {"value": 1.0, "unit": "s"}}}))
+print(json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": {"wall_s": {"value": 1.0, "unit": "s"}}}))
 """
 _STUB_SPEC = {"end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}], "per_layer": []}
 
@@ -153,6 +153,27 @@ def test_json_head_records_the_bytecode_state(tmp_path):
             },
             "pycache": {"parent": pycache, "change": pycache},
         }
+
+
+def test_snapshot_records_the_bytecode_state(tmp_path):
+    # tools/bench_snapshot.py on a stand-in checkout, a git repository with
+    # one commit, writes the checkout's bytecode-cache state into its JSON
+    snapshot_tool = os.path.join(os.path.dirname(_PATH), "bench_snapshot.py")
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")}
+    for variables, pycache in (({"PYTHONDONTWRITEBYTECODE": "1"}, False), ({}, True)):
+        checkout = _checkout(tmp_path / str(pycache), "checkout", pycache)
+        git = ["git", "-c", "user.name=stub", "-c", "user.email=stub@example.invalid"]
+        for cmd in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "stub"]):
+            subprocess.run([*git, *cmd], cwd=checkout, check=True, capture_output=True)
+        cmd = [sys.executable, snapshot_tool, "--label", "stub", "--checkout", checkout]
+        proc = subprocess.run(cmd, cwd=tmp_path, capture_output=True, text=True, env={**env, **variables}, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        snapshot = json.loads((tmp_path / "BENCH_stub.json").read_text())
+        assert snapshot["bytecode"] == {
+            "env": {"PYTHONDONTWRITEBYTECODE": bool(variables), "PYTHONPYCACHEPREFIX": False},
+            "pycache": {"checkout": pycache},
+        }
+        assert snapshot["workloads"]["family"]["metrics"]["wall_s"]["median"] == 1.0
 
 
 def test_refuses_to_pair_checkouts_with_unlike_bytecode_caches(tmp_path):

@@ -106,6 +106,7 @@ def test_every_cache_clears_and_recomputes_the_same_values():
         glws.PROJECTION_BOUNDS,
         glws.GL11_COEFFS,
         glws._CAP_TABLES,
+        glws.ENGINE_MEMOS.public,
     ]
     bound = [glws._FEPS.classes, glws._GL11.binding(5).strip, glws._INTERLACE.binding(5).fixed]
     rings = [glws._WGL.binding(5).ring._monos, glws._FEPS.binding(5).ring._biases]

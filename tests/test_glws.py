@@ -550,7 +550,9 @@ def test_int_decode_checks_survive_optimize_flag():
     # python -O: a feps and an interlace memo entry with slot 0's
     # coefficient raised by 2^W (what a carry into slot 1 would leave), and
     # a one-chord feps value of 2^20, which puts the projection over two
-    # chords past its bound of 32
+    # chords past its bound of 32.  The correct feps and interlace values
+    # are decoded and kept in the public values first (the last field is
+    # the table's entries), and the wrong ones are never stored there
     code = (
         "import sys\n"
         "from wsys import glws, hopf, perm_parse\n"
@@ -560,6 +562,8 @@ def test_int_decode_checks_survive_optimize_flag():
         "    def planted(p):\n"
         "        glws.ENGINE_MEMOS.clear()\n"
         "        run(p)\n"
+        "        if len(glws.ENGINE_MEMOS.public) != 1:\n"
+        "            raise SystemExit('the correct value was not stored')\n"
         "        b = spec.binding(p.m)\n"
         "        glws.ENGINE_MEMOS.table(b)[glws._state(p.img)] += 1 << b.ring.width\n"
         "        run(p)\n"
@@ -572,7 +576,7 @@ def test_int_decode_checks_survive_optimize_flag():
         "    try:\n"
         "        run(p)\n"
         "    except InternalError as exc:\n"
-        "        print(exc, sys.flags.optimize, sep='|')\n"
+        "        print(exc, sys.flags.optimize, len(glws.ENGINE_MEMOS.public), sep='|')\n"
     )
     src = os.path.dirname(os.path.dirname(wsys.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -582,9 +586,9 @@ def test_int_decode_checks_survive_optimize_flag():
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == [
-            f"feps digits of a state on 5 points do not sum to 2^5|{optimize}",
-            f"interlace digits of a state on 5 points do not sum to 0|{optimize}",
-            f"projection of (3, 4, 1, 2) over 2 chords breaks its bound 32|{optimize}",
+            f"feps digits of a state on 5 points do not sum to 2^5|{optimize}|1",
+            f"interlace digits of a state on 5 points do not sum to 0|{optimize}|1",
+            f"projection of (3, 4, 1, 2) over 2 chords breaks its bound 32|{optimize}|0",
         ]
 
 
@@ -857,8 +861,9 @@ _RINGS = {
 
 def test_engine_memos_report_and_clear_the_cut_table():
     # the cut table is listed in stats() beside the value memos once it has
-    # entries; a second ring on the same input cuts no new state, and
-    # clear() empties the table with the memos, so the next call is cold
+    # entries, and so are the public values of the four int rings; a second
+    # ring on the same input cuts no new state, and clear() empties both
+    # tables with the memos, so the next call is cold
     ENGINE = glws.ENGINE_MEMOS
     ENGINE.clear()
     assert ENGINE.stats() == {} and ENGINE.cuts == {}
@@ -870,10 +875,10 @@ def test_engine_memos_report_and_clear_the_cut_table():
     for f in (feps, interlace_perm, gl11_skewchar, spec_standard, casimir_to_N):
         f(p)
     stats = ENGINE.stats()
-    assert set(stats) == {"wgl", "feps", "interlace", "gl11", "standard", "cycles", "cuts"}
-    assert stats["cuts"] == cuts
+    assert set(stats) == {"wgl", "feps", "interlace", "gl11", "standard", "cycles", "cuts", "public"}
+    assert stats["cuts"] == cuts and stats["public"] == {"entries": 4, "cap": 4096}
     ENGINE.clear()
-    assert ENGINE.stats() == {} and ENGINE.cuts == {}
+    assert ENGINE.stats() == {} and ENGINE.cuts == {} and ENGINE.public == {}
     wgl(p)
     assert ENGINE.stats()["cuts"] == cuts
     ENGINE.clear()
@@ -881,8 +886,7 @@ def test_engine_memos_report_and_clear_the_cut_table():
 
 def _private_value(name: str, p: Perm, memo: dict):
     """The public value of p in one ring, evaluated on a private memo."""
-    value = glws._evaluate(p, DEFAULT_CAP, _RINGS[name][1], memo)
-    return RatFunc.from_coeffs(value, p.m) if name == "interlace" else value
+    return glws._evaluate(p, DEFAULT_CAP, _RINGS[name][1], memo)
 
 
 def _digests(values: dict[str, list], perms: list[Perm]) -> tuple[str, str, str]:
@@ -944,6 +948,84 @@ def test_ring_order_does_not_change_any_value():
     wgl_memo: dict = {}
     assert [wgl(p) for p in all_perms(6)] == [_private_value("wgl", p, wgl_memo) for p in all_perms(6)]
     glws.ENGINE_MEMOS.clear()
+
+
+_INT_RINGS = ("feps", "standard", "cycles", "interlace")
+
+
+def _compared(name: str, value) -> tuple:
+    """A public value with its printed form, and the series that the
+    committed digest prints for an interlace value."""
+    return (value, str(value), value.series(12) if name == "interlace" else None)
+
+
+def test_public_values_equal_fresh_decodes_and_private_memos():
+    # every int-ring value of every permutation with m <= 7, read back from
+    # ENGINE_MEMOS.public, is the stored object and equals a fresh decode of
+    # the memo's int and a private-memo evaluation, string for string; a
+    # repeated value is decoded once, so the table holds one entry per
+    # distinct (ring, class, m, value) and no dict-ring value
+    ENGINE = glws.ENGINE_MEMOS
+    ENGINE.clear()
+    perms = [p for m in range(8) for p in all_perms(m)]
+    for name in _INT_RINGS:
+        f, spec = _RINGS[name]
+        first = [f(p) for p in perms]
+        memo: dict = {}
+        for p, value in zip(perms, first):
+            b = spec.binding(p.m)
+            val = ENGINE.table(b)[glws._state(p.img)]
+            assert f(p) is value is ENGINE.public[name, b.points, p.m, val], (name, p.img)
+            fresh = _compared(name, b.decode(val, p.m))
+            assert _compared(name, value) == fresh == _compared(name, _private_value(name, p, memo)), (name, p.img)
+    keys = ENGINE.public.keys()
+    assert {key[0] for key in keys} == set(_INT_RINGS) and {key[1] for key in keys} == {DEFAULT_CAP}
+    assert len(keys) == len({(name, p.m, str(_RINGS[name][0](p))) for name in _INT_RINGS for p in perms})
+    assert len(keys) < len(_INT_RINGS) * len(perms) // 10
+    ENGINE.clear()
+
+
+def test_public_values_never_exceed_their_cap():
+    # with the cap lowered to 5, the table stores the first 5 values and
+    # decodes every later one afresh: equal values on every call
+    ENGINE = glws.ENGINE_MEMOS
+    assert ENGINE.public.cap == 4096
+    ENGINE.clear()
+    perms = [p for m in range(6) for p in all_perms(m)]
+    private = {name: [_private_value(name, p, {}) for p in perms] for name in _INT_RINGS}
+    try:
+        ENGINE.public.cap = 5
+        for _ in range(2):
+            for name in _INT_RINGS:
+                assert [_RINGS[name][0](p) for p in perms] == private[name], name
+                assert len(ENGINE.public) == 5
+        assert ENGINE.stats()["public"] == {"entries": 5, "cap": 5}
+    finally:
+        ENGINE.public.cap = 4096
+        ENGINE.clear()
+
+
+def test_private_memos_leave_the_public_values_untouched():
+    # an int-ring call with its own memo decodes its value itself: it
+    # neither stores into the public values nor reads them, on an empty
+    # table and on a full one
+    ENGINE = glws.ENGINE_MEMOS
+    ENGINE.clear()
+    perms = [p for m in range(7) for p in all_perms(m)]
+    for name in _INT_RINGS:
+        memo: dict = {}
+        for p in perms:
+            _private_value(name, p, memo)
+    assert ENGINE.public == {} and ENGINE.stats() == {}
+    public = {name: [_RINGS[name][0](p) for p in perms] for name in _INT_RINGS}
+    held = dict(ENGINE.public)
+    for name in _INT_RINGS:
+        memo = {}
+        for p, value in zip(perms, public[name]):
+            private = _private_value(name, p, memo)
+            assert private == value and private is not value, (name, p.img)
+    assert ENGINE.public == held and all(ENGINE.public[key] is value for key, value in held.items())
+    ENGINE.clear()
 
 
 def test_private_memos_neither_read_nor_write_the_cut_table():

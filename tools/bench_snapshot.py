@@ -10,9 +10,11 @@ checkout, through `run_once` of tools/bench_pairs.py, RUNS times per
 workload; the runs cycle through the workloads so that drift of the
 machine spreads over all of them.  The snapshot records the checkout's
 git SHA (and whether tracked files differ from it), the Python version
-and `nproc`, and per workload and metric the median, min and max over
-the runs, with `correct` (every run), `attempted` and `failed` (summed
-over the runs).
+and `nproc`, the bytecode-cache state at the start (`bytecode_state` of
+tools/bench_pairs.py, the checkout named "checkout"), since bytecode
+caches move `setup_s`, the `cli` times and `peak_rss_mb`, and per
+workload and metric the median, min and max over the runs, with
+`correct` (every run), `attempted` and `failed` (summed over the runs).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import statistics
 import subprocess
 import sys
 
-from bench_pairs import run_once
+from bench_pairs import bytecode_state, run_once
 
 WORKLOADS = ("family", "recurrence", "subsets", "cli")
 SEED = 1
@@ -61,6 +63,7 @@ def main() -> int:
         subprocess.run(["git", *cmd], cwd=checkout, capture_output=True, text=True, check=True).stdout.strip()
         for cmd in (["rev-parse", "HEAD"], ["status", "--porcelain", "--untracked-files=no"])
     )
+    bytecode = bytecode_state({"checkout": checkout})
 
     runs: dict[str, list[dict]] = {w: [] for w in WORKLOADS}
     for i in range(RUNS):
@@ -75,6 +78,7 @@ def main() -> int:
         "uncommitted_changes": bool(dirty),
         "python": platform.python_version(),
         "nproc": len(os.sched_getaffinity(0)),
+        "bytecode": bytecode,
         "seed": SEED,
         "command": f"python3 bench/run.py --workload W --seed {SEED} --trace 0",
         "workloads": {w: summarize(r) for w, r in runs.items()},
