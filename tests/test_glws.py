@@ -981,7 +981,6 @@ def test_public_values_equal_fresh_decodes_and_private_memos():
     keys = ENGINE.public.keys()
     assert {key[0] for key in keys} == set(_INT_RINGS) and {key[1] for key in keys} == {DEFAULT_CAP}
     assert len(keys) == len({(name, p.m, str(_RINGS[name][0](p))) for name in _INT_RINGS for p in perms})
-    assert len(keys) < len(_INT_RINGS) * len(perms) // 10
     ENGINE.clear()
 
 
