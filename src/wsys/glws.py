@@ -230,10 +230,10 @@ class _Specialization:
     Without ``l1`` the ring is the dict ring and there is one class of
     MAX_POINTS points.  With it the values have integer coefficients, and
     l1(m) bounds the L1 norm (so every coefficient) of the value of any
-    state on m points; ``degree`` * m bounds each exponent, so the slot of
-    a monomial stays within stride = degree * points + 1 per variable.
-    Such a specialization has two int classes, DEFAULT_CAP and
-    _INT_POINTS points, and a dict class of MAX_POINTS points past them.
+    state on m points; the ring's stride, points + 1, holds the eps degree
+    of feps (at most m), and a one-variable ring does not read it.  Such a
+    specialization has two int classes, DEFAULT_CAP and _INT_POINTS
+    points, and a dict class of MAX_POINTS points past them.
     One of ``_PROJECTED`` is also read by the Hopf projection
     (:func:`engine_projection`), which evaluates under DEFAULT_CAP, so the
     width of its DEFAULT_CAP class covers the projection over
@@ -251,13 +251,12 @@ class _Specialization:
         contract: tuple[Poly, Poly],
         *,
         l1: Callable[[int], int] | None = None,
-        degree: int = 1,
         decode: Callable[[Any, Any, int], Any] | None = None,
         ratfunc: bool = False,
         check: Callable[[_Binding, str, Value], None] | None = None,
     ) -> None:
         self.name, self.names, self.strip, self.contract = name, names, strip, contract
-        self.l1, self.degree, self.decode, self.ratfunc = l1, degree, decode, ratfunc
+        self.l1, self.decode, self.ratfunc = l1, decode, ratfunc
         self.check = check
         self.classes = Cache(self._class)  # the binding of each width class
 
@@ -283,7 +282,7 @@ class _Specialization:
             bound = l1(points)
             if points == DEFAULT_CAP and self in _PROJECTED.values():
                 bound = max(bound, projection_bound(l1, DEFAULT_CAP // 2))
-            ring = KroneckerRing(self.names, kronecker_width(bound), self.degree * points + 1)
+            ring = KroneckerRing(self.names, kronecker_width(bound), points + 1)
             decode = partial(self.decode, ring)
         strip = self.strip
         return _Binding(
@@ -796,7 +795,6 @@ _INTERLACE = _Specialization(
     _interlace_casimir,
     (_ONE_MINUS_Z, _Z2 * _ONE_MINUS_Z),
     l1=lambda m: 1 << 3 * m,
-    degree=3,
     decode=_interlace_ratfunc,
     ratfunc=True,
 )

@@ -58,18 +58,18 @@ class Perm:
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Cycles as tuples, each starting at its smallest point, sorted."""
-        seen = [False] * self.m
+        img = self.img
+        seen = [False] * (len(img) + 1)
         out: list[tuple[int, ...]] = []
-        for start in range(1, self.m + 1):
-            if seen[start - 1]:
+        for start in range(1, len(img) + 1):
+            if seen[start]:
                 continue
             cyc = [start]
-            seen[start - 1] = True
-            j = self(start)
+            j = img[start - 1]
             while j != start:
                 cyc.append(j)
-                seen[j - 1] = True
-                j = self(j)
+                seen[j] = True
+                j = img[j - 1]
             out.append(tuple(cyc))
         return out
 
@@ -162,13 +162,12 @@ def cycle_count(p: Perm) -> int:
 
 def face_count(p: Perm) -> int:
     """Number of cycles of i -> sigma(alpha^{-1}(i)) where sigma is the
-    ascending long cycle; 1 for the empty permutation."""
-    m = p.m
-    if m == 0:
+    ascending long cycle; 1 for the empty permutation.  Counted on its
+    inverse alpha . sigma^{-1}, the image rotated one step right:
+    (alpha(m), alpha(1), ..., alpha(m-1))."""
+    if p.m == 0:
         return 1
-    inv = p.inverse()
-    phi = Perm(tuple(inv(i) % m + 1 for i in range(1, m + 1)))
-    return cycle_count(phi)
+    return cycle_count(Perm(p.img[-1:] + p.img[:-1]))
 
 
 # -- structural operations -----------------------------------------------------
@@ -181,14 +180,13 @@ def subperm(p: Perm, points: Iterable[int]) -> Perm:
     for v in kept:
         if not 1 <= v <= p.m:
             raise DomainError(f"point {v} out of range 1..{p.m}")
-    index = {v: i + 1 for i, v in enumerate(kept)}
-    img = [0] * len(kept)
-    keep = set(kept)
+    index = {v: i for i, v in enumerate(kept, 1)}
+    img: list[int] = []
     for v in kept:
-        nxt = p(v)
-        while nxt not in keep:
-            nxt = p(nxt)
-        img[index[v] - 1] = index[nxt]
+        nxt = p.img[v - 1]
+        while nxt not in index:
+            nxt = p.img[nxt - 1]
+        img.append(index[nxt])
     return Perm(tuple(img))
 
 

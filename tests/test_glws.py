@@ -360,7 +360,7 @@ def test_binding_rings_hold_every_admitted_exponent():
             projected = spec in glws._PROJECTED.values() and points == DEFAULT_CAP
             bound = max(spec.l1(points), glws.projection_bound(spec.l1, DEFAULT_CAP // 2) if projected else 0)
             assert bound < 1 << b.ring.width - 1, (spec.name, points)
-            assert b.ring.stride == spec.degree * points + 1, (spec.name, points)
+            assert b.ring.stride == points + 1, (spec.name, points)
         assert spec.binding(2 * DEFAULT_CAP + 1) is spec.binding(MAX_POINTS), spec.name
 
 
@@ -691,6 +691,18 @@ def test_gl11_runs_on_integers_in_v():
     assert glws.GL11_COEFFS.stats()["entries"] == 0
     assert gl11_skewchar(standard_cycle(3)) == g3  # rebuilt after clear()
     glws.ENGINE_MEMOS.clear()
+
+
+def test_gl11_is_feps_at_N_zero():
+    # both bindings send C_k to k v^(k-1) (v = eps, v = u/2) and contract
+    # with the factors (1, 0), so gl(1|1) in v is the N^0 part of feps: by
+    # feps_direct's subset sum its coefficients are >= 0 and sum to <= 2^m
+    for m in range(8):
+        for p in all_perms(m):
+            in_v = feps(p).subs({"N": 0})
+            assert all(type(c) is int and c > 0 for c in in_v.terms.values()), p.img
+            assert sum(in_v.terms.values()) <= 1 << m, p.img
+            assert gl11_skewchar(p) == in_v.subs({"eps": Fraction(1, 2) * u}), p.img
 
 
 def test_gl11_equals_substitution_past_exhaustive_range():

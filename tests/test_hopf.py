@@ -69,6 +69,32 @@ def test_projection_refuses_past_the_subset_budget():
     assert calls == []
 
 
+def test_projection_refuses_past_the_subset_logarithm_budget():
+    # one element past MAX_LOG_GROUND is refused before the invariant is
+    # evaluated once, on every route to the subset logarithm
+    calls = []
+
+    def counted(obj):
+        calls.append(obj)
+        raise AssertionError("invariant evaluated past the subset-logarithm budget")
+
+    n = hopf.MAX_LOG_GROUND + 1
+    graph = Graph.empty(n)
+    diagram = Perm(tuple(range(n + 1, 2 * n + 1)) + tuple(range(1, n + 1)))  # the n chords (i, i + n)
+    for run in (
+        lambda: primitive_eval_graph(counted, graph),
+        lambda: primitive_eval_diagram(counted, diagram),
+        lambda: reconstruct_from_primitives(counted, graph, range(1, n + 1), restrict_graph),
+        lambda: primitive_eval(counted, graph, range(1, n + 1), restrict_graph),
+    ):
+        with pytest.raises(DomainError, match=f"{n} elements exceed the subset-logarithm budget of {n - 1}"):
+            run()
+    assert calls == []
+    # at the budget itself the logarithm runs: u^n is multiplicative, so
+    # its projection on isolated vertices is 0
+    assert primitive_eval_graph(vertex_count_power_u, Graph.empty(n - 1)) == Poly.zero()
+
+
 def test_primitive_projection_single_chord():
     b = perm_parse("(1 2)")
     assert primitive_eval_diagram(feps, b) == feps(b)

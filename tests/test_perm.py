@@ -126,6 +126,56 @@ def test_subperm():
         subperm(q, [1, 4])
 
 
+def test_face_count_is_the_cycle_count_of_sigma_after_alpha_inverse():
+    # the definition, i -> sigma(alpha^{-1}(i)), built from the inverse
+    for m in range(8):
+        for p in all_perms(m):
+            inv = p.inverse()
+            phi = Perm(tuple(inv(i) % m + 1 for i in range(1, m + 1)))
+            assert face_count(p) == (cycle_count(phi) if m else 1), p.img
+
+
+def test_cycles_match_the_walk_by_calls():
+    # the walk with one call of p per step, marking every visited point
+    def walk(p):
+        seen = [False] * p.m
+        out = []
+        for start in range(1, p.m + 1):
+            if seen[start - 1]:
+                continue
+            cyc = [start]
+            seen[start - 1] = True
+            j = p(start)
+            while j != start:
+                cyc.append(j)
+                seen[j - 1] = True
+                j = p(j)
+            out.append(tuple(cyc))
+        return out
+
+    for m in range(7):
+        for p in all_perms(m):
+            assert p.cycles() == walk(p), p.img
+
+
+def test_subperm_matches_the_walk_to_the_next_kept_point():
+    # each kept point goes to the next kept point of its cycle, as its rank
+    def restrict(p, kept):
+        def next_kept(v):
+            v = p(v)
+            while v not in kept:
+                v = p(v)
+            return v
+
+        return tuple(kept.index(next_kept(v)) + 1 for v in kept)
+
+    for m in range(7):
+        for p in all_perms(m):
+            for mask in range(1 << m):
+                kept = [v for v in range(1, m + 1) if mask >> v - 1 & 1]
+                assert subperm(p, kept).img == restrict(p, kept), (p.img, mask)
+
+
 def test_chord_subdiagram_is_the_restriction_to_the_chords_points():
     for n in range(5):
         for b in all_chord_diagrams(n):
