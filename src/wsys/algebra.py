@@ -20,7 +20,9 @@ denominator is a power of ``1 - z`` (the only pole the interlace family
 ever produces); it is kept normalized so equality is structural.  Its
 series are ``Fraction`` lists whose integer entries come from one bounded
 :class:`~wsys.caches.Cache`, :data:`SERIES_FRACTIONS`; the variable keys
-and the rings' decoded monomials and digit biases are caches too.
+and the rings' decoded monomials and digit biases are caches too, and so
+is each fixed variable's table of monomial parts (:data:`MONOMIAL_PARTS`),
+the one that every decode to a Poly in that variable reads.
 
 Two working forms serve the recurrence engine in ``glws`` and the subset
 convolutions of the Hopf projection in ``hopf``; both convert to
@@ -95,6 +97,16 @@ def var_key(name: str) -> tuple[int, int]:
 
 #: var_key of each variable name met; an unknown name raises every time.
 VAR_KEYS = Cache(var_key)
+
+
+def _monomial_part(var: str, e: int) -> Monomial:
+    return ((var, e),) if e else ()
+
+
+#: The monomial part var^e of each fixed variable by exponent: ((var, e),),
+#: or () at e = 0.  Parts joined in the fixed variable order make a
+#: monomial.  A constant mapping: clear() empties a table, never replaces it.
+MONOMIAL_PARTS = {var: Cache(partial(_monomial_part, var)) for var in _FIXED_VARS}
 
 
 def casimir(k: int) -> str:
@@ -433,16 +445,6 @@ class PackedRing:
         monos = self._monos
         return Poly._raw({monos[key]: _frac(coef) for key, coef in value.items()})
 
-    def coeff_list(self, value: Packed) -> list[Coeflike]:
-        """Coefficient list [c0, c1, ...] of a value of a univariate ring,
-        whose packed monomial is the exponent itself."""
-        if len(self.names) != 1:
-            raise DomainError(f"the ring {self.names} is not univariate")
-        coeffs: list[Coeflike] = [0] * (max(value, default=0) + 1)
-        for e, c in value.items():
-            coeffs[e] = c
-        return coeffs
-
 
 def _packed_monomial(names: tuple[str, ...], key: int) -> Monomial:
     """The Monomial of a packed monomial; InternalError on a set guard bit."""
@@ -460,6 +462,13 @@ def _packed_monomial(names: tuple[str, ...], key: int) -> Monomial:
             mono.append((names[slot], e))
         slot += 1
     return tuple(mono)
+
+
+def _univariate_poly(parts: Cache, coeffs: list[Coeflike]) -> Poly:
+    """The Poly of a coefficient list [c0, c1, ...] in the variable of
+    ``parts``, its nonzero terms picked in C."""
+    monos = map(parts.__getitem__, range(len(coeffs)))
+    return Poly._raw(dict(zip(compress(monos, coeffs), filter(None, coeffs))))
 
 
 # -- Kronecker integers ---------------------------------------------------
@@ -502,22 +511,23 @@ class KroneckerRing:
     the polynomial at x = 2^width.  A univariate monomial v^e sits at slot
     e; in a bivariate ring (outer, inner), in the fixed variable order,
     outer^i inner^j sits at slot i * stride + j, so every inner exponent
-    must stay below stride.  A value decodes exactly when each coefficient
-    fits its slot: below 2^width for unsigned digits, below 2^(width - 1)
-    in magnitude for signed ones.  Which bound holds is the owner's to
-    prove; every decode of the owner checks an identity that a carry
-    between slots breaks."""
+    must stay below stride.  The variables are fixed ones, whose parts
+    (:data:`MONOMIAL_PARTS`) build the decoded monomials.  A value decodes
+    exactly when each coefficient fits its slot: below 2^width for
+    unsigned digits, below 2^(width - 1) in magnitude for signed ones.
+    Which bound holds is the owner's to prove; every decode of the owner
+    checks an identity that a carry between slots breaks."""
 
     __slots__ = ("names", "width", "stride", "one", "zero", "mul", "fold", "_code", "_monos", "_biases")
-    _monos: list[Monomial]  # the Monomial of each slot, made once
+    _monos: list[Monomial] | Cache  # the Monomial of each slot made once, or a univariate ring's parts
 
     def __init__(self, names: tuple[str, ...], width: int, stride: int):
-        if not 1 <= len(names) <= 2 or width <= 0 or width % 8:
+        if not 1 <= len(names) <= 2 or width <= 0 or width % 8 or not MONOMIAL_PARTS.keys() >= set(names):
             raise DomainError(f"no Kronecker ring over {names} with {width}-bit slots")
         self.names, self.width, self.stride = names, width, stride
         self.one, self.zero, self.mul, self.fold = 1, 0, mul, int_fold
         self._code = _NATIVE_INTS.get(width)
-        self._monos = []
+        self._monos = [] if len(names) == 2 else MONOMIAL_PARTS[names[0]]
         self._biases = Cache(lambda slots: ((1 << width * slots) - 1) // ((1 << width) - 1) << width - 1)
 
     def slots(self, degree: int) -> int:
@@ -567,12 +577,16 @@ class KroneckerRing:
         return [int.from_bytes(raw[i : i + size], _BYTEORDER, signed=signed) for i in range(0, len(raw), size)]
 
     def from_digits(self, digits: list[int]) -> Poly:
-        """The Poly of a value's digits, its nonzero slots picked in C."""
+        """The Poly of a value's digits, its nonzero slots picked in C from
+        the variable's parts, or from the slot list of a bivariate ring."""
         monos = self._monos
+        if len(self.names) == 1:
+            return _univariate_poly(monos, digits)
         if len(digits) > len(monos):
+            outer, inner = map(MONOMIAL_PARTS.__getitem__, self.names)
             for slot in range(len(monos), len(digits)):
-                exps = divmod(slot, self.stride) if len(self.names) == 2 else (slot,)
-                monos.append(tuple((var, e) for var, e in zip(self.names, exps) if e))
+                i, j = divmod(slot, self.stride)
+                monos.append(outer[i] + inner[j])
         return Poly._raw(dict(zip(compress(monos, digits), filter(None, digits))))
 
 
@@ -630,19 +644,13 @@ def poly_coeffs_z(p: Poly) -> list[Coeflike]:
     return [coeffs.get(i, 0) for i in range(top + 1)]
 
 
-_Z_MONOS: list[Monomial] = [()]  # _Z_MONOS[i] is the monomial z^i, made once
-
-
 def coeffs_to_poly_z(coeffs: Iterable[Coeflike]) -> Poly:
     """The Poly c0 + c1 z + ... of a coefficient list, its nonzero terms
     picked in C; only a coefficient that is not an int is canonicalized."""
     coeffs = list(coeffs)
     if not all(map(int.__instancecheck__, coeffs)):
         coeffs = [c if isinstance(c, int) else _frac(c) for c in coeffs]
-    monos = _Z_MONOS
-    if len(monos) < len(coeffs):
-        monos.extend(((("z", i),) for i in range(len(monos), len(coeffs))))
-    return Poly._raw(dict(zip(compress(monos, coeffs), filter(None, coeffs))))
+    return _univariate_poly(MONOMIAL_PARTS["z"], coeffs)
 
 
 @dataclass(frozen=True)

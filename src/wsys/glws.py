@@ -113,8 +113,9 @@ translate, and factor out as one power of C1.  A rotation slices and
 translates by (y - 1 - x) mod m + 1; the rotations that start with 2 are
 found by comparing the state with 2, 3, ..., m, 1 in C, and only a state
 with none lists its displacements.  The translate tables are cut from
-one alphabet string and cached per l, k or m by ``functools.cache``; every
-other growing table but :data:`ENGINE_MEMOS` is a :class:`~wsys.caches.Cache`.
+one alphabet string and kept per l, k or m, each in a
+:class:`~wsys.caches.Cache`, as is every other growing table but
+:data:`ENGINE_MEMOS`; monomial parts come from ``algebra.MONOMIAL_PARTS``.
 The loop reads the memo for each contraction result before it calls the
 evaluator, so a hit costs no call.  On the way out of the strip/swap
 loop, a swap state's two contraction terms are folded into its
@@ -133,13 +134,14 @@ and adds those ints before one checked decode.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, partial
+from functools import partial
 from itertools import compress
 from math import comb
 from operator import eq
 from typing import Any, Callable, MutableMapping, NamedTuple, Sequence
 
 from .algebra import (
+    MONOMIAL_PARTS,
     KroneckerRing,
     Packed,
     PackedRing,
@@ -154,7 +156,7 @@ from .algebra import (
 from .caches import Cache
 from .errors import DomainError, InternalError, shorten_int
 from .graphs import subset_counts, subset_masks, subsets
-from .invariants import monomial_parts, refined_skew_char_graph, subset_poly
+from .invariants import refined_skew_char_graph, subset_poly
 from .perm import MAX_POINTS, Perm, chords, cycle_count, face_count, intersection_graph, is_chord_diagram, subperm
 
 DEFAULT_CAP = 10
@@ -163,7 +165,7 @@ DEFAULT_CAP = 10
 WglState = list[tuple[Poly, Perm]]
 
 _N = Poly.var("N")
-_N_PARTS, _EPS_PARTS = monomial_parts("N"), monomial_parts("eps")
+_N_PARTS, _EPS_PARTS = MONOMIAL_PARTS["N"], MONOMIAL_PARTS["eps"]
 
 
 class _Binding(NamedTuple):
@@ -275,7 +277,7 @@ class _Specialization:
             if self.l1 is None and self.decode is not None:
                 decode = partial(self.decode, ring)
             elif self.ratfunc:
-                decode = lambda value, m: RatFunc.from_coeffs(ring.coeff_list(value), m)  # noqa: E731
+                decode = lambda value, m: RatFunc.make(ring.poly(value), m)  # noqa: E731
             else:
                 decode = lambda value, m: ring.poly(value)  # noqa: E731
         else:
@@ -300,10 +302,21 @@ class _Specialization:
 
 # A state is a one-line image as a str, one code point per point: code
 # point v stands for the value v.  _ALPHABET[v] is the character of v,
-# and every translate table below is cut from it; the tables depend on l
-# or m only, never on an input.
+# and every translate table below is cut from it; the tables depend on l,
+# v or m only, never on an input.
 _ALPHABET = "".join(map(chr, range(MAX_POINTS + 2)))
 _POINTS = _ALPHABET[1:]  # _POINTS[x - 1] is the value of position x in the identity
+#: Translate table v -> v - (v > l), by l.
+_LOWER_TABLES = Cache(lambda l: _ALPHABET[: l + 1] + _ALPHABET[l:])
+#: Translate table exchanging the values l and l+1, by l.
+_SWAP_TABLES = Cache(lambda l: _ALPHABET[:l] + _ALPHABET[l + 1] + _ALPHABET[l] + _ALPHABET[l + 2 :])
+#: Translate table w -> w - v for w >= v, by v.
+_STRIP_TABLES = Cache(lambda v: _ALPHABET[:v] + _ALPHABET)
+#: 1..m twice, by m: its slice [m - 1 - x : 2m - x] is the translate
+#: table y -> (y - 1 - x) mod m + 1 on 1..m.
+_ROTATION_TABLES = Cache(lambda m: _POINTS[:m] * 2)
+#: 2, 3, ..., m, 1 by m: the image of the long cycle on 1..m.
+_SUCCESSORS = Cache(lambda m: _POINTS[1:m] + _POINTS[0])
 
 
 def _state(img: tuple[int, ...]) -> str:
@@ -312,31 +325,6 @@ def _state(img: tuple[int, ...]) -> str:
 
 def _image(state: str) -> tuple[int, ...]:
     return tuple(map(ord, state))
-
-
-@cache
-def _lower_table(l: int) -> str:
-    """Translate table v -> v - (v > l)."""
-    return _ALPHABET[: l + 1] + _ALPHABET[l:]
-
-
-@cache
-def _swap_table(l: int) -> str:
-    """Translate table exchanging the values l and l+1."""
-    return _ALPHABET[:l] + _ALPHABET[l + 1] + _ALPHABET[l] + _ALPHABET[l + 2 :]
-
-
-@cache
-def _strip_table(v: int) -> str:
-    """Translate table w -> w - v for w >= v."""
-    return _ALPHABET[:v] + _ALPHABET
-
-
-@cache
-def _rotation_tables(m: int) -> str:
-    """1..m twice: its slice [m - 1 - x : 2m - x] is the translate table
-    y -> (y - 1 - x) mod m + 1 on 1..m."""
-    return _POINTS[:m] * 2
 
 
 def _scan(state: str) -> int:
@@ -383,13 +371,13 @@ def _step(state: str, l: int) -> tuple[str, bool, str, bool, str]:
     freed1, freed2 = a == hi, b == lo
     if (freed1 and hi in seconds1) or (freed2 and lo in seconds2):
         raise InternalError("freed class may not occur in any factor")
-    lower = _lower_table(l)
+    lower = _LOWER_TABLES[l]
     merged1 = seconds1.replace(hi, a).translate(lower)
     merged2 = seconds2.replace(lo, b).translate(lower)
     n = len(state) - 1  # the points of either contraction
     if len(set(merged1)) != n or len(set(merged2)) != n:
         raise InternalError("contracted image is not a permutation")
-    swap = (left + b + a + right).translate(_swap_table(l))
+    swap = (left + b + a + right).translate(_SWAP_TABLES[l])
     return swap, freed1, merged1, freed2, merged2
 
 
@@ -409,12 +397,6 @@ def _drop_fixed(state: str) -> tuple[int, str]:
     return f, state.translate(table)
 
 
-@cache
-def _successors(m: int) -> str:
-    """2, 3, ..., m, 1: the image of the long cycle on 1..m."""
-    return _POINTS[1:m] + _POINTS[0]
-
-
 def _least_rotation(state: str) -> str:
     """The least of the m rotations of a fixed-point-free state (conjugates
     by powers of the long cycle): the smallest first entry, ties broken
@@ -427,12 +409,12 @@ def _least_rotation(state: str) -> str:
     the rotations tied for the smallest are built, and the one that starts
     at 0 is the state itself."""
     m = len(state)
-    starts = [*compress(range(m), map(eq, state, _successors(m)))]
+    starts = [*compress(range(m), map(eq, state, _SUCCESSORS[m]))]
     if not starts:
         firsts = [(y - x) % m for x, y in enumerate(map(ord, state), 1)]
         least = min(firsts)
         starts = [x for x, first in enumerate(firsts) if first == least]
-    tables = _rotation_tables(m)
+    tables = _ROTATION_TABLES[m]
     if len(starts) > 1:
         return min((state[x:] + state[:x]).translate(tables[m - 1 - x : 2 * m - x]) if x else state for x in starts)
     (x,) = starts
@@ -481,7 +463,7 @@ def _reduce(cur: str, b: _Binding, memo: MutableMapping, cuts: dict[str, tuple] 
     while (val := memo.get(cur)) is None:
         if cuts is None or (cut := cuts.get(cur)) is None or len(cut) == 3:
             v = _scan(cur)
-            cut = (-v, cur[-v:].translate(_strip_table(-v))) if v < 0 else _step(cur, v - 1)
+            cut = (-v, cur[-v:].translate(_STRIP_TABLES[-v])) if v < 0 else _step(cur, v - 1)
             if cuts is not None:
                 cuts[cur] = cut
         if len(cut) == 2:
@@ -774,7 +756,7 @@ def _halved(key: tuple[int, int]) -> int | Fraction:
 
 #: The coefficient c/2^j of u^j in gl(1|1) of each (c, j), at most 4096.
 GL11_COEFFS = Cache(_halved, cap=4096)
-_U_PARTS = monomial_parts("u")
+_U_PARTS = MONOMIAL_PARTS["u"]
 
 
 def _gl11_poly(ring: PackedRing, value: Packed, m: int) -> Poly:

@@ -13,12 +13,13 @@ makes of it share one table and one histogram; no sum decodes the 2^n
 statistics one by one.
 A sum adds each monomial's count into a plain dict and adopts it with
 ``Poly._raw``: a monomial is a concatenation of cached parts
-(:func:`monomial_parts`, () at exponent 0) in the fixed variable order
-and histogram counts are positive ints, so nothing is left to validate.
+(:data:`~wsys.algebra.MONOMIAL_PARTS`, () at exponent 0, the tables the
+engine reads too) in the fixed variable order and histogram counts are
+positive ints, so nothing is left to validate.
 The vertex recursion of the interlace polynomial holds L as one int of a
 :class:`~wsys.algebra.KroneckerRing` (L at x = 2^24) and decodes it to a
-Poly once per call, by the ring's checked digits.  It keeps
-each graph as one flat int, row r at bit 20r (a stride of MAX_GROUND),
+Poly once per call, by the ring's checked digits and the parts of x.
+It keeps each graph as one flat int, row r at bit 20r (a stride of MAX_GROUND),
 and deleting a vertex or pivoting is a fixed number of int operations.
 By default the edge is the lowest set bit; a policy the caller passes
 only chooses the edge: it gets a Graph per node and has its edge
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from typing import Callable, Mapping, MutableMapping
 
-from .algebra import KroneckerRing, Monomial, Poly
+from .algebra import MONOMIAL_PARTS, KroneckerRing, Monomial, Poly
 from .caches import Cache
 from .dmat import DMat, mask_to_set
 from .errors import DomainError, InternalError
@@ -47,13 +48,7 @@ from .graphs import (
 GraphInvariant = Callable[[Graph], Poly]
 
 
-def monomial_parts(var: str) -> Cache:
-    """The cache of var^e as a part of a monomial by exponent: ((var, e),),
-    or () at e = 0.  Parts joined in the fixed variable order make a monomial."""
-    return Cache(lambda e: ((var, e),) if e else ())
-
-
-_U, _W, _X, _Y = map(monomial_parts, "uwxy")
+_U, _W, _X, _Y = map(MONOMIAL_PARTS.__getitem__, "uwxy")
 
 
 def subset_poly(
@@ -62,10 +57,10 @@ def subset_poly(
     """Sum over subsets U of the monomial mono(|U|, stat(U)), read from the
     histogram {(|U|, stat): count} of a subset table or of
     :func:`~wsys.graphs.subset_counts` (the statistic is a corank or a
-    distance).  The monomial is a concatenation of :func:`monomial_parts`
-    in the fixed variable order, and None leaves U out.  The result is
-    adopted without validation, which holds because every count of a
-    histogram is a positive int.
+    distance).  The monomial is a concatenation of parts of
+    :data:`~wsys.algebra.MONOMIAL_PARTS` in the fixed variable order, and
+    None leaves U out.  The result is adopted without validation, which
+    holds because every count of a histogram is a positive int.
     """
     terms: dict[Monomial, int] = {}
     for (size, stat), count in counts.items():

@@ -176,10 +176,10 @@ def face_count(p: Perm) -> int:
 def subperm(p: Perm, points: Iterable[int]) -> Perm:
     """Restriction to a subset: each kept point maps to the next point of
     its cycle that is kept, with points renumbered order-preserving."""
-    kept = sorted(set(points))
+    kept, m = sorted(set(points)), p.m
     for v in kept:
-        if not 1 <= v <= p.m:
-            raise DomainError(f"point {v} out of range 1..{p.m}")
+        if not 1 <= v <= m:
+            raise DomainError(f"point {v} out of range 1..{m}")
     index = {v: i for i, v in enumerate(kept, 1)}
     img: list[int] = []
     for v in kept:

@@ -9,6 +9,7 @@ import pytest
 from wsys.algebra import (
     EXP_BITS,
     MAX_SERIES_ORDER,
+    MONOMIAL_PARTS,
     SERIES_FRACTIONS,
     SLOT_BITS,
     KroneckerRing,
@@ -68,12 +69,6 @@ def test_packed_ring_round_trip_and_arithmetic():
         ring.pack(N ** (1 << EXP_BITS))
     with pytest.raises(DomainError):
         ring.pack(z)
-    # a univariate ring's packed monomial is the exponent itself
-    zring = PackedRing(("z",))
-    assert zring.coeff_list(zring.pack(2 * z**3 - 1)) == poly_coeffs_z(2 * z**3 - 1) == [-1, 0, 0, 2]
-    assert zring.coeff_list({}) == [0]
-    with pytest.raises(DomainError):
-        ring.coeff_list(pa)
 
 
 def test_packed_fold_adds_shifted_signed_terms_in_one_copy():
@@ -117,6 +112,12 @@ def test_kronecker_ring_round_trip_and_arithmetic():
         KroneckerRing(("N", "eps"), 8, 5).pack(eps**5)
     with pytest.raises(DomainError):
         zring.pack(Poly.const(Fraction(1, 2)))
+    # a ring decodes through the parts of its fixed variables, so a
+    # Casimir has no Kronecker ring
+    assert zring.from_digits([-1, 0, 0, 2]) == 2 * z**3 - 1 and zring._monos is MONOMIAL_PARTS["z"]
+    for names in (("C1",), ("N", "C1")):
+        with pytest.raises(DomainError, match="^no Kronecker ring over"):
+            KroneckerRing(names, 8, 2)
 
 
 def test_packed_decode_refuses_a_set_guard_bit():

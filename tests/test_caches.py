@@ -1,6 +1,7 @@
 """The one cache type of the package: its semantics, a clear-and-recompute
-round trip over every cache, and a guard against tables that cannot be
-cleared."""
+round trip over every cache, one monomial-part table per variable, a guard
+against tables that cannot be cleared, and one that README's caches table
+names every module-level cache."""
 
 import ast
 import gc
@@ -106,7 +107,10 @@ def test_every_cache_clears_and_recomputes_the_same_values():
         glws.PROJECTION_BOUNDS,
         glws.GL11_COEFFS,
         glws._CAP_TABLES,
+        glws._LOWER_TABLES,
         glws.ENGINE_MEMOS.public,
+        algebra.MONOMIAL_PARTS["u"],
+        algebra.MONOMIAL_PARTS["z"],
     ]
     bound = [glws._FEPS.classes, glws._GL11.binding(5).strip, glws._INTERLACE.binding(5).fixed]
     rings = [glws._WGL.binding(5).ring._monos, glws._FEPS.binding(5).ring._biases]
@@ -124,10 +128,28 @@ def test_every_cache_clears_and_recomputes_the_same_values():
     assert _outputs() == before
 
 
+def test_each_fixed_variable_has_one_monomial_part_table():
+    parts = algebra.MONOMIAL_PARTS
+    assert set(parts) == set(algebra._FIXED_VARS)
+    assert glws._U_PARTS is invariants._U is parts["u"]
+    assert glws._N_PARTS is parts["N"] and glws._EPS_PARTS is parts["eps"]
+    assert all(table is parts[var] for table, var in zip((invariants._W, invariants._X, invariants._Y), "wxy"))
+    # a univariate int ring reads its variable's table: x for the
+    # interlace L, N for the standard values, z for the images of C_k
+    rings = [invariants._L_RING, glws._STANDARD.binding(5).ring, glws._INTERLACE.binding(5).ring]
+    for ring, var in zip(rings, "xNz"):
+        assert ring.names == (var,) and ring._monos is parts[var]
+    assert not hasattr(invariants, "monomial_parts") and not hasattr(algebra, "_Z_MONOS")
+    # a clear empties a table and never replaces it
+    tables = dict(parts)
+    parts["z"].clear()
+    assert str(algebra.coeffs_to_poly_z([1, 0, 3])) == "1 + 3*z^2" and len(parts["z"]) == 3
+    assert all(parts[var] is tables[var] for var in tables)
+
+
 # functools.cache keeps its table for the life of the process, with no
-# stats() and no clear() a caller can reach; only these translate tables of
-# glws, constants of a position or a size, keep it at module level.
-_TRANSLATE_TABLES = {"_lower_table", "_swap_table", "_strip_table", "_rotation_tables", "_successors"}
+# stats() and no clear() a caller can reach, so no module or class level
+# of the package uses it; every such table is a Cache.
 
 
 class _ModuleLevelCaches(ast.NodeVisitor):
@@ -207,11 +229,45 @@ def local():
     assert _module_level_caches(source) == [("a", 5), (None, 8), ("b", 11), (None, 14)]
 
 
-def test_no_module_level_functools_cache_but_the_translate_tables():
+def test_no_module_level_functools_cache():
     found = [
         (path.name, name, line)
         for path in sorted(Path(wsys.__file__).parent.glob("*.py"))
         for name, line in _module_level_caches(path.read_text())
     ]
-    allowed = sorted(("glws.py", name) for name in _TRANSLATE_TABLES)
-    assert sorted((module, name) for module, name, _ in found) == allowed, found
+    assert found == []
+
+
+def _cache_assignments(trees: dict[str, ast.Module]) -> list[str]:
+    """module.name of every module-level assignment whose value calls Cache
+    or a subclass of it defined in the package."""
+    types = {"Cache"}
+    while True:
+        subclasses = {
+            node.name
+            for tree in trees.values()
+            for node in tree.body
+            if isinstance(node, ast.ClassDef) and any(isinstance(b, ast.Name) and b.id in types for b in node.bases)
+        }
+        if subclasses <= types:
+            break
+        types |= subclasses
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                calls = [sub for sub in ast.walk(node.value) if isinstance(sub, ast.Call)]
+                if any(isinstance(call.func, ast.Name) and call.func.id in types for call in calls):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    found += [f"{module}.{t.id}" for t in targets if isinstance(t, ast.Name)]
+    return found
+
+
+def test_the_readme_caches_table_names_every_module_level_cache():
+    package = Path(wsys.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    found = _cache_assignments(trees)
+    readme = (package.parents[1] / "README.md").read_text()
+    table = readme.split("| Cache | Owner | Holds | Capped |", 1)[1].split("\n\n", 1)[0]
+    assert {"algebra.MONOMIAL_PARTS", "glws._LOWER_TABLES", "graphs.SUBSET_BITSETS"} <= set(found)
+    assert [name for name in found if f"`{name}`" not in table] == []

@@ -6,7 +6,9 @@ from random import Random
 
 import pytest
 
+from wsys import dmat
 from wsys.dmat import (
+    MAX_EXCHANGE_SETS,
     DMat,
     check_symmetric_exchange,
     distance,
@@ -22,7 +24,7 @@ from wsys.dmat import (
     set_to_mask,
 )
 from wsys.errors import DomainError, ParseError
-from wsys.graphs import Graph, all_graphs, complete_graph, graph_format, graph_pivot, path_graph
+from wsys.graphs import MAX_GROUND, Graph, all_graphs, complete_graph, graph_format, graph_pivot, path_graph
 from wsys.invariants import (
     interlace_dmat,
     interlace_graph_recursive,
@@ -31,6 +33,7 @@ from wsys.invariants import (
     two_var_interlace,
 )
 from wsys.perm import all_chord_diagrams, face_count, perm_format, perm_parse, subperm
+from wsys.verify import MAX_VERIFY_VERTICES
 
 
 def set_bits(mask):
@@ -88,6 +91,20 @@ def test_symmetric_exchange_axiom():
     assert check_symmetric_exchange(bad)
     not_dm = DMat(3, frozenset({0b000, 0b111}))
     assert not check_symmetric_exchange(not_dm)
+
+
+def test_symmetric_exchange_refuses_past_its_budget_before_any_pair(monkeypatch):
+    # every graph system of the dmat-axiom suite is within the budget; so
+    # are the 256 subsets of 8 elements, and one set more is refused before
+    # a pair is compared
+    assert MAX_EXCHANGE_SETS == 256 and 2**MAX_VERIFY_VERTICES <= MAX_EXCHANGE_SETS
+    assert check_symmetric_exchange(DMat(8, frozenset(range(256))))
+    monkeypatch.setattr(dmat, "mask_to_set", None)
+    with pytest.raises(DomainError, match="^257 admissible sets exceed the exchange budget of 256$"):
+        check_symmetric_exchange(DMat(9, frozenset(range(257))))
+    # a set system past the subset budget is refused when it is made
+    with pytest.raises(DomainError, match="^ground size 21 outside 0..20$"):
+        DMat(MAX_GROUND + 1, frozenset({0}))
 
 
 def test_distance():

@@ -1,6 +1,8 @@
 """Property-based fuzzing of the text parsers and of every verb but verify:
 malformed text ends in ParseError (exit 1), a violated precondition in
-DomainError (exit 2), and neither shows a traceback."""
+DomainError (exit 2), and neither shows a traceback.  Seeded properties
+past the exhaustive ranges, at 9 to 11 points: wgl is multiplicative under
+concat, and interlace_perm is unchanged by a pivot."""
 
 import io
 from contextlib import redirect_stderr, redirect_stdout
@@ -16,7 +18,8 @@ from wsys.cli import run  # noqa: E402
 from wsys.dmat import dmat_parse  # noqa: E402
 from wsys.errors import DomainError, ParseError  # noqa: E402
 from wsys.graphs import graph_parse  # noqa: E402
-from wsys.perm import perm_parse  # noqa: E402
+from wsys.glws import interlace_perm, wgl  # noqa: E402
+from wsys.perm import Perm, concat, interlacing_two_cycle_pairs, perm_parse, perm_pivot  # noqa: E402
 
 FUZZ = settings(
     max_examples=150,
@@ -25,6 +28,8 @@ FUZZ = settings(
     database=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# The properties at 9 to 11 points, where each example costs milliseconds.
+PROPERTIES = settings(FUZZ, max_examples=100)
 
 # Permutation, graph and set-system text and the CLI's element, vertex and
 # pair options also draw numbers past their parse budgets (MAX_POINTS,
@@ -150,3 +155,36 @@ def test_cli_exit_codes_without_traceback(argv):
         prefix = {1: "parse error: ", 2: "domain error: "}.get(code)
         assert prefix is not None, (argv, code, lines)
         assert len(lines) == 1 and lines[0].startswith(prefix), (argv, lines)
+
+
+def _factors(m: int):
+    """Images of a and b with a.m + b.m = m, both nonempty."""
+    return st.integers(1, m - 1).flatmap(
+        lambda k: st.tuples(st.permutations(range(1, k + 1)), st.permutations(range(1, m - k + 1)))
+    )
+
+
+@PROPERTIES
+@given(st.integers(9, 11).flatmap(_factors))
+def test_wgl_is_multiplicative_under_concat_at_9_to_11_points(images):
+    a, b = map(Perm, map(tuple, images))
+    assert wgl(concat(a, b), cap=a.m + b.m) == wgl(a) * wgl(b)
+
+
+def _interlaced(m: int):
+    """A shuffle of 1..m, whose first four points carry the interlacing
+    2-cycles, and the images of the other m - 4 points among themselves."""
+    return st.tuples(st.permutations(range(1, m + 1)), st.permutations(range(m - 4)))
+
+
+@PROPERTIES
+@given(st.integers(9, 11).flatmap(_interlaced))
+def test_pivot_keeps_interlace_perm_at_9_to_11_points(drawn):
+    points, shuffle = drawn
+    a1, b1, a2, b2 = sorted(points[:4])  # (a1 a2) and (b1 b2) cross
+    others = sorted(points[4:])
+    img = {x: others[i] for x, i in zip(others, shuffle)} | {a1: a2, a2: a1, b1: b2, b2: b1}
+    p = Perm(tuple(img[x] for x in range(1, len(points) + 1)))
+    a, b = (a1, a2), (b1, b2)
+    assert (a, b) in interlacing_two_cycle_pairs(p)
+    assert interlace_perm(perm_pivot(p, a, b), cap=p.m) == interlace_perm(p, cap=p.m)

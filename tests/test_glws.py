@@ -416,6 +416,31 @@ def test_wgl_cap():
     assert wgl(standard_cycle(4), cap=4) == Poly.var("C4")
 
 
+def test_engine_refuses_past_the_cap_and_the_point_budget_before_any_state():
+    # one point past the default cap, and past MAX_POINTS under a larger
+    # cap: every public function refuses before the engine reads or writes
+    # a memo, a cut or a public value
+    over_cap, over_budget = identity(DEFAULT_CAP + 1), identity(MAX_POINTS + 1)
+    for f in (wgl, feps, spec_standard, casimir_to_N, gl11_skewchar, interlace_perm):
+        glws.ENGINE_MEMOS.clear()
+        with pytest.raises(DomainError, match="^permutation has 11 points, exceeding the cap 10$"):
+            f(over_cap)
+        with pytest.raises(DomainError, match="^permutation has 1001 points, exceeding the budget 1000$"):
+            f(over_budget, cap=MAX_POINTS + 1)
+        assert glws.ENGINE_MEMOS.stats() == {}, f
+    memo: dict = {}
+    with pytest.raises(DomainError, match="^permutation has 11 points, exceeding the cap 10$"):
+        wgl(over_cap, memo=memo)
+    assert memo == {}
+
+
+def test_feps_direct_refuses_past_the_subset_budget(monkeypatch):
+    # 21 points: refused on the first subset, before any restriction
+    monkeypatch.setattr(glws, "subperm", None)
+    with pytest.raises(DomainError, match="^21 elements exceed the subset budget of 20$"):
+        feps_direct(standard_cycle(21))
+
+
 def test_negative_cap_is_refused_before_the_point_count():
     # cap -1 is a bad cap, not a permutation too large for it: even the
     # empty permutation is refused, by every entry point of the engine
@@ -624,8 +649,8 @@ def test_int_rings_past_exhaustive_range_and_the_smallest_class():
 
 def test_dict_class_past_the_int_classes():
     # inputs on more than 2 * DEFAULT_CAP points run on the dict ring of
-    # the MAX_POINTS class: its Poly decode for feps and its coefficient
-    # list for the interlace numerator
+    # the MAX_POINTS class: its Poly decode for feps and for the interlace
+    # numerator
     glws.ENGINE_MEMOS.clear()
     c40 = standard_cycle(40)
     assert feps(c40, cap=40) == feps_casimir_binding(40)
