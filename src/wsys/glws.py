@@ -97,8 +97,8 @@ own ``memo`` neither reads nor writes the cut table or the public
 values, so it cuts every state and decodes its value itself (cold timing
 stays cold).  Every public
 function enters the engine through :func:`packed_state_value` (cap
-checks, memo read, and the binding's own consistency check, such as the
-standard value N^(f-1)).
+checks, memo read, and the binding's own consistency check: the standard
+value is N^(f-1) and the C_k -> N value N^c).
 
 A state is a one-line image stored as a ``str`` with one code point per
 point (code point v is the value v), which covers all MAX_POINTS points;
@@ -156,7 +156,7 @@ from .algebra import (
 from .caches import Cache
 from .errors import DomainError, InternalError, shorten_int
 from .graphs import subset_counts, subset_masks, subsets
-from .invariants import refined_skew_char_graph, subset_poly
+from .invariants import subset_poly
 from .perm import MAX_POINTS, Perm, chords, cycle_count, face_count, intersection_graph, is_chord_diagram, subperm
 
 DEFAULT_CAP = 10
@@ -727,12 +727,12 @@ _FEPS = _Specialization(
 )
 
 
-def _check_standard(b: _Binding, state: str, val: Value) -> None:
-    """The standard value of every state is N^(f - 1)."""
-    if val != b.ring.pack(Poly.var("N", face_count(Perm(_image(state))) - 1)):
-        raise InternalError(
-            f"standard specialization of {_image(state)} is not N^(f-1): {b.decode(val, len(state))}"
-        )
+def _check_monomial(name: str, power: str, degree: Callable[[Perm], int], b: _Binding, state: str, val: Value) -> None:
+    """The value of every state is N^degree(state); bound to its message
+    words and degree by partial, a binding's check."""
+    p = Perm(_image(state))
+    if val != b.ring.pack(Poly.var("N", degree(p))):
+        raise InternalError(f"{name} of {p.img} is not {power}: {b.decode(val, p.m)}")
 
 
 # The standard and C_k -> N values are one monomial with coefficient 1.
@@ -743,9 +743,12 @@ _STANDARD = _Specialization(
     (Poly.one(), _N),
     l1=lambda m: 1,
     decode=_monomial_poly,
-    check=_check_standard,
+    check=partial(_check_monomial, "standard specialization", "N^(f-1)", lambda p: face_count(p) - 1),
 )
-_CYCLES = _Specialization("cycles", ("N",), lambda k: _N, (Poly.one(), _N), l1=lambda m: 1, decode=_monomial_poly)
+_CYCLES = _Specialization(
+    "cycles", ("N",), lambda k: _N, (Poly.one(), _N), l1=lambda m: 1, decode=_monomial_poly,
+    check=partial(_check_monomial, "C_k -> N specialization", "N^c", cycle_count),
+)
 
 
 def _halved(key: tuple[int, int]) -> int | Fraction:
@@ -807,11 +810,9 @@ def spec_standard(p: Perm, cap: int = DEFAULT_CAP) -> Poly:
 
 
 def casimir_to_N(p: Perm, cap: int = DEFAULT_CAP) -> Poly:
-    """Specialization C_k -> N for every k; always the monomial N^(c(p))."""
-    result = _evaluate(p, cap, _CYCLES)
-    if result != Poly.var("N", cycle_count(p)):
-        raise InternalError(f"C_k -> N specialization of {p.img} is not N^c: {result}")
-    return result
+    """Specialization C_k -> N for every k; always the monomial N^(c(p)),
+    which the binding checks on every value."""
+    return _evaluate(p, cap, _CYCLES)
 
 
 def gl11_skewchar(p: Perm, cap: int = DEFAULT_CAP) -> Poly:
@@ -823,14 +824,14 @@ def gl11_skewchar(p: Perm, cap: int = DEFAULT_CAP) -> Poly:
 
 def feps_in_v(b: Perm, cap: int = DEFAULT_CAP) -> Poly:
     """The two-parameter family of a chord diagram written in (v, N): the
-    refined skew characteristic polynomial of the intersection graph with
-    u := v, w := N.  Internally re-expanded through v = 2*eps + N*eps^2
-    and checked against :func:`feps`; a mismatch would signal a convention
-    bug, not bad input."""
+    sum over vertex subsets U of the intersection graph of N^(corank A_U)
+    v^(n - |U|), its refined skew characteristic polynomial at u := v,
+    w := N.  Checked against :func:`feps` through v = 2*eps + N*eps^2; a
+    mismatch would signal a convention bug, not bad input."""
     if not is_chord_diagram(b):
         raise DomainError("feps_in_v needs a chord diagram")
-    qbar = refined_skew_char_graph(intersection_graph(b))
-    result = qbar.subs({"u": Poly.var("v"), "w": Poly.var("N")})
+    g, v_parts = intersection_graph(b), MONOMIAL_PARTS["v"]
+    result = subset_poly(g.corank_counts, lambda s, c: _N_PARTS[c] + v_parts[g.n - s])
     v_expansion = Poly.const(2) * Poly.var("eps") + Poly.var("N") * Poly.var("eps", 2)
     if result.subs({"v": v_expansion}) != feps(b, cap=cap):
         raise InternalError(f"(v, N) form of {b.img} does not expand to the eps form")

@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from wsys import dmat
+from wsys import dmat, graphs
 from wsys.dmat import (
     MAX_EXCHANGE_SETS,
     DMat,
@@ -93,13 +93,73 @@ def test_symmetric_exchange_axiom():
     assert not check_symmetric_exchange(not_dm)
 
 
+def _pairwise_exchange(d: DMat) -> bool:
+    """The axiom compared pair by pair on member tuples, as the check did
+    before it read neighbour masks: the reference it must agree with."""
+    phi_list = list(d.phi)
+    for f in phi_list:
+        for g in phi_list:
+            diff = f ^ g
+            if not diff:
+                continue
+            for x in mask_to_set(diff):
+                xbit = 1 << (x - 1)
+                if f ^ xbit in d.phi:  # y = x
+                    continue
+                if not any(f ^ xbit ^ (1 << (y - 1)) in d.phi for y in mask_to_set(diff) if y != x):
+                    return False
+    return True
+
+
+def _toggled(d: DMat, mask: int) -> DMat:
+    return DMat(d.ground, d.phi ^ {mask})
+
+
+def test_symmetric_exchange_agrees_with_the_pairwise_reference(monkeypatch):
+    # the mask check never builds a member tuple: dmat.mask_to_set is gone
+    # while it runs, and the reference reads this module's own binding
+    monkeypatch.setattr(dmat, "mask_to_set", None)
+    graph_systems = [dmat_from_graph(g) for n in range(6) for g in all_graphs(n)]
+    assert len(graph_systems) == 1100
+    for d in graph_systems:
+        assert check_symmetric_exchange(d) is _pairwise_exchange(d) is True, d
+    # seeded random families on at most 7 elements, many of them no
+    # delta-matroid
+    rng, failing = Random(34), 0
+    for _ in range(600):
+        ground = rng.randint(0, 7)
+        density = rng.choice((0.1, 0.3, 0.5, 0.8))
+        phi = frozenset(mask for mask in range(1 << ground) if rng.random() < density) or frozenset({0})
+        d = DMat(ground, phi)
+        verdict = check_symmetric_exchange(d)
+        assert verdict is _pairwise_exchange(d), dmat_format(d)
+        failing += not verdict
+    assert failing == 277
+    # seeded graph systems on 6 to 10 vertices (16 to 253 sets), each also
+    # with one admissible set removed and one other set added: all ten break
+    broken = 0
+    for n in range(6, 11):
+        rng = Random(n)
+        g = Graph.from_edges(n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if rng.random() < 0.5])
+        d = dmat_from_graph(g)
+        assert check_symmetric_exchange(d) is _pairwise_exchange(d) is True, graph_format(g)
+        admissible = sorted(d.phi)
+        other = [mask for mask in range(1 << n) if mask not in d.phi]
+        for e in (_toggled(d, rng.choice(admissible)), _toggled(d, rng.choice(other))):
+            verdict = check_symmetric_exchange(e)
+            assert verdict is _pairwise_exchange(e), graph_format(g)
+            broken += not verdict
+    assert broken == 10
+
+
 def test_symmetric_exchange_refuses_past_its_budget_before_any_pair(monkeypatch):
     # every graph system of the dmat-axiom suite is within the budget; so
     # are the 256 subsets of 8 elements, and one set more is refused before
-    # a pair is compared
+    # a pair is compared: each pair's bit pass would call the missing
+    # graphs.bit_indices
     assert MAX_EXCHANGE_SETS == 256 and 2**MAX_VERIFY_VERTICES <= MAX_EXCHANGE_SETS
     assert check_symmetric_exchange(DMat(8, frozenset(range(256))))
-    monkeypatch.setattr(dmat, "mask_to_set", None)
+    monkeypatch.setattr(graphs, "bit_indices", None)
     with pytest.raises(DomainError, match="^257 admissible sets exceed the exchange budget of 256$"):
         check_symmetric_exchange(DMat(9, frozenset(range(257))))
     # a set system past the subset budget is refused when it is made

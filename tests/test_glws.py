@@ -544,16 +544,21 @@ def test_specializations_equal_substitution_into_wgl():
 
 def test_consistency_check_survives_optimize_flag():
     # a wrong value planted in the standard memo raises InternalError from
-    # spec_standard and from the Hopf projection's packed route, normally
-    # and under python -O, where an assert would be stripped
+    # spec_standard and from the Hopf projection's packed route, and one
+    # planted in the C_k -> N memo from casimir_to_N (one binding check
+    # serves both), normally and under python -O, where an assert would be
+    # stripped
     code = (
         "import sys\n"
         "from wsys import glws, hopf, perm_parse\n"
         "from wsys.errors import InternalError\n"
         "b = perm_parse('(1 3)(2 4)')\n"
-        "for run in (glws.spec_standard, lambda b: hopf.primitive_eval_diagram(glws.spec_standard, b)):\n"
+        "runs = ((glws._STANDARD, glws.spec_standard),\n"
+        "        (glws._STANDARD, lambda b: hopf.primitive_eval_diagram(glws.spec_standard, b)),\n"
+        "        (glws._CYCLES, glws.casimir_to_N))\n"
+        "for spec, run in runs:\n"
         "    glws.ENGINE_MEMOS.clear()\n"
-        "    sb = glws._STANDARD.binding(4)\n"
+        "    sb = spec.binding(4)\n"
         "    glws.ENGINE_MEMOS.table(sb)[glws._state(b.img)] = sb.ring.pack(glws._N ** 5)\n"
         "    try:\n"
         "        run(b)\n"
@@ -567,7 +572,10 @@ def test_consistency_check_survives_optimize_flag():
             [sys.executable, *flags, "-c", code], capture_output=True, text=True, env=env, timeout=60
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == [f"standard specialization of (3, 4, 1, 2) is not N^(f-1): N^5|{optimize}"] * 2
+        assert proc.stdout.splitlines() == [
+            *[f"standard specialization of (3, 4, 1, 2) is not N^(f-1): N^5|{optimize}"] * 2,
+            f"C_k -> N specialization of (3, 4, 1, 2) is not N^c: N^5|{optimize}",
+        ]
 
 
 def test_int_decode_checks_survive_optimize_flag():
