@@ -142,9 +142,9 @@ def check_symmetric_exchange(d: DMat) -> bool:
     x in their symmetric difference, some y in the difference (y = x
     allowed) keeps phi ^ {x, y} admissible.  Per phi, near[x] is None if
     phi ^ {x} is admissible, else the mask of the y != x with phi ^ {x, y}
-    admissible; psi fails at x in phi ^ psi iff near[x] misses phi ^ psi,
-    one bit pass per pair.  A family of more than MAX_EXCHANGE_SETS sets
-    is refused before any pair is compared."""
+    admissible; psi fails at x in phi ^ psi iff near[x] is a mask
+    disjoint from phi ^ psi, one bit pass per pair.  A family of more than
+    MAX_EXCHANGE_SETS sets is refused before any pair is compared."""
     if len(d.phi) > MAX_EXCHANGE_SETS:
         raise DomainError(f"{len(d.phi)} admissible sets exceed the exchange budget of {MAX_EXCHANGE_SETS}")
     phi, bits = d.phi, [1 << x for x in range(d.ground)]

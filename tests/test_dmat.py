@@ -111,10 +111,6 @@ def _pairwise_exchange(d: DMat) -> bool:
     return True
 
 
-def _toggled(d: DMat, mask: int) -> DMat:
-    return DMat(d.ground, d.phi ^ {mask})
-
-
 def test_symmetric_exchange_agrees_with_the_pairwise_reference(monkeypatch):
     # the mask check never builds a member tuple: dmat.mask_to_set is gone
     # while it runs, and the reference reads this module's own binding
@@ -145,7 +141,7 @@ def test_symmetric_exchange_agrees_with_the_pairwise_reference(monkeypatch):
         assert check_symmetric_exchange(d) is _pairwise_exchange(d) is True, graph_format(g)
         admissible = sorted(d.phi)
         other = [mask for mask in range(1 << n) if mask not in d.phi]
-        for e in (_toggled(d, rng.choice(admissible)), _toggled(d, rng.choice(other))):
+        for e in (DMat(n, d.phi ^ {rng.choice(admissible)}), DMat(n, d.phi ^ {rng.choice(other)})):
             verdict = check_symmetric_exchange(e)
             assert verdict is _pairwise_exchange(e), graph_format(g)
             broken += not verdict
