@@ -23,6 +23,9 @@ series are ``Fraction`` lists whose integer entries come from one bounded
 and the rings' decoded monomials and digit biases are caches too, and so
 is each fixed variable's table of monomial parts (:data:`MONOMIAL_PARTS`),
 the one that every decode to a Poly in that variable reads.
+:func:`subset_poly` turns a (|U|, statistic) histogram into a Poly from
+those parts; the subset sums of ``invariants`` and ``glws.feps_direct``
+and ``glws.feps_in_v`` share it.
 
 Two working forms serve the recurrence engine in ``glws`` and the subset
 convolutions of the Hopf projection in ``hopf``; both convert to
@@ -57,7 +60,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import accumulate, compress
 from operator import mul
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from .caches import Cache
 from .errors import DomainError, InternalError, is_uint, shorten_int
@@ -342,6 +345,25 @@ def poly_to_string(p: Poly) -> str:
 def poly_subst(p: Poly, bindings: Mapping[str, Polylike]) -> Poly:
     """Module-level alias of :meth:`Poly.subs`."""
     return p.subs(bindings)
+
+
+def subset_poly(
+    counts: Mapping[tuple[int, int], int], mono: Callable[[int, int], Monomial | None]
+) -> Poly:
+    """Sum over subsets U of the monomial mono(|U|, stat(U)), read from the
+    histogram {(|U|, stat): count} of a subset table or of
+    :func:`~wsys.graphs.subset_counts` (the statistic is a corank or a
+    distance).  The monomial is a concatenation of parts of
+    :data:`MONOMIAL_PARTS` in the fixed variable order, and None leaves U
+    out.  The result is adopted without validation, which holds because
+    every count of a histogram is a positive int.
+    """
+    terms: dict[Monomial, int] = {}
+    for (size, stat), count in counts.items():
+        key = mono(size, stat)
+        if key is not None:
+            terms[key] = terms.get(key, 0) + count
+    return Poly._raw(terms)
 
 
 # -- packed exponent vectors ---------------------------------------------

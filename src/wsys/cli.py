@@ -12,34 +12,19 @@ consistency check failure (a bug, not bad input).
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .algebra import MAX_SERIES_ORDER, poly_to_string
-from .dmat import (
-    dmat_format,
-    dmat_from_chord_diagram,
-    dmat_from_graph,
-    dmat_parse,
-    distance,
-    partial_dual,
-    set_to_mask,
-)
 from .errors import DomainError, InternalError, ParseError, bounded_uint, is_uint, shorten, shorten_int
-from .glws import DEFAULT_CAP, feps, feps_direct, feps_in_v, gl11_skewchar, interlace_perm, wgl
 from .graphs import graph_format, graph_parse, graph_pivot
-from .invariants import (
-    interlace_dmat,
-    interlace_graph,
-    refined_skew_char_dmat,
-    refined_skew_char_graph,
-    shift_variable,
-    skew_char,
-)
-from .perm import cycle_count, face_count, perm_format, perm_parse, perm_pivot
-from .verify import run_suites
+from .perm import DEFAULT_CAP, cycle_count, face_count, perm_format, perm_parse, perm_pivot
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+# Each verb handler imports the modules that only its verb runs, so a
+# process loads (and, without bytecode caches, compiles) no other.
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,6 +53,8 @@ def _int_flag(text: str) -> int:
 
 
 def _parse_subset(text: str, ground: int) -> int:
+    from .dmat import set_to_mask
+
     body = text.strip().strip("{}").strip()
     if not body:
         return 0
@@ -112,6 +99,9 @@ def _series_text(coeffs: list[Fraction]) -> str:
 
 
 def _cmd_wgl(args) -> int:
+    from .algebra import poly_to_string
+    from .glws import wgl
+
     p = perm_parse(args.perm)
     print(poly_to_string(wgl(p, cap=args.cap)))
     return 0
@@ -124,6 +114,9 @@ def _cmd_faces(args) -> int:
 
 
 def _cmd_feps(args) -> int:
+    from .algebra import poly_to_string
+    from .glws import feps, feps_direct, feps_in_v
+
     p = perm_parse(args.perm)
     if args.in_v:
         value = feps_in_v(p)
@@ -139,8 +132,14 @@ def _cmd_interlace(args) -> int:
     if args.perm is not None:
         if args.shifted:
             raise DomainError("--shifted applies to graph or set-system input only")
+        from .glws import interlace_perm
+
         print(str(interlace_perm(perm_parse(args.perm))))
         return 0
+    from .algebra import poly_to_string
+    from .dmat import dmat_parse
+    from .invariants import interlace_dmat, interlace_graph, shift_variable
+
     if args.graph is not None:
         value = interlace_graph(graph_parse(args.graph))
     else:
@@ -152,20 +151,31 @@ def _cmd_interlace(args) -> int:
 
 
 def _cmd_skewchar(args) -> int:
+    from .algebra import poly_to_string
+
     if args.graph is not None:
+        from .invariants import refined_skew_char_graph, skew_char
+
         g = graph_parse(args.graph)
         value = refined_skew_char_graph(g) if args.refined else skew_char(g)
     elif args.dmat is not None:
+        from .dmat import dmat_parse
+        from .invariants import refined_skew_char_dmat
+
         value = refined_skew_char_dmat(dmat_parse(args.dmat))
     else:
         if args.refined:
             raise DomainError("--refined applies to graph or set-system input only")
+        from .glws import gl11_skewchar
+
         value = gl11_skewchar(perm_parse(args.perm))
     print(poly_to_string(value))
     return 0
 
 
 def _cmd_dmat(args) -> int:
+    from .dmat import dmat_format, dmat_from_chord_diagram, dmat_from_graph, dmat_parse, distance, partial_dual
+
     if args.graph is not None:
         d = dmat_from_graph(graph_parse(args.graph))
     elif args.perm is not None:
@@ -194,6 +204,9 @@ def _cmd_pivot(args) -> int:
 
 
 def _cmd_series(args) -> int:
+    from .algebra import MAX_SERIES_ORDER
+    from .glws import interlace_perm
+
     if not 0 <= args.order <= MAX_SERIES_ORDER:
         raise DomainError(f"series order must be in 0..{MAX_SERIES_ORDER}, got {shorten_int(args.order)}")
     rf = interlace_perm(perm_parse(args.perm))
@@ -203,6 +216,10 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    import json
+
+    from .verify import run_suites
+
     bounds = {
         "max_m": args.max_m,
         "max_chords": args.max_chords,

@@ -73,7 +73,11 @@ wider slots.  An input on more points runs in one dict class of
 MAX_POINTS points, where the sparse values it can reach are cheaper as
 dicts than as ints sized by their slot grids.  Every decode of an int
 checks an identity that a carry between slots breaks and raises
-InternalError.
+InternalError.  DEFAULT_CAP, the default ``cap`` of the public
+functions, and MAX_POINTS are the two point budgets of :mod:`wsys.perm`,
+so the CLI reads the cap without loading the engine; the subset sums
+of ``feps_direct`` and ``feps_in_v`` are :func:`~wsys.algebra.subset_poly`'s,
+so the engine loads no graph invariant.
 
 A memo maps each state it has seen (rotation representatives, loop
 states and inputs) to its value in the binding's ring; the public
@@ -152,14 +156,12 @@ from .algebra import (
     casimir,
     connected_parts,
     kronecker_width,
+    subset_poly,
 )
 from .caches import Cache
 from .errors import DomainError, InternalError, shorten_int
 from .graphs import subset_counts, subset_masks, subsets
-from .invariants import subset_poly
-from .perm import MAX_POINTS, Perm, chords, cycle_count, face_count, intersection_graph, is_chord_diagram, subperm
-
-DEFAULT_CAP = 10
+from .perm import DEFAULT_CAP, MAX_POINTS, Perm, chords, cycle_count, face_count, intersection_graph, is_chord_diagram, subperm
 
 # One linear combination of permutations, as (coefficient, permutation) pairs.
 WglState = list[tuple[Poly, Perm]]

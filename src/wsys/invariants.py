@@ -11,11 +11,12 @@ subset table kept on its graph (``Graph.corank_counts``) or system
 (``DMat.distance_counts``), so a graph and the system ``dmat_from_graph``
 makes of it share one table and one histogram; no sum decodes the 2^n
 statistics one by one.
-A sum adds each monomial's count into a plain dict and adopts it with
-``Poly._raw``: a monomial is a concatenation of cached parts
-(:data:`~wsys.algebra.MONOMIAL_PARTS`, () at exponent 0, the tables the
-engine reads too) in the fixed variable order and histogram counts are
-positive ints, so nothing is left to validate.
+A sum is :func:`~wsys.algebra.subset_poly` of that histogram, as are
+``glws.feps_direct`` and ``glws.feps_in_v``: it adds each monomial's
+count into a plain dict and adopts it with ``Poly._raw``, since a
+monomial is a concatenation of cached parts
+(:data:`~wsys.algebra.MONOMIAL_PARTS`, () at exponent 0) in the fixed
+variable order and histogram counts are positive ints.
 The vertex recursion of the interlace polynomial holds L as one int of a
 :class:`~wsys.algebra.KroneckerRing` (L at x = 2^24) and decodes it to a
 Poly once per call, by the ring's checked digits and the parts of x.
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 from typing import Callable, Mapping, MutableMapping
 
-from .algebra import MONOMIAL_PARTS, KroneckerRing, Monomial, Poly
+from .algebra import MONOMIAL_PARTS, KroneckerRing, Poly, subset_poly
 from .caches import Cache
 from .dmat import DMat, mask_to_set
 from .errors import DomainError, InternalError
@@ -49,25 +50,6 @@ GraphInvariant = Callable[[Graph], Poly]
 
 
 _U, _W, _X, _Y = map(MONOMIAL_PARTS.__getitem__, "uwxy")
-
-
-def subset_poly(
-    counts: Mapping[tuple[int, int], int], mono: Callable[[int, int], Monomial | None]
-) -> Poly:
-    """Sum over subsets U of the monomial mono(|U|, stat(U)), read from the
-    histogram {(|U|, stat): count} of a subset table or of
-    :func:`~wsys.graphs.subset_counts` (the statistic is a corank or a
-    distance).  The monomial is a concatenation of parts of
-    :data:`~wsys.algebra.MONOMIAL_PARTS` in the fixed variable order, and
-    None leaves U out.  The result is adopted without validation, which
-    holds because every count of a histogram is a positive int.
-    """
-    terms: dict[Monomial, int] = {}
-    for (size, stat), count in counts.items():
-        key = mono(size, stat)
-        if key is not None:
-            terms[key] = terms.get(key, 0) + count
-    return Poly._raw(terms)
 
 
 def skew_char(g: Graph) -> Poly:

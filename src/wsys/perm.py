@@ -32,6 +32,11 @@ from .errors import DomainError, ParseError, bounded_uint, is_uint, shorten
 #: Largest point count perm_parse accepts, from a cycle point, m or a one-line length.
 MAX_POINTS = 1000
 
+#: The default cap of the engine's public functions (``glws``) and of
+#: ``wsys wgl --cap``: the most points a call admits unless it passes its
+#: own cap, which MAX_POINTS bounds in turn.
+DEFAULT_CAP = 10
+
 
 @dataclass(frozen=True)
 class Perm:

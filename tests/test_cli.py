@@ -404,6 +404,7 @@ def test_every_suite_bound_is_a_verify_option(monkeypatch):
     import inspect
 
     import wsys.cli
+    import wsys.verify
     from wsys.verify import SUITES
 
     defaults = vars(wsys.cli._build_parser().parse_args(["verify"]))
@@ -411,7 +412,7 @@ def test_every_suite_bound_is_a_verify_option(monkeypatch):
     params = {p for fn in SUITES.values() for p in inspect.signature(fn).parameters}
     assert params <= set(bounds), params - set(bounds)
     seen = {}
-    monkeypatch.setattr(wsys.cli, "run_suites", lambda names, **kw: seen.update(kw) or [])
+    monkeypatch.setattr(wsys.verify, "run_suites", lambda names, **kw: seen.update(kw) or [])
     argv = ["verify"]
     for value, name in enumerate(bounds, start=1):
         argv += [f"--{name.replace('_', '-')}", str(value)]

@@ -2,12 +2,18 @@
 names, by import or through a module object.  Class attributes such as
 ``Poly._raw`` stay allowed.  The test extra of ``pyproject.toml`` declares
 every module the tests import from outside the stdlib and wsys, or skip
-on through ``pytest.importorskip``."""
+on through ``pytest.importorskip``.  The package's export table resolves
+each public name to its defining module's object, and a fresh process
+loads only the modules that its ``wsys`` verb runs."""
 
 import ast
+import importlib
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
+from types import FunctionType
 
 import pytest
 
@@ -97,3 +103,77 @@ def test_the_dependency_guard_finds_each_kind_of_use():
         "sympy = pytest.importorskip('sympy.core')\n"
     )
     assert imported_modules(sample) == {"os", "numpy", "scipy", "pytest", "sympy"}
+
+
+def test_the_export_table_resolves_each_name_in_its_defining_module():
+    homes = {name: module for module, names in wsys._EXPORTS.items() for name in names.split()}
+    assert wsys.__all__ == [*homes, "__version__"] and len(homes) == 81
+    for name, module in homes.items():
+        home = importlib.import_module(f"wsys.{module}")
+        value = getattr(wsys, name)
+        assert value is getattr(home, name), name
+        if isinstance(value, (type, FunctionType)):  # defined there, not re-exported
+            assert value.__module__ == home.__name__, name
+    namespace: dict = {}
+    exec("from wsys import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(wsys.__all__)
+    assert set(wsys.__all__) <= set(dir(wsys))
+
+
+def test_the_package_refuses_unknown_names_and_still_imports_submodules():
+    with pytest.raises(AttributeError, match="module 'wsys' has no attribute 'subset_poly'"):
+        wsys.subset_poly  # public in wsys.algebra, not in the export table
+    with pytest.raises(ImportError):
+        exec("from wsys import no_such_name", {})
+    from wsys import algebra, dmat, glws, hopf, invariants, verify
+
+    for module in (algebra, dmat, glws, hopf, invariants, verify):
+        assert module is sys.modules[module.__name__]
+
+
+# Each case: the argv of a wsys process and the modules of the package it
+# must not load.
+_NO_ENGINE = {"algebra", "glws", "invariants", "hopf", "verify"}
+_NO_INVARIANTS = {"invariants", "dmat", "hopf", "verify"}
+IMPORT_CASES = [
+    (["faces", "--perm", "2,3,1"], _NO_ENGINE),
+    (["pivot", "--perm", "3,4,1,2", "--a", "1,3", "--b", "2,4"], _NO_ENGINE),
+    (["pivot", "--graph", "n=3; edges=1-2,2-3", "--a", "1", "--b", "2"], _NO_ENGINE),
+    (["dmat", "--graph", "n=3; edges=1-2,2-3"], _NO_ENGINE),
+    (["dmat", "--perm", "3,4,1,2", "--dual", "1", "--distance", "2"], _NO_ENGINE),
+    (["wgl", "--perm", "2,3,1"], _NO_INVARIANTS),
+    (["feps", "--perm", "3,4,1,2"], _NO_INVARIANTS),
+    (["feps", "--direct", "--perm", "3,4,1,2"], _NO_INVARIANTS),
+    (["interlace", "--perm", "3,4,1,2"], _NO_INVARIANTS),
+    (["skewchar", "--perm", "3,4,1,2"], _NO_INVARIANTS),
+    (["series", "--perm", "3,4,1,2"], _NO_INVARIANTS),
+]
+
+# Runs the verb given in argv, or only ``import wsys`` without one, then
+# prints the package's loaded modules as its last line.
+_LOADED = """
+import sys
+if sys.argv[1:]:
+    from wsys.cli import run
+    code = run(sys.argv[1:])
+else:
+    import wsys
+    code = 0
+print(" ".join(name for name in sys.modules if name.split(".")[0] == "wsys"))
+sys.exit(code)
+"""
+
+
+def loaded_modules(*argv: str) -> set[str]:
+    """The package's modules a fresh process running argv has loaded."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", _LOADED, *argv], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, (argv, proc.stderr)
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_each_process_loads_only_the_modules_its_verb_runs():
+    assert loaded_modules() == {"wsys"}
+    for argv, forbidden in IMPORT_CASES:
+        modules = loaded_modules(*argv)
+        assert not modules & {f"wsys.{name}" for name in forbidden}, (argv, sorted(modules))

@@ -66,6 +66,19 @@ def test_every_suite_passes_at_small_bounds():
         assert report.seconds >= 0
 
 
+def test_every_suite_reports_at_the_smallest_value_of_each_bound():
+    # 0 is the least value of every count bound; each suite takes each of
+    # its bounds at 0 with its other bounds at 1, and all of them at 0
+    for name, fn in SUITES.items():
+        keys = [key for key in signature(fn).parameters if key != "seed"]
+        for low in [*keys, None]:
+            bounds = {key: 0 if low in (key, None) else 1 for key in keys}
+            report = run_suite(name, **bounds)
+            assert isinstance(report, VerifySuiteReport) and report.passed, (name, bounds, report.failures)
+    # the pinned paths start at one vertex, the pinned cycles at three
+    assert [run_suite("interlace-equivalence", max_vertices=v).instances for v in range(3)] == [15, 17, 22]
+
+
 def test_bounds_are_filtered_by_relevance():
     # a graph suite ignores permutation bounds and vice versa
     r1 = run_suite("dmat-axiom", max_vertices=3, max_m=2, max_chords=1)
